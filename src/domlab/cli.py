@@ -11,9 +11,9 @@ Subcommands:
   kinds with ready-to-run example configs.
 
 Exit codes: 0 all claims hold (or nothing was claimed), 1 usage or
-validation error, 2 at least one claim violated (including counterexample
-probes that find their expected witness), 3 no violation but at least one
-inconclusive verdict.
+validation error, a failed premise re-check or an exceeded size cap, 2 at
+least one claim violated (including counterexample probes that find their
+expected witness), 3 no violation but at least one inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -29,300 +29,17 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import load_config, validate_config
-from .dominance import (DominationQuery, check_domination, tail_probability,
-                        tensorisation_experiment, _law_samples)
-from .distributions import FiniteSupportDist, ProductLaw, dump_samples_csv
-from .errors import ParameterError
-from .geometry import euclidean, norm_to_spec
-from .inequalities import (SignInstance, verify_L1L2, verify_PZ,
-                           verify_contraction, verify_kahane,
-                           verify_sum_inequalities)
-from .majorisation import (counterexample_experiment, decompose, is_majorised,
-                           schur_convexity_check, _majorisation_violation,
-                           DEFAULT_TOL)
-from .rng import substream
-from .weakborell import check_wb, wb_sum_experiment, wb_tensorize_constants
+from .config import EXPERIMENTS, load_config, validate_config
+from .distributions import dump_samples_csv
+from .errors import CapacityError, ParameterError, PreconditionError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATED = 2
 EXIT_INCONCLUSIVE = 3
 
-
-# ---------------------------------------------------------------------------
-# experiment runners: config -> (report dict, csv tables, verdict list)
-
-
-def _run_tail(cfg, threads):
-    law = cfg["_source"]
-    norms = cfg["_norms"]
-    est = cfg["_estimator"]
-    seed = cfg["seed"]
-    samples = _law_samples(law, est, seed, (0,), threads) if est.kind == "mc" else None
-    cells = []
-    csv_rows = []
-    for i, norm in enumerate(norms):
-        for t in cfg["thresholds"]:
-            p = tail_probability(law, norm, float(t), est, seed, (0,), samples)
-            cells.append({"norm_index": i, "norm": norm_to_spec(norm),
-                          "threshold": float(t), "tail": p.to_json()})
-            csv_rows.append((i, float(t), p.value, p.lo, p.hi))
-    report = {"kind": "tail", "cells": cells}
-    tables = {"tails.csv": (("norm_index", "threshold", "value", "lo", "hi"),
-                            csv_rows)}
-    if cfg.get("dump_samples") and samples is not None:
-        report["samples_file"] = "samples.csv"
-        tables["__raw__samples.csv"] = samples
-    return report, tables, []
-
-
-def _run_domination(cfg, threads):
-    query = DominationQuery(x=cfg["_x"], y=cfg["_y"], kappa=float(cfg["kappa"]),
-                            lam=float(cfg["lambda"]), norms=tuple(cfg["_norms"]),
-                            estimator=cfg["_estimator"])
-    rep = check_domination(query, seed=cfg["seed"], threads=threads)
-    tables = {"scatter.csv": (("norm_index", "p_x", "kappa_p_y"),
-                              rep.scatter_rows())}
-    return dict(rep.to_json(), kind="domination"), tables, rep.verdicts()
-
-
-def _run_tensorize(cfg, threads):
-    rep = tensorisation_experiment(
-        cfg["_pairs"], float(cfg["kappa"]), float(cfg["lambda"]),
-        float(cfg["alpha"]), cfg["_norms"], cfg["_estimator"],
-        seed=cfg["seed"], recheck=bool(cfg.get("recheck", True)), threads=threads)
-    tables = {"scatter.csv": (("norm_index", "p_x", "kappa_p_y"),
-                              rep.scatter_rows())}
-    return dict(rep.to_json(), kind="tensorize"), tables, rep.verdicts()
-
-
-def _run_wb(cfg, threads):
-    rep = check_wb(cfg["_source"], cfg["_params"], cfg["_norms"],
-                   cfg["lambda_grid"], cfg["_estimator"], seed=cfg["seed"],
-                   threads=threads)
-    tables = {"loglog.csv": (("lambda", "tail_ratio", "bound"), rep.loglog_rows())}
-    return dict(rep.to_json(), kind="wb"), tables, rep.verdicts()
-
-
-def _run_wb_sum(cfg, threads):
-    rep = wb_sum_experiment(
-        cfg["_components"], cfg["_params"], cfg["_norms"], cfg["lambda_grid"],
-        cfg["_estimator"], seed=cfg["seed"],
-        recheck=bool(cfg.get("recheck", True)),
-        component_estimator=cfg.get("_component_estimator"), threads=threads)
-    tens = wb_tensorize_constants(cfg["_params"])
-    report = dict(rep.to_json(), kind="wb-sum",
-                  tensorized={"C": tens.C, "delta": tens.delta,
-                              "theta": tens.theta})
-    tables = {"loglog.csv": (("lambda", "tail_ratio", "bound"), rep.loglog_rows())}
-    return report, tables, rep.verdicts()
-
-
-def _run_majorize(cfg, threads):
-    a, b = cfg["a"], cfg["b"]
-    if not is_majorised(a, b):
-        bad = _majorisation_violation(a, b, DEFAULT_TOL)
-        report = {"kind": "majorize", "majorised": False,
-                  "violating_partial_sum": bad + 1}
-        return report, {}, ["violated"]
-    mix = decompose(a, b)
-    err = float(np.max(np.abs(mix.reconstruct() - np.asarray(a, dtype=float))))
-    report = {"kind": "majorize", "majorised": True, "mixture": mix.to_json(),
-              "terms": len(mix.terms), "reconstruction_error": err}
-    return report, {}, ["holds"]
-
-
-def _run_schur(cfg, threads):
-    rep = schur_convexity_check(cfg["a"], cfg["b"], cfg["_component"],
-                                cfg["_norm"])
-    return ({"kind": "schur", "report": rep.to_json()}, {},
-            ["holds" if rep.holds else "violated"])
-
-
-def _run_counterexample(cfg, threads):
-    table = counterexample_experiment(
-        float(cfg["delta"]), cfg["n_grid"], float(cfg["kappa"]),
-        float(cfg["lambda"]), budget=int(cfg.get("budget", 10**6)),
-        seed=cfg["seed"])
-    report = dict(table.to_json(), kind="counterexample")
-    tables = {"table.csv": (("n", "lhs", "rhs", "ratio"), table.csv_rows())}
-    # Finding the witness is the expected outcome; it still exits as a
-    # violation so pipelines can tell "domination failed" from "held".
-    verdicts = ["violated"] if table.witness is not None else ["inconclusive"]
-    return report, tables, verdicts
-
-
-def _random_sign_instance(rng, max_n, d):
-    n = int(rng.integers(2, max_n + 1))
-    vectors = rng.standard_normal((n, d)) / np.sqrt(n)
-    return SignInstance(vectors, euclidean(d))
-
-
-def _random_finite_component(rng, d, pairs):
-    vecs = rng.standard_normal((pairs, d))
-    w = rng.random(pairs) + 0.1
-    w = 0.9 * w / w.sum()
-    return FiniteSupportDist.symmetric_pairs(vecs, w, zero_prob=0.1)
-
-
-def _run_inequality_suite(cfg, threads):
-    seed = cfg["seed"]
-    max_n = int(cfg["max_n"])
-    d = int(cfg["dimension"])
-    reports = []
-    for i in range(int(cfg["instances"])):
-        rng = substream(seed, 10, i)
-        inst = _random_sign_instance(rng, max_n, d)
-        reports.append(verify_kahane(inst, s=0.5, t=0.5))
-        reports.append(verify_L1L2(inst))
-        reports.append(verify_PZ(inst, theta=0.5))
-        a = rng.random(inst.n)
-        b = a + rng.random(inst.n)
-        reports.append(verify_contraction(inst.vectors, a, b, inst.norm))
-    max_comp = int(cfg.get("max_components", 3))
-    for i in range(int(cfg["product_laws"])):
-        rng = substream(seed, 11, i)
-        n = int(rng.integers(2, max_comp + 1))
-        comps = tuple(_random_finite_component(rng, d, pairs=2)
-                      for _ in range(n))
-        law = ProductLaw(comps)
-        sums = verify_sum_inequalities(law, euclidean(d),
-                                       {"s": 0.5, "t": 0.5, "u": 0.5})
-        reports.extend(sums.values())
-    verdicts = []
-    for r in reports:
-        if r.note == "inconclusive":
-            verdicts.append("inconclusive")
-        elif r.note == "skipped":
-            pass  # no claim was evaluated
-        else:
-            verdicts.append("holds" if r.holds else "violated")
-    rows = [(r.name, r.lhs, r.rhs, r.slack, r.method) for r in reports]
-    report = {"kind": "inequality-suite",
-              "reports": [r.to_json() for r in reports]}
-    tables = {"slack.csv": (("name", "lhs", "rhs", "slack", "method"), rows)}
-    return report, tables, verdicts
-
-
-_RUNNERS = {
-    "tail": _run_tail,
-    "domination": _run_domination,
-    "tensorize": _run_tensorize,
-    "wb": _run_wb,
-    "wb-sum": _run_wb_sum,
-    "majorize": _run_majorize,
-    "schur": _run_schur,
-    "counterexample": _run_counterexample,
-    "inequality-suite": _run_inequality_suite,
-}
-
-
-# ---------------------------------------------------------------------------
-# catalog
-
-_RADEMACHER = {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}
-_HALF_RADEMACHER = {"family": "finite", "atoms": [[[0.5], 0.5], [[-0.5], 0.5]]}
-
-CATALOG = [
-    {"name": "tail-grid",
-     "kind": "tail",
-     "claim": "tail probabilities of a sum under a norm family",
-     "description": "P(||X|| > t) over a threshold grid and a norm family; "
-                    "exact where possible, else Monte Carlo with exact "
-                    "binomial intervals.",
-     "config": {"kind": "tail", "seed": 1, "source": _RADEMACHER,
-                "norms": {"list": [{"variant": "lp", "dimension": 1, "p": 2}]},
-                "thresholds": [0.5, 1.0, 1.5],
-                "estimator": {"kind": "exact"}}},
-    {"name": "domination-check",
-     "kind": "domination",
-     "claim": "family-relative (kappa, lambda) tail domination",
-     "description": "P(||X|| > 1) <= kappa P(lambda ||Y|| > 1) for every "
-                    "norm in an adversarial family, with three-valued "
-                    "verdicts.",
-     "config": {"kind": "domination", "seed": 1, "x": _HALF_RADEMACHER,
-                "y": _RADEMACHER, "kappa": 1.0, "lambda": 1.0,
-                "norms": {"random": {"seed": 7, "dimension": 1, "size": 4}},
-                "estimator": {"kind": "exact"}}},
-    {"name": "sum-domination-tensorisation",
-     "kind": "tensorize",
-     "claim": "domination tensorisation theorem for sums",
-     "description": "Per-summand (kappa, lambda)-dominated pairs imply the "
-                    "sums are (16/alpha ceil(kappa), (1+alpha) ceil(kappa) "
-                    "lambda)-dominated; rechecks the premises, then tests "
-                    "the conclusion on the sums.",
-     "config": {"kind": "tensorize", "seed": 1,
-                "pairs": [{"x": _HALF_RADEMACHER, "y": _RADEMACHER},
-                          {"x": _HALF_RADEMACHER, "y": _RADEMACHER}],
-                "kappa": 1.0, "lambda": 1.0, "alpha": 1.0,
-                "norms": {"random": {"seed": 7, "dimension": 1, "size": 4}},
-                "estimator": {"kind": "exact"}}},
-    {"name": "weak-concentration-check",
-     "kind": "wb",
-     "claim": "polynomial tail-decay property of a single vector",
-     "description": "P(||X|| > lam) <= C lam^-delta P(||X|| > 1) over a "
-                    "lambda grid and norm family, gated on "
-                    "P(||X|| > 1) < theta.",
-     "config": {"kind": "wb", "seed": 1,
-                "source": {"family": "pareto_tail", "exponent": 2.0},
-                "C": 1.0, "delta": 2.0, "theta": 0.5,
-                "norms": {"list": [{"variant": "scaled", "factor": 0.25,
-                                    "inner": {"variant": "lp", "dimension": 1,
-                                              "p": 2}}]},
-                "lambda_grid": [1, 3, 9, 27, 81],
-                "estimator": {"kind": "exact"}}},
-    {"name": "weak-concentration-tensorisation",
-     "kind": "wb-sum",
-     "claim": "weak-concentration tensorisation theorem for sums",
-     "description": "Components with the (C, delta, theta) tail-decay "
-                    "property give a sum with constants C' = 12 9^delta C "
-                    "and theta' = min(theta/2, 1/(96 C 9^delta)); rechecks "
-                    "components, then tests the sum.",
-     "config": {"kind": "wb-sum", "seed": 1,
-                "iid": {"family": "pareto_tail", "exponent": 2.0}, "n": 2,
-                "C": 1.0, "delta": 2.0, "theta": 0.5,
-                "norms": {"list": [{"variant": "scaled", "factor": 0.005,
-                                    "inner": {"variant": "lp", "dimension": 1,
-                                              "p": 2}}]},
-                "lambda_grid": [1, 3, 9],
-                "estimator": {"kind": "mc", "budget": 400000}}},
-    {"name": "majorisation-mixture",
-     "kind": "majorize",
-     "claim": "constructive Birkhoff decomposition of majorised weights",
-     "description": "Checks a < b via partial sums and, when it holds, "
-                    "writes a as an explicit convex combination of at most "
-                    "(n-1)^2 + 1 permutations of b.",
-     "config": {"kind": "majorize", "seed": 1,
-                "a": [0.5, 0.5], "b": [0.9, 0.1]}},
-    {"name": "schur-convexity",
-     "kind": "schur",
-     "claim": "monotonicity of shifted sum moments under majorisation",
-     "description": "E(||sum a_i X_i|| - 1)_+ <= E(||sum b_i X_i|| - 1)_+ "
-                    "for a < b and iid finite-support X_i, exact.",
-     "config": {"kind": "schur", "seed": 1,
-                "a": [0.5, 0.5], "b": [0.9, 0.1],
-                "component": _RADEMACHER,
-                "norm": {"variant": "lp", "dimension": 1, "p": 2}}},
-    {"name": "heavy-tail-counterexample",
-     "kind": "counterexample",
-     "claim": "failure of weighted-sum domination below tail exponent one",
-     "description": "For stability index delta < 1, uniform weights 1/n "
-                    "against weight 1 defeat any fixed (kappa, lambda): "
-                    "reports the smallest witness n in the grid.",
-     "config": {"kind": "counterexample", "seed": 1, "delta": 0.5,
-                "n_grid": [1, 2, 4, 8, 16, 32, 64], "kappa": 100.0,
-                "lambda": 1.0}},
-    {"name": "classical-inequalities",
-     "kind": "inequality-suite",
-     "claim": "classical sign and sum inequalities on random instances",
-     "description": "Exact verification of the Kahane multiplicative tail "
-                    "bound, the L1-L2 moment comparison, the Paley-Zygmund "
-                    "lower bound, the contraction principle, and the "
-                    "reflection/maximal/summand-tail inequalities for sums.",
-     "config": {"kind": "inequality-suite", "seed": 1, "instances": 5,
-                "max_n": 8, "dimension": 2, "product_laws": 2}},
-]
+# The list-experiments catalog: one ready-to-run example per experiment kind.
+CATALOG = [dict(kind.example, kind=name) for name, kind in EXPERIMENTS.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +90,7 @@ def run_config(path: str, out_dir: str, threads: int) -> int:
     cfg = validate_config(json.loads(raw_bytes))
     os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
-    report, tables, verdicts = _RUNNERS[cfg["kind"]](cfg, threads)
+    report, tables, verdicts = EXPERIMENTS[cfg["kind"]].run(cfg, threads)
     elapsed = time.monotonic() - started
     counts = {v: verdicts.count(v) for v in ("holds", "inconclusive", "violated")}
     code = _exit_code(verdicts)
@@ -441,7 +158,8 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ParameterError("--threads must be >= 1")
             return run_config(args.config, args.out, args.threads)
-    except (ParameterError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (ParameterError, PreconditionError, CapacityError, OSError, ValueError,
+            KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -372,52 +372,6 @@ def thin(source: Source, p: float):
     return bernoulli_thinned(source, p)
 
 
-@dataclass(frozen=True)
-class SplitScheme:
-    """Indicator splitting delta_{i,k}(t) = 1{ t_i in [(k-1)/m, k/m) }.
-
-    m = ceil(kappa); for each i the indicators over k partition [0, 1]
-    (the last cell is closed on the right), so they sum to one pointwise,
-    each has probability 1/m, and for fixed k the coordinates i are
-    independent under the uniform measure on [0, 1]^n.
-    """
-
-    kappa: float
-    n: int
-
-    def __post_init__(self):
-        if self.kappa < 1.0:
-            raise ParameterError("kappa must be >= 1")
-        if self.n < 1:
-            raise ParameterError("n must be >= 1")
-
-    @property
-    def m(self) -> int:
-        return math.ceil(self.kappa)
-
-    def cell_probability(self) -> float:
-        return 1.0 / self.m
-
-    def indicator(self, i: int, k: int, t) -> np.ndarray:
-        """delta_{i,k} evaluated at points t, where t has shape (..., n).
-
-        i is 0-based, k is 1-based (k in 1..m).
-        """
-        if not (0 <= i < self.n):
-            raise ParameterError("index i out of range")
-        if not (1 <= k <= self.m):
-            raise ParameterError("index k out of range")
-        ti = np.asarray(t, dtype=float)[..., i]
-        lo, hi = (k - 1) / self.m, k / self.m
-        if k == self.m:
-            return ((ti >= lo) & (ti <= hi)).astype(float)
-        return ((ti >= lo) & (ti < hi)).astype(float)
-
-
-def split_scheme(kappa: float, n: int) -> SplitScheme:
-    return SplitScheme(kappa=float(kappa), n=int(n))
-
-
 # ---------------------------------------------------------------------------
 # analytic tail oracles
 

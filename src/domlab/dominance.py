@@ -29,7 +29,7 @@ from .distributions import (FiniteSupportDist, Law, ProductLaw, analytic_surviva
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import norm_to_spec
 from .inequalities import (SIGN_ENUMERATION_CAP, signed_mean_over_outcomes)
-from .stats import (Estimator, SlackReport, TailEstimate, compare_tails,
+from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
                     worst_verdict)
 
 REMOVEDELTA_CAP = 14  # joint delta x sign enumeration stays under ~5M patterns
@@ -267,21 +267,23 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
 # conditional convexity / tensorisation of the proxy integrand
 
 
-def _pairwise_domination_precheck(xlaw: ProductLaw, ylaw: ProductLaw, norms,
-                                  kappa: float = 1.0, lam: float = 1.0,
-                                  estimator: Estimator = Estimator("exact"),
-                                  seed: int = 0):
-    if xlaw.n != ylaw.n:
-        raise ParameterError("laws must have equally many components")
-    for i, (xi, yi) in enumerate(zip(xlaw.components, ylaw.components)):
+def _recheck_premise(pairs, kappa: float, lam: float, norms, estimator: Estimator,
+                     seed: int, threads: int = 1):
+    """Re-verify that each pair (X_i, Y_i) is (kappa, lambda)-dominated.
+
+    Pair i is checked on the seed + 1000 + i streams; the first violated
+    norm raises PreconditionError.
+    """
+    for i, (xi, yi) in enumerate(pairs):
         rep = check_domination(DominationQuery(x=xi, y=yi, kappa=kappa, lam=lam,
                                                norms=tuple(norms),
-                                               estimator=estimator), seed=seed)
+                                               estimator=estimator),
+                               seed=seed + 1000 + i, threads=threads)
         for rec in rep.records:
             if rec.verdict == "violated":
                 raise PreconditionError(
-                    f"component pair {i} is not ({kappa},{lam})-dominated "
-                    f"under norm {rec.index}")
+                    f"pair {i} fails its ({kappa},{lam})-domination premise: "
+                    f"not dominated under norm {rec.index}")
 
 
 def conditional_convexity_check(xlaw: ProductLaw, ylaw: ProductLaw, norm,
@@ -296,7 +298,10 @@ def conditional_convexity_check(xlaw: ProductLaw, ylaw: ProductLaw, norm,
     is given, per-index (1,1)-domination is re-verified first.
     """
     if precheck_norms is not None:
-        _pairwise_domination_precheck(xlaw, ylaw, precheck_norms)
+        if xlaw.n != ylaw.n:
+            raise ParameterError("laws must have equally many components")
+        _recheck_premise(zip(xlaw.components, ylaw.components), 1.0, 1.0,
+                         precheck_norms, EXACT, seed=0)
     ox, px = enumerate_product(xlaw)
     oy, py = enumerate_product(ylaw)
     gx = signed_mean_over_outcomes(ox, norm, ("shifted_plus", 1.0))
@@ -320,32 +325,39 @@ def conditional_convexity_check(xlaw: ProductLaw, ylaw: ProductLaw, norm,
 
 def tensorisation_experiment(pairs, kappa: float, lam: float, alpha: float,
                              norms, estimator: Estimator, seed: int = 0,
-                             recheck: bool = True, threads: int = 1) -> DominationReport:
-    """Sum-domination check with the tensorised constants.
+                             recheck: bool = True, threads: int = 1,
+                             route: str = "split") -> DominationReport:
+    """Sum-domination check with the constants of either reduction route.
 
     Given per-index (kappa, lambda)-dominated pairs (X_i, Y_i), the sums
-    are checked for (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)-
-    domination over the norm family.
+    are checked over the norm family for the tensorised constants:
+    route="split" uses the indicator-splitting argument and tests
+    (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)-domination;
+    route="thin" uses Bernoulli thinning and tests
+    (64 kappa / alpha, 2 (1+alpha) kappa lambda)-domination.
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("alpha must lie in (0, 1]")
+    if route == "split":
+        kap_c = math.ceil(kappa)
+        kappa_out = 16.0 / alpha * kap_c
+        lam_out = (1.0 + alpha) * kap_c * lam
+        experiment = "tensorisation"
+    elif route == "thin":
+        kappa_out = 64.0 / alpha * kappa
+        lam_out = 2.0 * (1.0 + alpha) * kappa * lam
+        experiment = "reduction_thin"
+    else:
+        raise ParameterError(f"unknown reduction route {route!r}")
     xs = ProductLaw(tuple(x for x, _ in pairs))
     ys = ProductLaw(tuple(y for _, y in pairs))
     if recheck:
-        for i, (xi, yi) in enumerate(zip(xs.components, ys.components)):
-            rep = check_domination(DominationQuery(x=xi, y=yi, kappa=kappa, lam=lam,
-                                                   norms=tuple(norms),
-                                                   estimator=estimator),
-                                   seed=seed + 1000 + i, threads=threads)
-            if "violated" in rep.verdicts():
-                raise PreconditionError(f"pair {i} fails its ({kappa},{lam})-domination premise")
-    kap_c = math.ceil(kappa)
-    kappa_out = 16.0 / alpha * kap_c
-    lam_out = (1.0 + alpha) * kap_c * lam
+        _recheck_premise(zip(xs.components, ys.components), kappa, lam, norms,
+                         estimator, seed, threads)
     rep = check_domination(DominationQuery(x=xs, y=ys, kappa=kappa_out, lam=lam_out,
                                            norms=tuple(norms), estimator=estimator),
                            seed=seed, threads=threads)
-    meta = dict(rep.meta, experiment="tensorisation", alpha=alpha,
+    meta = dict(rep.meta, experiment=experiment, alpha=alpha,
                 input_kappa=kappa, input_lambda=lam)
     return DominationReport(kappa=rep.kappa, lam=rep.lam, records=rep.records, meta=meta)
 
@@ -381,42 +393,3 @@ def removedelta_check(vectors, norm, p: float) -> SlackReport:
             prob_above += weight
     return SlackReport.from_exact("removedelta", (p / 4.0) * indicator, prob_above,
                                   note=f"full sign mean {full_mean:.6g}")
-
-
-def reduction_experiment(pairs, kappa: float, lam: float, alpha: float,
-                         route: str, norms, estimator: Estimator, seed: int = 0,
-                         recheck: bool = True, threads: int = 1) -> DominationReport:
-    """Sum-domination check with the constants of either reduction route.
-
-    route="split" uses the indicator-splitting argument and tests
-    (ceil(kappa) * 16/alpha, ceil(kappa) lambda (1+alpha))-domination;
-    route="thin" uses Bernoulli thinning and tests
-    (64 kappa / alpha, 2 (1+alpha) kappa lambda)-domination.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError("alpha must lie in (0, 1]")
-    xs = ProductLaw(tuple(x for x, _ in pairs))
-    ys = ProductLaw(tuple(y for _, y in pairs))
-    if recheck:
-        for i, (xi, yi) in enumerate(zip(xs.components, ys.components)):
-            rep = check_domination(DominationQuery(x=xi, y=yi, kappa=kappa, lam=lam,
-                                                   norms=tuple(norms),
-                                                   estimator=estimator),
-                                   seed=seed + 1000 + i, threads=threads)
-            if "violated" in rep.verdicts():
-                raise PreconditionError(f"pair {i} fails its ({kappa},{lam})-domination premise")
-    kap_c = math.ceil(kappa)
-    if route == "split":
-        kappa_out = kap_c * 16.0 / alpha
-        lam_out = kap_c * lam * (1.0 + alpha)
-    elif route == "thin":
-        kappa_out = 64.0 / alpha * kappa
-        lam_out = 2.0 * (1.0 + alpha) * kappa * lam
-    else:
-        raise ParameterError(f"unknown reduction route {route!r}")
-    rep = check_domination(DominationQuery(x=xs, y=ys, kappa=kappa_out, lam=lam_out,
-                                           norms=tuple(norms), estimator=estimator),
-                           seed=seed, threads=threads)
-    meta = dict(rep.meta, experiment=f"reduction_{route}", alpha=alpha,
-                input_kappa=kappa, input_lambda=lam)
-    return DominationReport(kappa=rep.kappa, lam=rep.lam, records=rep.records, meta=meta)

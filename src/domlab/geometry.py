@@ -190,10 +190,6 @@ def norm_from_spec(spec: dict):
     raise ParameterError(f"unknown norm variant {variant!r}")
 
 
-def family_to_json(norms) -> list:
-    return [norm_to_spec(n) for n in norms]
-
-
 # ---------------------------------------------------------------------------
 # random families
 

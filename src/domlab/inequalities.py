@@ -16,11 +16,9 @@ import numpy as np
 from .distributions import ProductLaw, enumerate_product, sample_outcomes
 from .errors import CapacityError, ParameterError
 from .rng import substream
-from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate, clopper_pearson
+from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
 
 SIGN_ENUMERATION_CAP = 22  # ~4M half-patterns, sub-second per instance
-
-_EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,56 +133,6 @@ def signed_mean_over_outcomes(outcomes: np.ndarray, norm,
 
 
 # ---------------------------------------------------------------------------
-# interval bookkeeping shared by the exact and MC verdicts
-
-
-@dataclass(frozen=True)
-class PEst:
-    """A probability (or nonnegative quantity) with an enclosing interval."""
-
-    value: float
-    lo: float
-    hi: float
-
-    @staticmethod
-    def exact(v: float) -> "PEst":
-        return PEst(v, v, v)
-
-    @staticmethod
-    def counts(k: int, n: int, confidence: float) -> "PEst":
-        lo, hi = clopper_pearson(k, n, confidence)
-        return PEst(k / n, lo, hi)
-
-    def __add__(self, other):
-        return PEst(self.value + other.value, self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other):
-        if isinstance(other, PEst):  # nonnegative quantities only
-            return PEst(self.value * other.value, self.lo * other.lo, self.hi * other.hi)
-        return PEst(self.value * other, self.lo * other, self.hi * other)
-
-    __rmul__ = __mul__
-
-
-def _interval_report(name: str, lhs: PEst, rhs: PEst, method: str,
-                     samples: int = 0) -> SlackReport:
-    scale = max(1.0, abs(lhs.value), abs(rhs.value))
-    if method == "exact":
-        holds = lhs.value <= rhs.value + _EXACT_TOL * scale
-        note = ""
-    else:
-        if lhs.lo > rhs.hi:
-            holds, note = False, "violated"
-        elif lhs.hi <= rhs.lo:
-            holds, note = True, "holds"
-        else:
-            holds, note = True, "inconclusive"
-    return SlackReport(name=name, lhs=lhs.value, rhs=rhs.value, holds=holds,
-                       slack=rhs.value - lhs.value, method=method,
-                       samples=samples, note=note)
-
-
-# ---------------------------------------------------------------------------
 # sign-inequality verifiers
 
 
@@ -194,14 +142,14 @@ def verify_kahane(inst: SignInstance, s: float, t: float) -> SlackReport:
         raise ParameterError("levels s, t must be positive")
     lhs = sign_tail_exact(inst, s + t)
     rhs = 4.0 * sign_tail_exact(inst, s) * sign_tail_exact(inst, t)
-    return _interval_report("kahane", PEst.exact(lhs), PEst.exact(rhs), "exact")
+    return SlackReport.from_exact("kahane", lhs, rhs)
 
 
 def verify_L1L2(inst: SignInstance) -> SlackReport:
     """E||S||^2 <= 2 (E||S||)^2 for random signs, exact."""
     m1 = sign_mean_exact(inst, "identity")
     m2 = sign_mean_exact(inst, "square")
-    return _interval_report("l1l2", PEst.exact(m2), PEst.exact(2.0 * m1 * m1), "exact")
+    return SlackReport.from_exact("l1l2", m2, 2.0 * m1 * m1)
 
 
 def verify_PZ(inst: SignInstance, theta: float) -> SlackReport:
@@ -215,7 +163,7 @@ def verify_PZ(inst: SignInstance, theta: float) -> SlackReport:
     m1 = sign_mean_exact(inst, "identity")
     tail = sign_tail_exact(inst, theta * m1)
     bound = 0.5 * (1.0 - theta) ** 2
-    return _interval_report("paley_zygmund", PEst.exact(bound), PEst.exact(tail), "exact")
+    return SlackReport.from_exact("paley_zygmund", bound, tail)
 
 
 def verify_contraction(vectors, a, b, norm) -> SlackReport:
@@ -229,7 +177,7 @@ def verify_contraction(vectors, a, b, norm) -> SlackReport:
         raise ParameterError("contraction requires |a_i| <= |b_i| for all i")
     lhs = sign_mean_exact(SignInstance(a[:, None] * vectors, norm), "identity")
     rhs = sign_mean_exact(SignInstance(b[:, None] * vectors, norm), "identity")
-    return _interval_report("contraction", PEst.exact(lhs), PEst.exact(rhs), "exact")
+    return SlackReport.from_exact("contraction", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +209,9 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
     exact = law.all_finite() and estimator is None
     if exact:
         outcomes, probs = enumerate_product(law)
-        conf = None
 
         def pr(mask):
-            return PEst.exact(float(probs[mask].sum()))
+            return TailEstimate.from_exact(float(probs[mask].sum()))
     else:
         if estimator is None:
             raise ParameterError("non-finite law needs an mc estimator")
@@ -272,34 +219,34 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
         outcomes = sample_outcomes(law, budget, seed)
 
         def pr(mask):
-            return PEst.counts(int(np.count_nonzero(mask)), len(mask), conf)
+            return TailEstimate.from_counts(int(np.count_nonzero(mask)), len(mask), conf)
 
     st = _sum_statistics(outcomes, norm)
-    method = "exact" if exact else "mc"
     samples = 0 if exact else len(outcomes)
     reports = {}
 
     p_slast_t = pr(st["s_last"] > t)
-    reports["levy"] = _interval_report(
-        "levy", pr(st["s_star"] > t), 2.0 * p_slast_t, method, samples)
-    reports["max_summand"] = _interval_report(
-        "max_summand", pr(st["x_star"] > t), 2.0 * p_slast_t, method, samples)
+    reports["levy"] = SlackReport.from_estimates(
+        "levy", pr(st["s_star"] > t), 2.0 * p_slast_t, samples)
+    reports["max_summand"] = SlackReport.from_estimates(
+        "max_summand", pr(st["x_star"] > t), 2.0 * p_slast_t, samples)
     rhs_hj = pr(st["x_star"] > s) + 2.0 * pr(st["s_star"] > t) * pr(st["s_last"] > u)
-    reports["hoffmann_jorgensen"] = _interval_report(
-        "hoffmann_jorgensen", pr(st["s_star"] > s + t + u), rhs_hj, method, samples)
+    reports["hoffmann_jorgensen"] = SlackReport.from_estimates(
+        "hoffmann_jorgensen", pr(st["s_star"] > s + t + u), rhs_hj, samples)
 
     p_xstar = pr(st["x_star"] > t)
     if p_xstar.value >= 1.0:
         reports["summand_tails"] = SlackReport(
-            name="summand_tails", lhs=float("nan"), rhs=float("nan"), holds=True,
-            slack=float("nan"), method=method, samples=samples, note="skipped")
+            name="summand_tails", lhs=float("nan"), rhs=float("nan"), verdict=None,
+            method="exact" if exact else "mc", samples=samples, note="skipped")
     else:
-        lhs = PEst.exact(0.0)
+        lhs = TailEstimate.from_exact(0.0)
         for j in range(outcomes.shape[1]):
             lhs = lhs + pr(st["x_norms"][:, j] > t)
-        rhs = PEst(p_xstar.value / (1.0 - p_xstar.value),
-                   p_xstar.lo / (1.0 - p_xstar.lo),
-                   p_xstar.hi / (1.0 - p_xstar.hi) if p_xstar.hi < 1.0 else math.inf)
-        reports["summand_tails"] = _interval_report(
-            "summand_tails", lhs, rhs, method, samples)
+        rhs = TailEstimate(p_xstar.value / (1.0 - p_xstar.value),
+                           p_xstar.lo / (1.0 - p_xstar.lo),
+                           p_xstar.hi / (1.0 - p_xstar.hi) if p_xstar.hi < 1.0 else math.inf,
+                           p_xstar.exact)
+        reports["summand_tails"] = SlackReport.from_estimates(
+            "summand_tails", lhs, rhs, samples)
     return reports

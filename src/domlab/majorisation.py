@@ -22,7 +22,7 @@ from .distributions import (FiniteSupportDist, ProductLaw, enumerate_product,
 from .dominance import DominationQuery, DominationReport, check_domination
 from .errors import ParameterError, PreconditionError
 from .inequalities import signed_mean_over_outcomes
-from .stats import Estimator, SlackReport
+from .stats import Estimator, SlackReport, TailEstimate, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
 
 DEFAULT_TOL = 1e-9
@@ -106,7 +106,7 @@ def _t_transform_chain(a_sorted: np.ndarray, b_sorted: np.ndarray):
         cj, ck = c[j], c[k]
         c[j] = lam * cj + (1.0 - lam) * ck
         c[k] = lam * ck + (1.0 - lam) * cj
-    return steps, c
+    return steps
 
 
 def _doubly_stochastic_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ def _doubly_stochastic_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order_a = np.argsort(-a, kind="stable")
     order_b = np.argsort(-b, kind="stable")
     a_sorted, b_sorted = a[order_a], b[order_b]
-    steps, _ = _t_transform_chain(a_sorted, b_sorted)
+    steps = _t_transform_chain(a_sorted, b_sorted)
     t_sorted = np.eye(n)
     for j, k, lam in steps:
         step = np.eye(n)
@@ -321,7 +321,7 @@ class CounterexampleTable:
     kappa: float
     lam: float
     rows: tuple
-    witness: Optional[int]  # smallest n with lhs > rhs
+    witness: Optional[int]  # smallest n > 1 whose row is a violated verdict
     method: str
 
     def to_json(self) -> dict:
@@ -343,7 +343,10 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
     against the single weight 1, domination at (kappa, lam) would force
     P(|X_1| > 1) <= kappa P(lam |X_1| > n^{1/delta - 1}), which fails for
     large n.  For delta = 1/2 the closed-form survival erfc(sqrt(t/2)) is
-    used; otherwise both tails are estimated by Monte Carlo.
+    used; otherwise both tails are estimated by Monte Carlo.  The witness
+    is the smallest n > 1 where the one verdict rule reports "violated",
+    so a Monte Carlo witness needs the Clopper-Pearson intervals (at
+    DEFAULT_CONFIDENCE) to separate, not just the point estimates.
     """
     from .distributions import sample, stable_half_survival, symmetric_stable
 
@@ -351,27 +354,25 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
         raise ParameterError("delta must lie in (0, 1)")
     if kappa < 1.0 or lam < 1.0:
         raise ParameterError("kappa and lambda must be >= 1")
-    rows = []
     if delta == 0.5:
         method = "analytic"
-        lhs = float(stable_half_survival(1.0))
 
         def tail(t):
-            return float(stable_half_survival(t))
+            return TailEstimate.from_exact(float(stable_half_survival(t)))
     else:
         method = "mc"
         xs = np.abs(sample(symmetric_stable(delta), budget, seed)[:, 0])
-        lhs = float(np.count_nonzero(xs > 1.0)) / budget
 
         def tail(t):
-            return float(np.count_nonzero(xs > t)) / budget
+            return TailEstimate.from_counts(int(np.count_nonzero(xs > t)), budget)
 
+    lhs = tail(1.0)
+    rows = []
     witness = None
     for n in sorted(int(n) for n in n_grid):
-        threshold = n ** (1.0 / delta - 1.0) / lam
-        rhs = kappa * tail(threshold)
-        rows.append(CounterexampleRow(n=n, lhs=lhs, rhs=rhs))
-        if witness is None and n > 1 and lhs > rhs:
+        rhs = tail(n ** (1.0 / delta - 1.0) / lam)
+        rows.append(CounterexampleRow(n=n, lhs=lhs.value, rhs=kappa * rhs.value))
+        if witness is None and n > 1 and compare_tails(lhs, rhs, kappa) == "violated":
             witness = n
     return CounterexampleTable(delta=delta, kappa=kappa, lam=lam,
                                rows=tuple(rows), witness=witness, method=method)

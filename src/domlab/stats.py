@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from scipy.stats import beta
@@ -46,7 +46,12 @@ def clopper_pearson(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE):
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """P(event) either exactly or with a two-sided confidence interval."""
+    """P(event) either exactly or with a two-sided confidence interval.
+
+    ``+`` and ``*`` combine estimates of nonnegative quantities endpoint by
+    endpoint, so a sum or product of enclosing intervals encloses the sum
+    or product of the true values.
+    """
 
     value: float
     lo: float
@@ -66,6 +71,19 @@ class TailEstimate:
         return TailEstimate(value=k / n, lo=lo, hi=hi, exact=False,
                             samples=n, confidence=confidence)
 
+    def __add__(self, other: "TailEstimate") -> "TailEstimate":
+        return TailEstimate(self.value + other.value, self.lo + other.lo,
+                            self.hi + other.hi, self.exact and other.exact)
+
+    def __mul__(self, other) -> "TailEstimate":
+        if isinstance(other, TailEstimate):
+            return TailEstimate(self.value * other.value, self.lo * other.lo,
+                                self.hi * other.hi, self.exact and other.exact)
+        return TailEstimate(self.value * other, self.lo * other, self.hi * other,
+                            self.exact)
+
+    __rmul__ = __mul__
+
     def to_json(self) -> dict:
         out = {"value": self.value, "exact": self.exact}
         if not self.exact:
@@ -78,25 +96,66 @@ class TailEstimate:
 EXACT_SLACK_TOL = 1e-12
 
 
+def compare_tails(px: TailEstimate, py: TailEstimate, factor: float) -> str:
+    """Three-valued verdict for the claim P_x <= factor * P_y.
+
+    This is the one verdict rule of the package.  Exact estimates compare
+    directly, up to a slack of EXACT_SLACK_TOL relative to the larger side
+    (at least 1); interval estimates report "violated" only when even the
+    most favorable reading fails, "holds" only when the least favorable
+    reading passes, else "inconclusive".
+    """
+    if px.exact and py.exact:
+        bound = factor * py.value
+        scale = max(1.0, abs(px.value), abs(bound))
+        if px.value <= bound + EXACT_SLACK_TOL * scale:
+            return "holds"
+        return "violated"
+    if px.lo > factor * py.hi:
+        return "violated"
+    if px.hi <= factor * py.lo:
+        return "holds"
+    return "inconclusive"
+
+
 @dataclass(frozen=True)
 class SlackReport:
-    """One verified inequality lhs <= rhs."""
+    """One verified inequality lhs <= rhs.
+
+    verdict is None when no claim was evaluated (note "skipped").  Monte
+    Carlo reports carry their verdict in note as well.
+    """
 
     name: str
     lhs: float
     rhs: float
-    holds: bool
-    slack: float
+    verdict: Optional[str]
     method: str = "exact"  # "exact" or "mc"
     samples: int = 0
     note: str = ""
 
+    @property
+    def holds(self) -> bool:
+        return self.verdict != "violated"
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
     @staticmethod
     def from_exact(name: str, lhs: float, rhs: float, note: str = "") -> "SlackReport":
-        scale = max(1.0, abs(lhs), abs(rhs))
-        holds = lhs <= rhs + EXACT_SLACK_TOL * scale
-        return SlackReport(name=name, lhs=lhs, rhs=rhs, holds=holds,
-                           slack=rhs - lhs, note=note)
+        return SlackReport.from_estimates(name, TailEstimate.from_exact(lhs),
+                                          TailEstimate.from_exact(rhs), note=note)
+
+    @staticmethod
+    def from_estimates(name: str, lhs: TailEstimate, rhs: TailEstimate,
+                       samples: int = 0, note: str = "") -> "SlackReport":
+        verdict = compare_tails(lhs, rhs, 1.0)
+        if lhs.exact and rhs.exact:
+            return SlackReport(name=name, lhs=lhs.value, rhs=rhs.value,
+                               verdict=verdict, note=note)
+        return SlackReport(name=name, lhs=lhs.value, rhs=rhs.value, verdict=verdict,
+                           method="mc", samples=samples, note=verdict)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
@@ -106,25 +165,6 @@ class SlackReport:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def compare_tails(px: TailEstimate, py: TailEstimate, factor: float) -> str:
-    """Three-valued verdict for the claim P_x <= factor * P_y.
-
-    Exact estimates compare directly; interval estimates report
-    "violated" only when even the most favorable reading fails, "holds"
-    only when the least favorable reading passes, else "inconclusive".
-    """
-    if px.exact and py.exact:
-        scale = max(1.0, px.value, factor * py.value)
-        if px.value <= factor * py.value + EXACT_SLACK_TOL * scale:
-            return "holds"
-        return "violated"
-    if px.lo > factor * py.hi:
-        return "violated"
-    if px.hi <= factor * py.lo:
-        return "holds"
-    return "inconclusive"
 
 
 def worst_verdict(verdicts) -> str:

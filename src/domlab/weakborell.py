@@ -20,9 +20,8 @@ from .distributions import Law, ProductLaw
 from .dominance import _law_samples, exact_capable, tail_probability
 from .errors import ParameterError, PreconditionError
 from .geometry import norm_to_spec
-from .stats import Estimator, TailEstimate, worst_verdict
-
-_EXACT_TOL = 1e-12
+from .stats import (EXACT_SLACK_TOL, Estimator, SlackReport, TailEstimate,
+                    compare_tails, worst_verdict)
 
 
 @dataclass(frozen=True)
@@ -104,18 +103,6 @@ class WBReport:
         return rows
 
 
-def _wb_verdict(p_lam: TailEstimate, p1: TailEstimate, factor: float) -> str:
-    if p_lam.exact and p1.exact:
-        scale = max(1.0, p_lam.value, factor * p1.value)
-        return ("holds" if p_lam.value <= factor * p1.value + _EXACT_TOL * scale
-                else "violated")
-    if p_lam.lo > factor * p1.hi:
-        return "violated"
-    if p_lam.hi <= factor * p1.lo:
-        return "holds"
-    return "inconclusive"
-
-
 def check_wb(law: Law, params: WBParams, norms, lambda_grid: Sequence[float],
              estimator: Estimator, seed: int = 0, threads: int = 1) -> WBReport:
     """Check P(||X|| > lam) <= C lam^-delta P(||X|| > 1) over norms and lam.
@@ -146,7 +133,7 @@ def check_wb(law: Law, params: WBParams, norms, lambda_grid: Sequence[float],
             p_lam = tail_probability(law, norm, lam, estimator, seed, (5,), samples)
             cells.append(WBCell(norm_index=i, lam=lam, p_lam=p_lam,
                                 bound=factor * p1.value,
-                                verdict=_wb_verdict(p_lam, p1, factor)))
+                                verdict=compare_tails(p_lam, p1, factor)))
     return WBReport(params=params, norm_specs=tuple(norm_specs), p1=tuple(p1s),
                     cells=tuple(cells), skipped=tuple(skipped),
                     meta={"lambda_grid": lambda_grid})
@@ -179,7 +166,7 @@ def recursion_bound(p0: float, params: WBParams, K: int):
         else:
             q = 6.0 * c * 3.0 ** (-delta * (k - 1)) * p0 + 4.0 * q * q
             multiplier = 0.5 + 48.0 * c * 3.0 ** (-delta * k + 3.0 * delta) * p0
-        ok = q <= closed * (1.0 + 1e-12)
+        ok = q <= closed * (1.0 + EXACT_SLACK_TOL)
         rows.append({"k": k, "recursive": q, "closed_form": closed,
                      "multiplier": multiplier, "within_closed_form": ok,
                      "premise_ok": premise_ok})
@@ -194,9 +181,7 @@ def component_gate_consistency(law: ProductLaw, norm, theta_out: float,
     Exact on finite-support laws.  Returns per-component SlackReport-like
     dicts; raises if theta' > theta / 2 (the chain needs theta' <= theta/2).
     """
-    from .stats import SlackReport
-
-    if theta_out > theta / 2.0 + _EXACT_TOL:
+    if theta_out > theta / 2.0 + EXACT_SLACK_TOL:
         raise ParameterError("gate chain requires theta' <= theta / 2")
     p_sum = tail_probability(law, norm, 1.0, estimator, seed, (6,))
     reports = []

@@ -7,7 +7,7 @@ import pytest
 
 from domlab import ParameterError
 from domlab.cli import CATALOG, main
-from domlab.config import validate_config
+from domlab.config import EXPERIMENTS, validate_config
 
 TAIL_CFG = {
     "kind": "tail", "seed": 1,
@@ -51,6 +51,8 @@ def test_seed_is_required_and_integer():
         validate_config(cfg)
     with pytest.raises(ParameterError, match="integer"):
         validate_config(dict(TAIL_CFG, seed=1.5))
+    with pytest.raises(ParameterError, match="integer"):
+        validate_config(dict(TAIL_CFG, seed=True))
 
 
 def test_unknown_kind_rejected():
@@ -68,13 +70,17 @@ def test_bad_constants_rejected_through_constructors():
         validate_config(cfg)
 
 
-def test_catalog_configs_all_validate():
+def test_catalog_configs_all_validate(tmp_path):
     assert len(CATALOG) >= 9
-    kinds = {entry["kind"] for entry in CATALOG}
-    assert len(kinds) == 9
+    kinds = [entry["kind"] for entry in CATALOG]
+    assert len(set(kinds)) == 9
+    assert kinds == list(EXPERIMENTS)
     for entry in CATALOG:
         validate_config(entry["config"])
         assert entry["claim"] and entry["description"]
+        path = _write(tmp_path, entry["config"], entry["name"] + ".json")
+        out = str(tmp_path / entry["name"])
+        assert main(["run", path, "--out", out]) != 1, entry["name"]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,31 @@ def test_run_inconclusive_exits_three(tmp_path):
         "estimator": {"kind": "mc", "budget": 20000},
     }
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_failed_premise_exits_one_without_traceback(tmp_path, capsys):
+    # X = 2 R is not (1,1)-dominated by Y = R / 2, so the premise re-check fails.
+    cfg = {"kind": "tensorize", "seed": 1,
+           "pairs": [{"x": {"family": "finite", "atoms": [[[2.0], 0.5], [[-2.0], 0.5]]},
+                      "y": {"family": "finite", "atoms": [[[0.5], 0.5], [[-0.5], 0.5]]}}],
+           "kappa": 1.0, "lambda": 1.0, "alpha": 1.0,
+           "norms": {"list": [{"variant": "lp", "dimension": 1, "p": 2}]},
+           "estimator": {"kind": "exact"}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "premise" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cap_violation_exits_one_without_traceback(tmp_path, capsys):
+    # 20 Rademacher summands have 2^20 > 10^6 joint outcomes.
+    cfg = {"kind": "schur", "seed": 1, "a": [0.05] * 20, "b": [1.0] + [0.0] * 19,
+           "component": {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]},
+           "norm": {"variant": "lp", "dimension": 1, "p": 2}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_counterexample_witness_exits_two(tmp_path):

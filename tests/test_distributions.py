@@ -10,7 +10,7 @@ from scipy.special import erfc
 from domlab import (CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
                     analytic_survival, dump_samples_csv, enumerate_product,
                     enumerate_sum, gaussian, pareto_tail, sample, sample_outcomes,
-                    sample_sum, scaled_source, split_scheme, stable_half_survival,
+                    sample_sum, scaled_source, stable_half_survival,
                     sum_of, symmetric_stable, thin)
 
 
@@ -217,31 +217,6 @@ def test_thin_finite_exact():
 def test_thin_keep_one_is_identity():
     law = FiniteSupportDist.rademacher()
     assert thin(law, 1.0) is law
-
-
-# ---------------------------------------------------------------------------
-# indicator splitting
-
-
-def test_split_scheme_partition():
-    scheme = split_scheme(2.5, n=2)
-    assert scheme.m == 3
-    assert scheme.cell_probability() == pytest.approx(1.0 / 3.0)
-    t = np.linspace(0.0, 1.0, 1001)[:, None] * np.ones((1, 2))
-    total = sum(scheme.indicator(0, k, t) for k in range(1, 4))
-    assert np.array_equal(total, np.ones(len(t)))
-    rng = np.random.default_rng(0)
-    u = rng.random((100_000, 2))
-    for k in range(1, 4):
-        assert scheme.indicator(1, k, u).mean() == pytest.approx(1 / 3, abs=0.01)
-
-
-def test_split_scheme_index_validation():
-    scheme = split_scheme(2.0, n=1)
-    with pytest.raises(ParameterError):
-        scheme.indicator(1, 1, np.zeros((1, 1)))
-    with pytest.raises(ParameterError):
-        scheme.indicator(0, 3, np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from domlab import (DominationQuery, Estimator, FiniteSupportDist,
                     ParameterError, PreconditionError, ProductLaw, absolute_value,
                     check_domination, conditional_convexity_check, euclidean,
                     exact_capable, gaussian, pareto_tail, proxy_bound_check,
-                    proxy_exact, proxy_mc, random_norm_family, reduction_experiment,
+                    proxy_exact, proxy_mc, random_norm_family,
                     removedelta_check, scale_norm, scaled_source,
                     tail_probability, tensorisation_experiment, thin)
 from domlab.dominance import REMOVEDELTA_CAP
@@ -199,19 +199,19 @@ def test_tensorisation_recheck_catches_bad_pair():
 
 def test_reduction_routes():
     pairs = [(HALF, RAD), (HALF, RAD)]
-    split = reduction_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
-                                 route="split", norms=FAMILY1[:3],
-                                 estimator=EXACT, seed=1)
-    thin_rep = reduction_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
-                                    route="thin", norms=FAMILY1[:3],
-                                    estimator=EXACT, seed=1)
+    split = tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
+                                     route="split", norms=FAMILY1[:3],
+                                     estimator=EXACT, seed=1)
+    thin_rep = tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
+                                        route="thin", norms=FAMILY1[:3],
+                                        estimator=EXACT, seed=1)
     assert split.kappa == 16.0 and split.lam == 2.0
     assert thin_rep.kappa == 64.0 and thin_rep.lam == 4.0
     assert split.overall == "holds" and thin_rep.overall == "holds"
     with pytest.raises(ParameterError, match="route"):
-        reduction_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
-                             route="other", norms=FAMILY1[:1],
-                             estimator=EXACT)
+        tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
+                                 route="other", norms=FAMILY1[:1],
+                                 estimator=EXACT)
 
 
 def test_removedelta_holds():

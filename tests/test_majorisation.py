@@ -198,6 +198,16 @@ def test_counterexample_mc_path():
     assert table.witness is not None
 
 
+def test_counterexample_mc_witness_needs_separated_intervals():
+    # At 500 samples the n = 64 point estimates cross (lhs > rhs), but the
+    # 99% Clopper-Pearson intervals still overlap, so no witness is claimed.
+    table = counterexample_experiment(0.7, [1, 4, 16, 64], kappa=2.0, lam=1.0,
+                                      budget=500, seed=1)
+    assert table.rows[-1].lhs > table.rows[-1].rhs
+    assert table.witness is None
+    assert table.to_json()["expected_violation"] is False
+
+
 def test_counterexample_validation():
     with pytest.raises(ParameterError):
         counterexample_experiment(1.5, [2], kappa=10.0, lam=1.0)

@@ -1,0 +1,80 @@
+"""The one three-valued verdict rule and the reports built on it."""
+
+import pytest
+
+from domlab import (DominationQuery, Estimator, FiniteSupportDist, SlackReport,
+                    TailEstimate, WBParams, absolute_value, check_domination,
+                    check_wb, compare_tails, gaussian, pareto_tail,
+                    random_norm_family, scale_norm)
+from domlab.stats import EXACT_SLACK_TOL
+
+
+def _ex(v):
+    return TailEstimate.from_exact(v)
+
+
+def _mc(lo, hi):
+    return TailEstimate(value=(lo + hi) / 2.0, lo=lo, hi=hi, exact=False)
+
+
+# (lhs, rhs, factor, verdict of the claim lhs <= factor * rhs)
+RULE_TABLE = [
+    # exact: equality, at the 1e-12 * scale slack, and just past it
+    (_ex(0.5), _ex(0.25), 2.0, "holds"),
+    (_ex(0.5 + EXACT_SLACK_TOL), _ex(0.5), 1.0, "holds"),
+    (_ex(0.5 + 2.0 * EXACT_SLACK_TOL), _ex(0.5), 1.0, "violated"),
+    (_ex(1e6 + 0.5e-6), _ex(1e6), 1.0, "holds"),
+    (_ex(1e6 + 2e-6), _ex(1e6), 1.0, "violated"),
+    (_ex(0.0), _ex(0.0), 1.0, "holds"),
+    # Monte Carlo: disjoint intervals either way, and overlapping ones
+    (_mc(0.30, 0.40), _mc(0.10, 0.12), 2.0, "violated"),
+    (_mc(0.10, 0.20), _mc(0.15, 0.30), 2.0, "holds"),
+    (_mc(0.20, 0.40), _mc(0.10, 0.25), 1.0, "inconclusive"),
+    (_mc(0.30, 0.40), _mc(0.10, 0.15), 2.0, "inconclusive"),
+    # mixed exact and Monte Carlo: the interval branch, no slack
+    (_ex(0.5), _mc(0.10, 0.20), 2.0, "violated"),
+    (_ex(0.1), _mc(0.20, 0.30), 1.0, "holds"),
+    (_ex(0.3), _mc(0.10, 0.20), 2.0, "inconclusive"),
+    (_mc(0.30, 0.40), _ex(0.2), 1.0, "violated"),
+    (_mc(0.10, 0.50 + 1e-13), _ex(0.5), 1.0, "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("lhs,rhs,factor,expected", RULE_TABLE)
+def test_one_verdict_rule(lhs, rhs, factor, expected):
+    assert compare_tails(lhs, rhs, factor) == expected
+    rep = SlackReport.from_estimates("claim", lhs, factor * rhs, samples=7)
+    assert rep.verdict == expected
+    assert rep.holds == (expected != "violated")
+    if lhs.exact and rhs.exact:
+        assert (rep.method, rep.samples, rep.note) == ("exact", 0, "")
+    else:
+        assert (rep.method, rep.samples, rep.note) == ("mc", 7, expected)
+
+
+def test_check_domination_records_follow_the_rule():
+    for x, y, est in [
+            (FiniteSupportDist.rademacher(0.5), FiniteSupportDist.rademacher(),
+             Estimator("exact")),
+            (gaussian([[0.5]]), gaussian([[1.0]]), Estimator("mc", budget=20000))]:
+        for kappa in (1.0, 2.0):
+            rep = check_domination(DominationQuery(
+                x=x, y=y, kappa=kappa, lam=1.0,
+                norms=tuple(random_norm_family(seed=3, d=1, size=6)),
+                estimator=est), seed=4)
+            for rec in rep.records:
+                assert rec.verdict == compare_tails(rec.px, rec.py, kappa)
+
+
+def test_check_wb_cells_follow_the_rule():
+    norms = [scale_norm(absolute_value(), f) for f in (0.25, 0.1)]
+    for delta in (2.0, 3.0):
+        params = WBParams(C=1.0, delta=delta, theta=0.5)
+        for est in (Estimator("exact"), Estimator("mc", budget=20000)):
+            rep = check_wb(pareto_tail(2.0), params, norms, [1.0, 2.0, 4.0], est,
+                           seed=6)
+            assert len(rep.cells) == 6
+            for cell in rep.cells:
+                factor = params.C * cell.lam ** (-params.delta)
+                assert cell.verdict == compare_tails(
+                    cell.p_lam, rep.p1[cell.norm_index], factor)
