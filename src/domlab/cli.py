@@ -88,10 +88,10 @@ def run_config(path: str, out_dir: str, threads: int) -> int:
     with open(path, "rb") as fh:
         raw_bytes = fh.read()
     cfg = validate_config(json.loads(raw_bytes))
-    os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
     report, tables, verdicts = EXPERIMENTS[cfg["kind"]].run(cfg, threads)
     elapsed = time.monotonic() - started
+    os.makedirs(out_dir, exist_ok=True)  # only once the run has succeeded
     counts = {v: verdicts.count(v) for v in ("holds", "inconclusive", "violated")}
     code = _exit_code(verdicts)
 

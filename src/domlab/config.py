@@ -25,9 +25,8 @@ from .errors import ParameterError
 from .geometry import euclidean, norm_from_spec, norm_to_spec, random_norm_family
 from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
                            verify_kahane, verify_sum_inequalities)
-from .majorisation import (DEFAULT_TOL, _majorisation_violation,
-                           counterexample_experiment, decompose, is_majorised,
-                           schur_convexity_check)
+from .majorisation import (_majorisation_violation, counterexample_experiment,
+                           decompose, schur_convexity_check)
 from .rng import substream
 from .stats import DEFAULT_CONFIDENCE, Estimator
 from .weakborell import WBParams, check_wb, wb_sum_experiment, wb_tensorize_constants
@@ -254,10 +253,10 @@ def _resolve_majorize(raw):
 
 def _run_majorize(cfg, threads):
     a, b = cfg["a"], cfg["b"]
-    if not is_majorised(a, b):
-        bad = _majorisation_violation(a, b, DEFAULT_TOL)
+    bad = _majorisation_violation(a, b)
+    if bad is not None:
         report = {"kind": "majorize", "majorised": False,
-                  "violating_partial_sum": bad + 1}
+                  "violating_partial_sum": bad}
         return report, {}, ["violated"]
     mix = decompose(a, b)
     err = float(np.max(np.abs(mix.reconstruct() - np.asarray(a, dtype=float))))

@@ -4,54 +4,64 @@ a is majorised by b when the partial sums of their nonincreasing
 rearrangements compare and the totals agree; equivalently a is a convex
 combination of permutations of b.  The decomposition here is fully
 constructive: a chain of at most n-1 two-coordinate averaging steps builds
-a doubly stochastic matrix T with a = T b, and greedy extraction of
-permutation matrices (lexicographically smallest perfect matching first)
-turns T into an explicit mixture with at most (n-1)^2 + 1 terms.
+a doubly stochastic matrix T with a = T b, and Birkhoff peeling turns T into
+an explicit mixture with at most (n-1)^2 + 1 terms.  Each peeling step takes
+the maximum-product assignment on the residual's support
+(scipy.optimize.linear_sum_assignment on -log of the entries) and removes it
+with the weight of its smallest entry; while mass remains, such an assignment
+exists by Birkhoff's theorem.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .distributions import (FiniteSupportDist, ProductLaw, enumerate_product,
                             scaled_source, sum_of)
 from .dominance import DominationQuery, DominationReport, check_domination
 from .errors import ParameterError, PreconditionError
-from .inequalities import signed_mean_over_outcomes
 from .stats import Estimator, SlackReport, TailEstimate, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
 
 DEFAULT_TOL = 1e-9
-_RESIDUAL_TOL = 1e-10
+# Birkhoff peeling: residual mass below this fraction of T's unit row mass is
+# float noise, and so is an entry below this fraction of its row's remaining mass.
+_MASS_TOL = 1e-12
 
 
-def is_majorised(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a is majorised by b (partial sums of sorted rearrangements)."""
+def _majorisation_violation(a, b, tol: float = DEFAULT_TOL) -> Optional[int]:
+    """Number k of the first violated partial sum, or None when a < b.
+
+    Partial sums are those of the nonincreasing rearrangements; a total that
+    differs by more than tol counts as partial sum n.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ParameterError("a and b must be equal-length sequences")
-    a_sorted = np.sort(a)[::-1]
-    b_sorted = np.sort(b)[::-1]
-    ca, cb = np.cumsum(a_sorted), np.cumsum(b_sorted)
-    if abs(ca[-1] - cb[-1]) > tol:
-        return False
-    return bool(np.all(ca[:-1] <= cb[:-1] + tol))
+    ca = np.cumsum(np.sort(a)[::-1])
+    cb = np.cumsum(np.sort(b)[::-1])
+    if not abs(ca[-1] - cb[-1]) <= tol:
+        return len(ca)
+    bad = np.nonzero(~(ca[:-1] <= cb[:-1] + tol))[0]
+    return int(bad[0]) + 1 if len(bad) else None
 
 
-def _majorisation_violation(a, b, tol: float):
-    """Index of the first violated partial sum, or None."""
-    a_sorted = np.sort(np.asarray(a, dtype=float))[::-1]
-    b_sorted = np.sort(np.asarray(b, dtype=float))[::-1]
-    ca, cb = np.cumsum(a_sorted), np.cumsum(b_sorted)
-    if abs(ca[-1] - cb[-1]) > tol:
-        return len(a_sorted) - 1
-    bad = np.nonzero(ca[:-1] > cb[:-1] + tol)[0]
-    return int(bad[0]) if len(bad) else None
+def _require_majorised(a, b):
+    """a and b as float arrays; PreconditionError unless a is majorised by b."""
+    bad = _majorisation_violation(a, b)
+    if bad is not None:
+        raise PreconditionError(f"a is not majorised by b: partial sum {bad} violates")
+    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+
+def is_majorised(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """True iff a is majorised by b (partial sums of sorted rearrangements)."""
+    return _majorisation_violation(a, b, tol) is None
 
 
 @dataclass(frozen=True)
@@ -130,86 +140,31 @@ def _doubly_stochastic_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ra @ t_sorted @ sb
 
 
-def _lex_perfect_matching(support: np.ndarray):
-    """Lexicographically smallest perfect matching on a boolean support matrix.
-
-    Row i is assigned the smallest feasible column, feasibility meaning a
-    perfect matching still exists on the remaining rows and columns.
-    Returns the column assignment, or None if no perfect matching exists.
-    """
-    n = support.shape[0]
-
-    def max_matching(rows, cols, adj):
-        match_col = {c: None for c in cols}
-
-        def try_row(r, seen):
-            for c in adj[r]:
-                if c in seen:
-                    continue
-                seen.add(c)
-                if match_col[c] is None or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-            return False
-
-        size = 0
-        for r in rows:
-            if try_row(r, set()):
-                size += 1
-        return size
-
-    rows = list(range(n))
-    cols = set(range(n))
-    assignment = [None] * n
-    for r in range(n):
-        remaining_rows = [x for x in rows if x > r]
-        feasible = None
-        for c in sorted(cols):
-            if not support[r, c]:
-                continue
-            rem_cols = cols - {c}
-            adj = {x: [y for y in sorted(rem_cols) if support[x, y]]
-                   for x in remaining_rows}
-            if max_matching(remaining_rows, rem_cols, adj) == len(remaining_rows):
-                feasible = c
-                break
-        if feasible is None:
-            return None
-        assignment[r] = feasible
-        cols.remove(feasible)
-    return assignment
-
-
 def decompose(a, b) -> PermutationMixture:
     """Write a as a convex combination of permutations of b.
 
     Requires is_majorised(a, b); raises a not-majorised error naming the
     violating partial-sum index otherwise.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ParameterError("a and b must be equal-length sequences")
-    bad = _majorisation_violation(a, b, DEFAULT_TOL)
-    if bad is not None:
-        raise PreconditionError(f"a is not majorised by b: partial sum {bad + 1} violates")
+    a, b = _require_majorised(a, b)
     n = len(a)
-    t = _doubly_stochastic_matrix(a, b)
+    residual = _doubly_stochastic_matrix(a, b)
     terms = []
-    residual = t.copy()
-    max_terms = (n - 1) ** 2 + 1
-    for _ in range(max_terms):
-        if residual.max() <= _RESIDUAL_TOL:
+    for _ in range((n - 1) ** 2 + 1):
+        mass = residual.sum(axis=1, keepdims=True)
+        if mass.max() <= _MASS_TOL:
             break
-        support = residual > _RESIDUAL_TOL
-        assignment = _lex_perfect_matching(support)
-        if assignment is None:
-            raise ParameterError("extraction failed: no perfect matching on support")
-        w = float(min(residual[i, assignment[i]] for i in range(n)))
-        terms.append((tuple(assignment), w))
-        for i in range(n):
-            residual[i, assignment[i]] -= w
-    if residual.max() > _RESIDUAL_TOL:
+        support = residual > _MASS_TOL * mass
+        cost = np.full((n, n), np.inf)
+        cost[support] = -np.log(residual[support])
+        try:
+            rows, cols = linear_sum_assignment(cost)
+        except ValueError:  # scipy: no finite-cost perfect matching
+            raise ParameterError("extraction failed: no perfect matching on support") from None
+        w = float(residual[rows, cols].min())
+        terms.append((tuple(int(c) for c in cols), w))
+        residual[rows, cols] -= w
+    if residual.sum(axis=1).max() > _MASS_TOL:
         raise ParameterError("extraction did not exhaust the matrix in the term budget")
     total = sum(w for _, w in terms)
     terms = [(p, w / total) for p, w in terms]  # absorb float residual
@@ -227,11 +182,7 @@ def schur_convexity_check(a, b, component: FiniteSupportDist, norm,
     X_i are iid copies of the finite-support component; expectations are
     enumerated over the product support.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    bad = _majorisation_violation(a, b, DEFAULT_TOL)
-    if bad is not None:
-        raise PreconditionError(f"a is not majorised by b: partial sum {bad + 1} violates")
+    a, b = _require_majorised(a, b)
     n = len(a)
     law = ProductLaw(tuple([component] * n))
     outcomes, probs = enumerate_product(law)
@@ -281,9 +232,7 @@ def weighted_domination_experiment(a, b, source, params: WBParams, norms,
     consts = weighted_domination_constants(params)
     if abs(consts["kappa_direct"] - consts["kappa_derived"]) > 1e-9 * consts["kappa"]:
         raise ParameterError("kappa forms disagree")  # unreachable by construction
-    bad = _majorisation_violation(np.asarray(a, float), np.asarray(b, float), DEFAULT_TOL)
-    if bad is not None:
-        raise PreconditionError(f"a is not majorised by b: partial sum {bad + 1} violates")
+    _require_majorised(a, b)
     x = _weighted_sum_law(a, source)
     y = _weighted_sum_law(b, source)
     rep = check_domination(DominationQuery(x=x, y=y, kappa=consts["kappa"], lam=2.0,

@@ -162,6 +162,7 @@ def test_failed_premise_exits_one_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "premise" in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_cap_violation_exits_one_without_traceback(tmp_path, capsys):
@@ -173,6 +174,7 @@ def test_cap_violation_exits_one_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cap" in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_counterexample_witness_exits_two(tmp_path):

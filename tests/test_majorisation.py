@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from domlab import (Estimator, FiniteSupportDist, ParameterError,
@@ -25,6 +27,23 @@ def _random_majorised_pair(rng, n):
     return a, b
 
 
+def _uniform_random_pair(seed, n):
+    """a = 1/n against normalised uniform-random b: a < b always."""
+    b = np.random.default_rng(seed).random(n)
+    return np.full(n, 1.0 / n), b / b.sum()
+
+
+def _assert_valid_mixture(mix, a, b):
+    n = len(a)
+    weights = np.array([w for _, w in mix.terms])
+    assert np.max(np.abs(mix.reconstruct() - a)) <= 1e-9
+    assert weights.min() >= -1e-12
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    assert len(mix.terms) <= (n - 1) ** 2 + 1
+    for perm, _ in mix.terms:
+        assert sorted(perm) == list(range(n))
+
+
 # ---------------------------------------------------------------------------
 # the order itself
 
@@ -44,6 +63,16 @@ def test_is_majorised_permutation_invariant():
 def test_is_majorised_shape_validation():
     with pytest.raises(ParameterError):
         is_majorised([1.0], [1.0, 0.0])
+    # Unequal lengths are rejected before any partial sum is compared, by
+    # every entry point that takes a pair of weight vectors.
+    a, b = [0.6, 0.2, 0.2], [0.9, 0.1]
+    with pytest.raises(ParameterError, match="equal-length"):
+        weighted_domination_experiment(a, b, pareto_tail(2.0),
+                                       WBParams(C=1.0, delta=2.0, theta=0.5),
+                                       norms=[absolute_value()],
+                                       estimator=Estimator("mc", budget=10))
+    with pytest.raises(ParameterError, match="equal-length"):
+        schur_convexity_check(a, b, FiniteSupportDist.rademacher(), absolute_value())
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +98,34 @@ def test_decompose_random_pairs():
     for _ in range(40):
         n = int(rng.integers(2, 9))
         a, b = _random_majorised_pair(rng, n)
-        mix = decompose(a, b)
-        assert np.max(np.abs(mix.reconstruct() - a)) <= 1e-9
-        assert all(w >= -1e-12 for _, w in mix.terms)
-        assert abs(sum(w for _, w in mix.terms) - 1.0) <= 1e-12
-        assert len(mix.terms) <= (n - 1) ** 2 + 1
-        for perm, _ in mix.terms:
-            assert sorted(perm) == list(range(n))
+        _assert_valid_mixture(decompose(a, b), a, b)
+
+
+# Valid pairs on which peeling with an absolute support cut found no perfect
+# matching: mixture pairs from default_rng([seed, n]), and the benchmark's
+# uniform-against-random pairs at n = 30.
+@pytest.mark.parametrize("seed, n", [(10, 8), (318, 8), (590, 8),
+                                     (4, 12), (6, 12), (8, 12), (22, 12)])
+def test_decompose_mixture_regressions(seed, n):
+    a, b = _random_majorised_pair(np.random.default_rng([seed, n]), n)
+    _assert_valid_mixture(decompose(a, b), a, b)
+
+
+@pytest.mark.parametrize("seed", [3000, 3001])
+def test_decompose_uniform_against_random_n30(seed):
+    a, b = _uniform_random_pair(seed, 30)
+    _assert_valid_mixture(decompose(a, b), a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       uniform=st.booleans())
+def test_decompose_always_extracts(n, seed, uniform):
+    if uniform:
+        a, b = _uniform_random_pair(seed, n)
+    else:
+        a, b = _random_majorised_pair(np.random.default_rng(seed), n)
+    _assert_valid_mixture(decompose(a, b), a, b)
 
 
 def test_decompose_rejects_non_majorised():
