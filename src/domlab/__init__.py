@@ -14,13 +14,12 @@ from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDis
                             analytic_survival, bernoulli_thinned, dump_samples_csv,
                             enumerate_product, enumerate_sum, gaussian,
                             pareto_tail, sample, sample_outcomes, sample_sum,
-                            scaled_source, stable_half_survival,
-                            sum_of, symmetric_stable, thin)
+                            scaled_source, sum_of, symmetric_stable, thin)
 from .dominance import (REMOVEDELTA_CAP, DominationQuery, DominationReport,
                         NormRecord, ProxyValue, check_domination,
                         conditional_convexity_check, exact_capable, proxy_bound_check,
                         proxy_exact, proxy_mc, removedelta_check, tail_probability,
-                        tensorisation_experiment)
+                        tail_table, tensorisation_experiment)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import (ELLIPSOID_CONDITION_CAP, EllipsoidNorm, LpNorm,
                        PolytopeGauge, ScaledNorm, WeightedLpNorm, absolute_value,

@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
-                            gaussian, pareto_tail, scaled_source, sum_of,
-                            symmetric_stable)
-from .dominance import (DominationQuery, _law_samples, check_domination,
-                        tail_probability, tensorisation_experiment)
+                            gaussian, pareto_tail, sample_sum, scaled_source,
+                            sum_of, symmetric_stable)
+from .dominance import (DominationQuery, check_domination, exact_capable,
+                        tail_table, tensorisation_experiment)
 from .errors import ParameterError
 from .geometry import euclidean, norm_from_spec, norm_to_spec, random_norm_family
 from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
@@ -136,21 +136,22 @@ def _run_tail(cfg, threads):
     norms = cfg["_norms"]
     est = cfg["_estimator"]
     seed = cfg["seed"]
-    samples = _law_samples(law, est, seed, (0,), threads) if est.kind == "mc" else None
+    thresholds = [float(t) for t in cfg["thresholds"]]
+    table = tail_table(law, norms, thresholds, est, seed, (0,), threads)
     cells = []
     csv_rows = []
-    for i, norm in enumerate(norms):
-        for t in cfg["thresholds"]:
-            p = tail_probability(law, norm, float(t), est, seed, (0,), samples)
+    for i, (norm, row) in enumerate(zip(norms, table)):
+        for t, p in zip(thresholds, row):
             cells.append({"norm_index": i, "norm": norm_to_spec(norm),
-                          "threshold": float(t), "tail": p.to_json()})
-            csv_rows.append((i, float(t), p.value, p.lo, p.hi))
+                          "threshold": t, "tail": p.to_json()})
+            csv_rows.append((i, t, p.value, p.lo, p.hi))
     report = {"kind": "tail", "cells": cells}
     tables = {"tails.csv": (("norm_index", "threshold", "value", "lo", "hi"),
                             csv_rows)}
-    if cfg.get("dump_samples") and samples is not None:
+    if cfg.get("dump_samples") and est.kind == "mc" and not exact_capable(law):
         report["samples_file"] = "samples.csv"
-        tables["__raw__samples.csv"] = samples
+        tables["__raw__samples.csv"] = sample_sum(law, est.budget, seed,
+                                                  stream=(0,), threads=threads)
     return report, tables, []
 
 

@@ -408,12 +408,6 @@ def analytic_survival(source: Law) -> Optional[Callable[[float], float]]:
     return None
 
 
-def stable_half_survival(t, scale: float = 1.0):
-    """Survival function of the index-1/2 fixture: erfc(sqrt(t / (2 scale)))."""
-    t = np.asarray(t, dtype=float)
-    return np.where(t <= 0.0, 1.0, erfc(np.sqrt(np.maximum(t, 0.0) / (2.0 * scale))))
-
-
 # ---------------------------------------------------------------------------
 # export
 

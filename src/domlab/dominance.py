@@ -28,7 +28,9 @@ from .distributions import (FiniteSupportDist, Law, ProductLaw, analytic_surviva
                             sample_sum)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import norm_to_spec
-from .inequalities import (SIGN_ENUMERATION_CAP, signed_mean_over_outcomes)
+from .inequalities import (SIGN_ENUMERATION_CAP, SignInstance, sign_mean_exact,
+                           signed_mean_over_outcomes)
+from .rng import chunk_ranges, substream
 from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
                     worst_verdict)
 
@@ -37,13 +39,6 @@ REMOVEDELTA_CAP = 14  # joint delta x sign enumeration stays under ~5M patterns
 
 # ---------------------------------------------------------------------------
 # tail probabilities
-
-
-def _scalar_factor(norm) -> Optional[float]:
-    """Every norm on R^1 is f * |x|; return f, or None in dimension > 1."""
-    if getattr(norm, "dimension", None) != 1:
-        return None
-    return float(norm.evaluate(np.array([1.0])))
 
 
 def exact_capable(law: Law) -> bool:
@@ -55,41 +50,49 @@ def exact_capable(law: Law) -> bool:
     return analytic_survival(law) is not None
 
 
-def tail_probability(law: Law, norm, threshold: float, estimator: Estimator,
-                     seed: int = 0, stream: tuple = (),
-                     samples: Optional[np.ndarray] = None) -> TailEstimate:
-    """P(||X|| > threshold) for the law (sum law for a ProductLaw).
+def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
+               stream: tuple = (), threads: int = 1) -> list:
+    """P(||X|| > t) for every norm and threshold (sum law for a ProductLaw).
 
-    Exact for finite-support laws and for scalar sources with a
-    closed-form survival function; Monte Carlo with a Clopper-Pearson
-    interval otherwise.  ``samples`` lets callers reuse one sample batch
-    across many norms.
+    Returns one row of TailEstimates per norm, one entry per threshold.
+    This is the one place that picks the method: a finite-support law is
+    enumerated once and summed exactly over its atoms; a scalar source
+    with a closed-form survival function is read through each norm's
+    scalar factor (every norm on R^1 is f * |x|); anything else is sampled
+    once on the (seed, stream) substreams and counted, with Clopper-Pearson
+    intervals.  Each norm is evaluated once per atom or sample, in blocks
+    of rng.CHUNK rows, and every threshold is read off the same values.
+    ``threads`` parallelises the sampling only; no result depends on it.
     """
+    norms = list(norms)
+    thresholds = [float(t) for t in thresholds]
     if isinstance(law, (FiniteSupportDist, ProductLaw)) and exact_capable(law):
         vectors, probs = enumerate_sum(law)
-        vals = np.atleast_1d(norm.evaluate(vectors))
-        return TailEstimate.from_exact(float(probs[vals > threshold].sum()))
-    survival = analytic_survival(law) if not isinstance(law, ProductLaw) else None
-    factor = _scalar_factor(norm)
-    if survival is not None and factor is not None:
-        return TailEstimate.from_exact(float(survival(threshold / factor)))
+        values = (np.atleast_1d(norm.evaluate(vectors)) for norm in norms)
+        return [[TailEstimate.from_exact(float(probs[vals > t].sum()))
+                 for t in thresholds] for vals in values]
+    survival = analytic_survival(law)
+    if survival is not None:
+        factors = [float(norm.evaluate(np.array([1.0]))) for norm in norms]
+        return [[TailEstimate.from_exact(float(survival(t / f))) for t in thresholds]
+                for f in factors]
     if estimator.kind != "mc":
         raise ParameterError("law has no exact tail path; use an mc estimator")
-    if samples is None:
-        samples = sample_sum(law, estimator.budget, seed, stream=stream)
-    vals = np.atleast_1d(norm.evaluate(samples))
-    k = int(np.count_nonzero(vals > threshold))
-    return TailEstimate.from_counts(k, len(vals), estimator.confidence)
+    samples = sample_sum(law, estimator.budget, seed, stream=stream, threads=threads)
+    counts = np.zeros((len(norms), len(thresholds)), dtype=np.int64)
+    for _, lo, hi in chunk_ranges(len(samples)):
+        for i, norm in enumerate(norms):
+            vals = np.atleast_1d(norm.evaluate(samples[lo:hi]))
+            for j, t in enumerate(thresholds):
+                counts[i, j] += np.count_nonzero(vals > t)
+    return [[TailEstimate.from_counts(int(k), len(samples), estimator.confidence)
+             for k in row] for row in counts]
 
 
-def _law_samples(law: Law, estimator: Estimator, seed: int, stream: tuple,
-                 threads: int = 1) -> Optional[np.ndarray]:
-    """One shared MC batch per law, or None when the law is exact-capable."""
-    if exact_capable(law):
-        return None
-    if estimator.kind != "mc":
-        raise ParameterError("law has no exact tail path; use an mc estimator")
-    return sample_sum(law, estimator.budget, seed, stream=stream, threads=threads)
+def tail_probability(law: Law, norm, threshold: float, estimator: Estimator,
+                     seed: int = 0, stream: tuple = ()) -> TailEstimate:
+    """P(||X|| > threshold): the single cell of tail_table."""
+    return tail_table(law, [norm], [threshold], estimator, seed, stream)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +161,13 @@ def check_domination(query: DominationQuery, seed: int = 0,
     "violated" only when the lower bound on the X tail exceeds kappa
     times the upper bound on the Y tail.
     """
-    xs = _law_samples(query.x, query.estimator, seed, (1,), threads)
-    ys = _law_samples(query.y, query.estimator, seed, (2,), threads)
-    records = []
-    for i, norm in enumerate(query.norms):
-        px = tail_probability(query.x, norm, 1.0, query.estimator, seed, (1,), xs)
-        py = tail_probability(query.y, norm, 1.0 / query.lam, query.estimator,
-                              seed, (2,), ys)
-        records.append(NormRecord(index=i, norm=norm_to_spec(norm), px=px, py=py,
-                                  verdict=compare_tails(px, py, query.kappa)))
-    return DominationReport(kappa=query.kappa, lam=query.lam, records=tuple(records),
+    px = tail_table(query.x, query.norms, [1.0], query.estimator, seed, (1,), threads)
+    py = tail_table(query.y, query.norms, [1.0 / query.lam], query.estimator, seed,
+                    (2,), threads)
+    records = tuple(NormRecord(index=i, norm=norm_to_spec(norm), px=x, py=y,
+                               verdict=compare_tails(x, y, query.kappa))
+                    for i, (norm, (x,), (y,)) in enumerate(zip(query.norms, px, py)))
+    return DominationReport(kappa=query.kappa, lam=query.lam, records=records,
                             meta={"norm_family_size": len(query.norms)})
 
 
@@ -230,8 +230,6 @@ def proxy_mc(law: ProductLaw, norm, outer_budget: int, seed: int,
 
 def _inner_sign_mc(outcomes: np.ndarray, norm, budget: int, seed: int,
                    offset: int) -> np.ndarray:
-    from .rng import substream
-
     m, n, d = outcomes.shape
     rng = substream(seed, 4, offset)
     acc = np.zeros(m)
@@ -253,13 +251,10 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("alpha must lie in (0, 1]")
-    vectors, probs = enumerate_sum(law)
-    vals = np.atleast_1d(norm.evaluate(vectors))
-    p_above = float(probs[vals > 1.0 + alpha].sum())
-    p_one = float(probs[vals > 1.0].sum())
+    (p_above, p_one), = tail_table(law, [norm], [1.0 + alpha, 1.0], EXACT)
     prox = proxy_exact(law, norm).value
-    lower = SlackReport.from_exact("proxy_lower", alpha * p_above, prox)
-    upper = SlackReport.from_exact("proxy_upper", prox, 16.0 * p_one)
+    lower = SlackReport.from_exact("proxy_lower", alpha * p_above.value, prox)
+    upper = SlackReport.from_exact("proxy_upper", prox, 16.0 * p_one.value)
     return lower, upper
 
 
@@ -375,8 +370,6 @@ def removedelta_check(vectors, norm, p: float) -> SlackReport:
     n = vectors.shape[0]
     if n > REMOVEDELTA_CAP:
         raise CapacityError(f"{n} vectors exceed the joint enumeration cap {REMOVEDELTA_CAP}")
-    from .inequalities import SignInstance, sign_mean_exact
-
     full_mean = sign_mean_exact(SignInstance(vectors, norm), "identity")
     indicator = 1.0 if full_mean > 2.0 / p else 0.0
     prob_above = 0.0

@@ -198,23 +198,25 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
                             estimator=None, seed: int = 0) -> dict:
     """Levy / maximal-summand / Hoffmann-Jorgensen / summand-tail checks.
 
-    levels supplies s, t, u.  With finite-support components within the
-    product cap the verdicts are exact; otherwise the estimator must be
-    mc(budget, confidence) and verdicts carry confidence intervals.
+    levels supplies s, t, u.  With finite-support components (within the
+    product cap) and no estimator or an exact one, the verdicts are exact;
+    an mc(budget, confidence) estimator samples instead, and verdicts carry
+    confidence intervals.  A law with other components needs an mc
+    estimator.
     Returns a dict of SlackReports keyed by inequality name; the
     summand-tail check is replaced by a "skipped" entry when
     P(X* > t) = 1, where its right-hand side is infinite.
     """
     s, t, u = float(levels["s"]), float(levels["t"]), float(levels["u"])
-    exact = law.all_finite() and estimator is None
+    exact = law.all_finite() and (estimator is None or estimator.kind == "exact")
     if exact:
         outcomes, probs = enumerate_product(law)
 
         def pr(mask):
             return TailEstimate.from_exact(float(probs[mask].sum()))
     else:
-        if estimator is None:
-            raise ParameterError("non-finite law needs an mc estimator")
+        if estimator is None or estimator.kind != "mc":
+            raise ParameterError("law has no exact tail path; use an mc estimator")
         budget, conf = estimator.budget, estimator.confidence
         outcomes = sample_outcomes(law, budget, seed)
 

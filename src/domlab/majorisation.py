@@ -21,10 +21,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .distributions import (FiniteSupportDist, ProductLaw, enumerate_product,
-                            scaled_source, sum_of)
-from .dominance import DominationQuery, DominationReport, check_domination
+                            scaled_source, sum_of, symmetric_stable)
+from .dominance import DominationQuery, DominationReport, check_domination, tail_table
 from .errors import ParameterError, PreconditionError
-from .stats import Estimator, SlackReport, TailEstimate, compare_tails
+from .geometry import absolute_value
+from .stats import Estimator, SlackReport, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
 
 DEFAULT_TOL = 1e-9
@@ -291,37 +292,28 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
     For iid index-delta stable-type summands with uniform weights 1/n
     against the single weight 1, domination at (kappa, lam) would force
     P(|X_1| > 1) <= kappa P(lam |X_1| > n^{1/delta - 1}), which fails for
-    large n.  For delta = 1/2 the closed-form survival erfc(sqrt(t/2)) is
-    used; otherwise both tails are estimated by Monte Carlo.  The witness
+    large n.  Both tails come from tail_table: the closed-form survival
+    where the source has one (delta = 1/2), else one Monte Carlo batch of
+    the given budget on the seed's root stream.  The witness
     is the smallest n > 1 where the one verdict rule reports "violated",
     so a Monte Carlo witness needs the Clopper-Pearson intervals (at
     DEFAULT_CONFIDENCE) to separate, not just the point estimates.
     """
-    from .distributions import sample, stable_half_survival, symmetric_stable
-
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
     if kappa < 1.0 or lam < 1.0:
         raise ParameterError("kappa and lambda must be >= 1")
-    if delta == 0.5:
-        method = "analytic"
-
-        def tail(t):
-            return TailEstimate.from_exact(float(stable_half_survival(t)))
-    else:
-        method = "mc"
-        xs = np.abs(sample(symmetric_stable(delta), budget, seed)[:, 0])
-
-        def tail(t):
-            return TailEstimate.from_counts(int(np.count_nonzero(xs > t)), budget)
-
-    lhs = tail(1.0)
+    ns = sorted(int(n) for n in n_grid)
+    (lhs, *rhs_tails), = tail_table(
+        symmetric_stable(delta), [absolute_value()],
+        [1.0, *(n ** (1.0 / delta - 1.0) / lam for n in ns)],
+        Estimator("mc", budget=budget), seed)
     rows = []
     witness = None
-    for n in sorted(int(n) for n in n_grid):
-        rhs = tail(n ** (1.0 / delta - 1.0) / lam)
+    for n, rhs in zip(ns, rhs_tails):
         rows.append(CounterexampleRow(n=n, lhs=lhs.value, rhs=kappa * rhs.value))
         if witness is None and n > 1 and compare_tails(lhs, rhs, kappa) == "violated":
             witness = n
     return CounterexampleTable(delta=delta, kappa=kappa, lam=lam,
-                               rows=tuple(rows), witness=witness, method=method)
+                               rows=tuple(rows), witness=witness,
+                               method="analytic" if lhs.exact else "mc")

@@ -10,14 +10,11 @@ inherited inequality and the scalar recursion behind it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .distributions import Law, ProductLaw
-from .dominance import _law_samples, exact_capable, tail_probability
+from .dominance import tail_probability, tail_table
 from .errors import ParameterError, PreconditionError
 from .geometry import norm_to_spec
 from .stats import (EXACT_SLACK_TOL, Estimator, SlackReport, TailEstimate,
@@ -116,25 +113,21 @@ def check_wb(law: Law, params: WBParams, norms, lambda_grid: Sequence[float],
         raise ParameterError("lambda grid must be nonempty")
     if any(l < 1.0 for l in lambda_grid):
         raise ParameterError("all lambda grid points must be >= 1")
-    samples = _law_samples(law, estimator, seed, (5,), threads)
-    norm_specs = []
-    p1s = []
+    norms = list(norms)
+    table = tail_table(law, norms, [1.0, *lambda_grid], estimator, seed, (5,), threads)
     cells = []
     skipped = []
-    for i, norm in enumerate(norms):
-        norm_specs.append(norm_to_spec(norm))
-        p1 = tail_probability(law, norm, 1.0, estimator, seed, (5,), samples)
-        p1s.append(p1)
+    for i, (p1, *p_lams) in enumerate(table):
         if p1.value >= params.theta:
             skipped.append(i)
             continue
-        for lam in lambda_grid:
+        for lam, p_lam in zip(lambda_grid, p_lams):
             factor = params.C * lam ** (-params.delta)
-            p_lam = tail_probability(law, norm, lam, estimator, seed, (5,), samples)
             cells.append(WBCell(norm_index=i, lam=lam, p_lam=p_lam,
                                 bound=factor * p1.value,
                                 verdict=compare_tails(p_lam, p1, factor)))
-    return WBReport(params=params, norm_specs=tuple(norm_specs), p1=tuple(p1s),
+    return WBReport(params=params, norm_specs=tuple(norm_to_spec(n) for n in norms),
+                    p1=tuple(row[0] for row in table),
                     cells=tuple(cells), skipped=tuple(skipped),
                     meta={"lambda_grid": lambda_grid})
 
@@ -178,8 +171,8 @@ def component_gate_consistency(law: ProductLaw, norm, theta_out: float,
                                seed: int = 0):
     """Check the gate chain P(||X_j|| > 1) <= 2 P(||S_n|| > 1) < 2 theta' <= theta.
 
-    Exact on finite-support laws.  Returns per-component SlackReport-like
-    dicts; raises if theta' > theta / 2 (the chain needs theta' <= theta/2).
+    Exact on finite-support laws.  Returns one SlackReport per component;
+    raises if theta' > theta / 2 (the chain needs theta' <= theta/2).
     """
     if theta_out > theta / 2.0 + EXACT_SLACK_TOL:
         raise ParameterError("gate chain requires theta' <= theta / 2")

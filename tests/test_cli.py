@@ -261,3 +261,27 @@ def test_threads_flag_does_not_change_results(tmp_path):
     main(["run", path, "--out", b, "--threads", "8"])
     assert (tmp_path / "a" / "report.json").read_bytes() == \
         (tmp_path / "b" / "report.json").read_bytes()
+
+
+def test_dump_samples_writes_the_tail_batch(tmp_path):
+    from domlab import gaussian, sample_sum
+
+    cfg = dict(TAIL_CFG, seed=4, dump_samples=True,
+               source={"family": "gaussian", "covariance": [[1.0, 0.3], [0.3, 0.5]]},
+               norms={"list": [{"variant": "lp", "dimension": 2, "p": 2}]},
+               estimator={"kind": "mc", "budget": 1000})
+    out = tmp_path / "mc"
+    main(["run", _write(tmp_path, cfg), "--out", str(out), "--threads", "2"])
+    assert json.loads((out / "report.json").read_text())["samples_file"] == "samples.csv"
+    expected = sample_sum(gaussian([[1.0, 0.3], [0.3, 0.5]]), 1000, 4, stream=(0,))
+    rows = (out / "samples.csv").read_bytes().split(b"\r\n")
+    assert rows[-1] == b""
+    assert rows[:-1] == [",".join(format(x, ".17g") for x in row).encode()
+                         for row in expected]
+
+
+def test_dump_samples_skipped_on_exact_config(tmp_path):
+    out = tmp_path / "exact"
+    main(["run", _write(tmp_path, dict(TAIL_CFG, dump_samples=True)), "--out", str(out)])
+    assert not (out / "samples.csv").exists()
+    assert "samples_file" not in json.loads((out / "report.json").read_text())

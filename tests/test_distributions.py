@@ -10,8 +10,7 @@ from scipy.special import erfc
 from domlab import (CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
                     analytic_survival, dump_samples_csv, enumerate_product,
                     enumerate_sum, gaussian, pareto_tail, sample, sample_outcomes,
-                    sample_sum, scaled_source, stable_half_survival,
-                    sum_of, symmetric_stable, thin)
+                    sample_sum, scaled_source, sum_of, symmetric_stable, thin)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +169,11 @@ def test_stable_half_sampler_matches_closed_form():
     # [DERIVED] index 1/2 is realized as sign * scale * Z^2, whose survival
     # is P(Z^2 > t/scale) = erfc(sqrt(t / (2 scale))).
     xs = sample(symmetric_stable(0.5, scale=1.0), 400_000, seed=13)[:, 0]
+    surv = analytic_survival(symmetric_stable(0.5, scale=1.0))
     for t in (0.5, 1.0, 4.0):
-        assert _empirical_tail(xs, t) == pytest.approx(
-            float(stable_half_survival(t)), abs=0.01)
-    assert float(stable_half_survival(1.0)) == pytest.approx(
-        float(erfc(math.sqrt(0.5))), abs=1e-15)
+        assert _empirical_tail(xs, t) == pytest.approx(surv(t), abs=0.01)
+    assert surv(1.0) == pytest.approx(float(erfc(math.sqrt(0.5))), abs=1e-15)
+    assert surv(0.0) == 1.0
 
 
 def test_stable_two_is_gaussian_variance_two():

@@ -1,16 +1,21 @@
 """Tail comparisons, the proxy functional, and domination experiments."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from domlab import (DominationQuery, Estimator, FiniteSupportDist,
-                    ParameterError, PreconditionError, ProductLaw, absolute_value,
-                    check_domination, conditional_convexity_check, euclidean,
-                    exact_capable, gaussian, pareto_tail, proxy_bound_check,
-                    proxy_exact, proxy_mc, random_norm_family,
-                    removedelta_check, scale_norm, scaled_source,
-                    tail_probability, tensorisation_experiment, thin)
+import domlab.dominance as dominance
+from domlab import (DominationQuery, Estimator, FiniteSupportDist, LpNorm,
+                    ParameterError, PreconditionError, ProductLaw, TailEstimate,
+                    WBParams, absolute_value, check_domination, check_wb,
+                    conditional_convexity_check, euclidean, exact_capable,
+                    gaussian, pareto_tail, proxy_bound_check, proxy_exact,
+                    proxy_mc, random_norm_family, removedelta_check, sample_sum,
+                    scale_norm, scaled_source, tail_probability, tail_table,
+                    tensorisation_experiment, thin)
 from domlab.dominance import REMOVEDELTA_CAP
+from domlab.rng import CHUNK
 
 EXACT = Estimator("exact")
 
@@ -59,6 +64,91 @@ def test_exact_capable():
     assert exact_capable(pareto_tail(2.0))
     assert not exact_capable(gaussian(np.eye(2)))
     assert not exact_capable(ProductLaw((gaussian(np.eye(2)),) * 2))
+
+
+# ---------------------------------------------------------------------------
+# the tail engine
+
+
+def test_tail_table_exact_cells_are_masked_sums():
+    comps = (FiniteSupportDist.symmetric_pairs([[1.0, 0.0], [0.3, 0.7]], [0.6, 0.3],
+                                               zero_prob=0.1),
+             FiniteSupportDist.symmetric_pairs([[0.5, -0.5]], [1.0]))
+    law = ProductLaw(comps + comps)
+    norms = random_norm_family(seed=4, d=2, size=5)
+    thresholds = [0.25, 1.0, 1.7]
+    table = tail_table(law, norms, thresholds, Estimator("exact"))
+    # [DERIVED] the sum law by brute force over every tuple of atoms.
+    outcomes = [(np.sum([v for v, _ in tup], axis=0), np.prod([p for _, p in tup]))
+                for tup in itertools.product(*(c.atoms for c in law.components))]
+    for norm, row in zip(norms, table):
+        for t, cell in zip(thresholds, row):
+            ref = sum(p for v, p in outcomes if norm.evaluate(np.array(v)) > t)
+            assert cell.exact and cell.value == pytest.approx(ref, abs=1e-14)
+
+
+def test_tail_table_closed_form_cells():
+    norms = [absolute_value(), scale_norm(absolute_value(), 0.25)]
+    table = tail_table(pareto_tail(2.0), norms, [0.5, 1.0, 3.0], Estimator("exact"))
+    # [DERIVED] P(c|X| > t) = min(1, (t/c)^-2) for the exponent-2 source.
+    for c, row in zip((1.0, 0.25), table):
+        assert [cell.value for cell in row] == pytest.approx(
+            [min(1.0, (t / c) ** -2) for t in (0.5, 1.0, 3.0)], abs=1e-15)
+        assert all(cell.exact for cell in row)
+
+
+def test_tail_table_mc_cells_are_counts_on_one_batch():
+    law = ProductLaw((gaussian([[1.0, 0.2], [0.2, 0.5]]),) * 2)
+    norms = random_norm_family(seed=6, d=2, size=4)
+    thresholds = [0.5, 1.0, 2.5]
+    est = Estimator("mc", budget=CHUNK + 4_000, confidence=0.95)
+    table = tail_table(law, norms, thresholds, est, seed=8, stream=(7,), threads=2)
+    samples = sample_sum(law, est.budget, 8, stream=(7,))
+    for norm, row in zip(norms, table):
+        vals = norm.evaluate(samples)
+        assert row == [TailEstimate.from_counts(int(np.count_nonzero(vals > t)),
+                                                est.budget, 0.95)
+                       for t in thresholds]
+
+
+def test_tail_table_exact_estimator_needs_an_exact_path():
+    with pytest.raises(ParameterError, match="no exact tail path"):
+        tail_table(gaussian(np.eye(2)), [euclidean(2)], [1.0], EXACT)
+
+
+def test_check_domination_enumerates_each_law_once(monkeypatch):
+    calls = []
+    real = dominance.enumerate_sum
+
+    def counting(law, *args, **kwargs):
+        calls.append(law)
+        return real(law, *args, **kwargs)
+
+    monkeypatch.setattr(dominance, "enumerate_sum", counting)
+    x, y = ProductLaw((HALF,) * 3), ProductLaw((RAD,) * 3)
+    query = DominationQuery(x=x, y=y, kappa=1.0, lam=1.0, norms=tuple(FAMILY1),
+                            estimator=EXACT)
+    assert check_domination(query).overall == "holds"
+    assert calls == [x, y]
+
+
+def test_check_wb_evaluates_each_norm_once_per_sample(monkeypatch):
+    rows = []
+    real = LpNorm.evaluate
+
+    def counting(self, x):
+        rows.append(len(np.atleast_2d(x)))
+        return real(self, x)
+
+    monkeypatch.setattr(LpNorm, "evaluate", counting)
+    norms = [euclidean(2), LpNorm(dimension=2, p=1.0)]
+    est = Estimator("mc", budget=3_000)
+    for grid in ([1.0], [1.0, 2.0, 3.0, 5.0]):
+        rows.clear()
+        rep = check_wb(gaussian(np.eye(2)), WBParams(C=2.0, delta=1.0, theta=0.9),
+                       norms, grid, est, seed=3)
+        assert not rep.skipped and len(rep.cells) == len(norms) * len(grid)
+        assert sum(rows) == len(norms) * est.budget
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from domlab import (CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
-                    SignInstance, absolute_value, euclidean, sign_mean_exact,
+from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist,
+                    ParameterError, ProductLaw, SignInstance, absolute_value,
+                    euclidean, gaussian, sign_mean_exact,
                     sign_tail_exact, sign_tail_mc, signed_mean_over_outcomes,
                     verify_L1L2, verify_PZ, verify_contraction, verify_kahane,
                     verify_sum_inequalities)
@@ -210,8 +211,6 @@ def test_sum_inequalities_skip_when_rhs_infinite():
 
 
 def test_sum_inequalities_mc_path():
-    from domlab import Estimator, gaussian
-
     law = ProductLaw((gaussian([[1.0]]),) * 3)
     reports = verify_sum_inequalities(law, absolute_value(),
                                       {"s": 1.0, "t": 1.0, "u": 1.0},
@@ -223,3 +222,17 @@ def test_sum_inequalities_mc_path():
     with pytest.raises(ParameterError, match="estimator"):
         verify_sum_inequalities(law, absolute_value(),
                                 {"s": 1.0, "t": 1.0, "u": 1.0})
+
+
+def test_sum_inequalities_follow_the_estimator_kind():
+    levels = {"s": 1.0, "t": 1.0, "u": 1.0}
+    law = ProductLaw((FiniteSupportDist.rademacher(),) * 3)
+    exact = verify_sum_inequalities(law, absolute_value(), levels, estimator=EXACT)
+    default = verify_sum_inequalities(law, absolute_value(), levels)
+    assert all(rep.method == "exact" and rep.samples == 0 for rep in exact.values())
+    assert {k: r.to_json() for k, r in exact.items()} == \
+        {k: r.to_json() for k, r in default.items()}
+    gauss = ProductLaw((gaussian([[1.0]]),) * 3)
+    for est in (EXACT, Estimator("exact", budget=1000)):
+        with pytest.raises(ParameterError, match="no exact tail path"):
+            verify_sum_inequalities(gauss, absolute_value(), levels, estimator=est)
