@@ -130,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="domlab-out",
                        help="output directory (default: domlab-out)")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sampling (results are "
-                            "bit-identical for any value)")
+                       help="worker threads that draw, evaluate and count Monte Carlo "
+                            "chunks (results are bit-identical for any value)")
 
     p_val = sub.add_parser("validate", help="validate a config without running")
     p_val.add_argument("config", help="path to a JSON experiment config")

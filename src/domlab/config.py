@@ -103,6 +103,8 @@ def norms_from_spec(spec, context: str = "norms"):
                                   int(rnd["size"]), rnd.get("mix", "default"))
     if isinstance(spec, dict) and "list" in spec:
         _check_keys(spec, {"list"}, context)
+        if not spec["list"]:
+            raise ParameterError(f"{context}: the norm list must be nonempty")
         return [norm_from_spec(s) for s in spec["list"]]
     raise ParameterError(f"{context}: expected an object with 'random' or 'list'")
 
@@ -112,7 +114,7 @@ def estimator_from_spec(spec, context: str = "estimator") -> Estimator:
         raise ParameterError(f"{context}: expected an object")
     _check_keys(spec, {"kind", "budget", "confidence"}, context)
     _require(spec, ["kind"], context)
-    return Estimator(kind=spec["kind"], budget=int(spec.get("budget", 10**6)),
+    return Estimator(kind=spec["kind"], budget=spec.get("budget", 10**6),
                      confidence=float(spec.get("confidence", DEFAULT_CONFIDENCE)))
 
 
@@ -284,13 +286,13 @@ def _resolve_counterexample(raw):
         raise ParameterError("config[counterexample]: delta must lie in (0, 1)")
     if not raw["n_grid"]:
         raise ParameterError("config[counterexample]: n_grid must be nonempty")
-    return {}
+    return {"_estimator": Estimator("mc", budget=raw.get("budget", 10**6))}
 
 
 def _run_counterexample(cfg, threads):
     table = counterexample_experiment(
         float(cfg["delta"]), cfg["n_grid"], float(cfg["kappa"]),
-        float(cfg["lambda"]), budget=int(cfg.get("budget", 10**6)),
+        float(cfg["lambda"]), budget=cfg["_estimator"].budget,
         seed=cfg["seed"])
     report = dict(table.to_json(), kind="counterexample")
     tables = {"table.csv": (("n", "lhs", "rhs", "ratio"), table.csv_rows())}

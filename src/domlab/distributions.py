@@ -8,15 +8,14 @@ Two kinds of sources coexist:
   stable/pareto, thinned/scaled/summed combinations) sampled with
   deterministic counter-based substreams.
 
-All sampling is deterministic given (seed, count) and independent of the
-number of worker threads: the sample range is partitioned into fixed
-chunks, and chunk j always draws from substream (seed, j).
+All sampling is deterministic given (seed, stream, count) and independent
+of the thread count: rng.CHUNK-row chunk j of a source draws from substream
+(seed, *stream, j), and of product-law component i from (seed, *stream, i, j).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import CapacityError, ParameterError
-from .rng import chunk_ranges, generator_from, seed_sequence
+from .rng import map_chunks, seed_sequence
 
 DIMENSION_CAP = 16
 PRODUCT_SUPPORT_CAP = 10**6
@@ -221,23 +220,20 @@ Law = Union[FiniteSupportDist, SamplerSource, ProductLaw]
 def _draw(source: Source, n: int, ss: np.random.SeedSequence) -> np.ndarray:
     """Draw n vectors from a single source, using ss for this node and
     deterministic children of ss for nested sources."""
+    rng = np.random.Generator(np.random.Philox(ss))
     if isinstance(source, FiniteSupportDist):
-        rng = generator_from(ss)
         idx = rng.choice(source.support_size, size=n, p=source.probs())
         return source.vectors()[idx]
 
     fam, par = source.family, source.params
     if fam == "gaussian":
-        rng = generator_from(ss)
         z = rng.standard_normal((n, source.dimension))
         return z @ par["factor"].T
     if fam == "pareto_tail":
-        rng = generator_from(ss)
         mag = rng.random(n) ** (-1.0 / par["exponent"])
         sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
         return (sign * mag)[:, None]
     if fam == "symmetric_stable":
-        rng = generator_from(ss)
         alpha, scale = par["index"], par["scale"]
         sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
         if alpha == 0.5:
@@ -253,7 +249,6 @@ def _draw(source: Source, n: int, ss: np.random.SeedSequence) -> np.ndarray:
         return (scale * sign * x)[:, None]
     if fam == "bernoulli_thinned":
         child = ss.spawn(1)[0]
-        rng = generator_from(ss)
         keep = (rng.random(n) < par["keep"]).astype(float)
         return keep[:, None] * _draw(par["inner"], n, child)
     if fam == "scaled":
@@ -268,6 +263,28 @@ def _draw(source: Source, n: int, ss: np.random.SeedSequence) -> np.ndarray:
     raise ParameterError(f"unknown sampler family {fam!r}")
 
 
+def _draw_chunk(law: Law, j: int, size: int, seed: int, stream: tuple) -> np.ndarray:
+    """Chunk j of a source, shape (size, d), or of a product law, (size, n, d)."""
+    if isinstance(law, ProductLaw):
+        return np.stack([_draw(c, size, seed_sequence(seed, *stream, i, j))
+                         for i, c in enumerate(law.components)], axis=1)
+    return _draw(law, size, seed_sequence(seed, *stream, j))
+
+
+def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = ()) -> np.ndarray:
+    """Chunk j of sample_sum: a product law's components added as sum(axis=1) adds them."""
+    x = _draw_chunk(law, j, size, seed, stream)
+    return x.sum(axis=1) if isinstance(law, ProductLaw) else x
+
+
+def _gather(draw, law, count, seed, threads, stream) -> np.ndarray:
+    """The ``count`` rows of a sample, chunk j drawn by draw(law, j, size, seed, stream)."""
+    if count < 1:
+        raise ParameterError("count must be >= 1")
+    return np.concatenate(map_chunks(lambda j, lo, hi: draw(law, j, hi - lo, seed, stream),
+                                     count, threads))
+
+
 def sample(source: Source, count: int, seed: int, threads: int = 1,
            stream: tuple = ()) -> np.ndarray:
     """Sample ``count`` vectors, shape (count, d).
@@ -276,38 +293,19 @@ def sample(source: Source, count: int, seed: int, threads: int = 1,
     count.  ``stream`` is an integer path prefix that isolates independent
     uses of the same master seed.
     """
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    out = np.empty((count, source.dimension))
-    jobs = list(chunk_ranges(count))
-
-    def work(job):
-        j, lo, hi = job
-        out[lo:hi] = _draw(source, hi - lo, seed_sequence(seed, *stream, j))
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, jobs))
-    else:
-        for job in jobs:
-            work(job)
-    return out
+    return _gather(_draw_chunk, source, count, seed, threads, stream)
 
 
 def sample_outcomes(law: ProductLaw, count: int, seed: int, threads: int = 1,
                     stream: tuple = ()) -> np.ndarray:
     """Sample count outcome tuples from a product law, shape (count, n, d)."""
-    cols = [sample(c, count, seed, threads=threads, stream=stream + (i,))
-            for i, c in enumerate(law.components)]
-    return np.stack(cols, axis=1)
+    return _gather(_draw_chunk, law, count, seed, threads, stream)
 
 
 def sample_sum(law: Law, count: int, seed: int, threads: int = 1,
                stream: tuple = ()) -> np.ndarray:
     """Sample the vector X (for a plain source) or X_1+...+X_n (for a product law)."""
-    if isinstance(law, ProductLaw):
-        return sample_outcomes(law, count, seed, threads=threads, stream=stream).sum(axis=1)
-    return sample(law, count, seed, threads=threads, stream=stream)
+    return _gather(sample_sum_chunk, law, count, seed, threads, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ import numpy as np
 
 from .distributions import (FiniteSupportDist, Law, ProductLaw, analytic_survival,
                             enumerate_product, enumerate_sum, sample_outcomes,
-                            sample_sum)
+                            sample_sum_chunk)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import norm_to_spec
 from .inequalities import (SIGN_ENUMERATION_CAP, SignInstance, sign_mean_exact,
                            signed_mean_over_outcomes)
-from .rng import chunk_ranges, substream
+from .rng import map_chunks, substream
 from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
                     worst_verdict)
 
@@ -59,10 +59,10 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     enumerated once and summed exactly over its atoms; a scalar source
     with a closed-form survival function is read through each norm's
     scalar factor (every norm on R^1 is f * |x|); anything else is sampled
-    once on the (seed, stream) substreams and counted, with Clopper-Pearson
-    intervals.  Each norm is evaluated once per atom or sample, in blocks
-    of rng.CHUNK rows, and every threshold is read off the same values.
-    ``threads`` parallelises the sampling only; no result depends on it.
+    on the (seed, stream) substreams and counted, one rng.CHUNK-row chunk at a
+    time so memory does not grow with the budget, with Clopper-Pearson intervals.
+    Each norm is evaluated once per atom or sample; every threshold reads the
+    same values.  ``threads`` runs chunks in parallel; no result depends on it.
     """
     norms = list(norms)
     thresholds = [float(t) for t in thresholds]
@@ -78,14 +78,13 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
                 for f in factors]
     if estimator.kind != "mc":
         raise ParameterError("law has no exact tail path; use an mc estimator")
-    samples = sample_sum(law, estimator.budget, seed, stream=stream, threads=threads)
-    counts = np.zeros((len(norms), len(thresholds)), dtype=np.int64)
-    for _, lo, hi in chunk_ranges(len(samples)):
-        for i, norm in enumerate(norms):
-            vals = np.atleast_1d(norm.evaluate(samples[lo:hi]))
-            for j, t in enumerate(thresholds):
-                counts[i, j] += np.count_nonzero(vals > t)
-    return [[TailEstimate.from_counts(int(k), len(samples), estimator.confidence)
+
+    def count_chunk(j, lo, hi):
+        xs = sample_sum_chunk(law, j, hi - lo, seed, stream)
+        return [[np.count_nonzero(vals > t) for t in thresholds]
+                for vals in (np.atleast_1d(norm.evaluate(xs)) for norm in norms)]
+    counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)
+    return [[TailEstimate.from_counts(int(k), estimator.budget, estimator.confidence)
              for k in row] for row in counts]
 
 
@@ -114,6 +113,8 @@ class DominationQuery:
         if getattr(self.x, "dimension", None) != getattr(self.y, "dimension", None):
             raise ParameterError("laws must share dimension")
         object.__setattr__(self, "norms", tuple(self.norms))
+        if not self.norms:
+            raise ParameterError("the norm family must be nonempty")
 
 
 @dataclass(frozen=True)

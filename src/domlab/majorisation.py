@@ -303,6 +303,8 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
         raise ParameterError("delta must lie in (0, 1)")
     if kappa < 1.0 or lam < 1.0:
         raise ParameterError("kappa and lambda must be >= 1")
+    if any(isinstance(n, bool) or not hasattr(n, "__index__") or n < 1 for n in n_grid):
+        raise ParameterError(f"n_grid entries must be positive integers, got {list(n_grid)}")
     ns = sorted(int(n) for n in n_grid)
     (lhs, *rhs_tails), = tail_table(
         symmetric_stable(delta), [absolute_value()],

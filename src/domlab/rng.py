@@ -9,6 +9,8 @@ which makes parallel sampling bit-identical to sequential sampling.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 # Fixed chunk size for partitioned sampling.  Must never change between
@@ -26,16 +28,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_sequence(seed, *path)))
 
 
-def generator_from(ss: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def chunk_ranges(count: int):
-    """Yield (chunk_index, lo, hi) covering range(count) in CHUNK pieces."""
-    j = 0
-    lo = 0
-    while lo < count:
-        hi = min(lo + CHUNK, count)
-        yield j, lo, hi
-        j += 1
-        lo = hi
+def map_chunks(fn, count: int, threads: int = 1) -> list:
+    """[fn(j, lo, hi) for each CHUNK piece j = [lo, hi) of range(count)], in
+    order, computed on a pool of ``threads`` worker threads."""
+    jobs = [(j, lo, min(lo + CHUNK, count)) for j, lo in enumerate(range(0, count, CHUNK))]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, *zip(*jobs)))

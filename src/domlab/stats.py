@@ -23,8 +23,9 @@ class Estimator:
     def __post_init__(self):
         if self.kind not in ("exact", "mc"):
             raise ParameterError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "mc" and self.budget < 1:
-            raise ParameterError("mc budget must be >= 1")
+        if self.kind == "mc" and (isinstance(self.budget, bool)
+                                  or not hasattr(self.budget, "__index__") or self.budget < 1):
+            raise ParameterError("mc budget must be an integer >= 1")
         if not (0.0 < self.confidence < 1.0):
             raise ParameterError("confidence must lie in (0, 1)")
 

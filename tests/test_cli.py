@@ -53,6 +53,13 @@ def test_seed_is_required_and_integer():
         validate_config(dict(TAIL_CFG, seed=1.5))
     with pytest.raises(ParameterError, match="integer"):
         validate_config(dict(TAIL_CFG, seed=True))
+    for budget in (True, 2.9):
+        with pytest.raises(ParameterError, match="budget must be an integer"):
+            validate_config(dict(TAIL_CFG, estimator={"kind": "mc", "budget": budget}))
+        with pytest.raises(ParameterError, match="budget must be an integer"):
+            validate_config({"kind": "counterexample", "seed": 1, "delta": 0.7,
+                             "n_grid": [2], "kappa": 2.0, "lambda": 1.0,
+                             "budget": budget})
 
 
 def test_unknown_kind_rejected():
@@ -174,6 +181,18 @@ def test_cap_violation_exits_one_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cap" in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_norm_family_exits_one(tmp_path, capsys):
+    # Over no norms every check passes vacuously, so "holds" would claim nothing.
+    cfg = {"kind": "domination", "seed": 1,
+           "x": TAIL_CFG["source"], "y": TAIL_CFG["source"],
+           "kappa": 1.0, "lambda": 1.0, "norms": {"list": []},
+           "estimator": {"kind": "exact"}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonempty" in err
     assert not (tmp_path / "o").exists()
 
 

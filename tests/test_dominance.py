@@ -1,6 +1,7 @@
 """Tail comparisons, the proxy functional, and domination experiments."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,26 @@ def test_tail_table_mc_cells_are_counts_on_one_batch():
                        for t in thresholds]
 
 
+def test_tail_table_mc_memory_is_bounded_and_thread_free():
+    # Samples are streamed chunk by chunk: a 16x larger budget must not
+    # raise the traced peak, and the counts must not depend on threads.
+    law = ProductLaw((pareto_tail(2.0),) * 3)
+    norms, thresholds = [absolute_value()], [1.0, 10.0]
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            tail_table(law, norms, thresholds, Estimator("mc", budget=budget), seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64 * CHUNK) <= 2 * peak(4 * CHUNK)
+    est = Estimator("mc", budget=4 * CHUNK + 123)
+    assert (tail_table(law, norms, thresholds, est, seed=2, threads=1)
+            == tail_table(law, norms, thresholds, est, seed=2, threads=3))
+
+
 def test_tail_table_exact_estimator_needs_an_exact_path():
     with pytest.raises(ParameterError, match="no exact tail path"):
         tail_table(gaussian(np.eye(2)), [euclidean(2)], [1.0], EXACT)
@@ -153,6 +174,11 @@ def test_check_wb_evaluates_each_norm_once_per_sample(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # domination checks
+
+
+def test_domination_query_needs_a_norm():
+    with pytest.raises(ParameterError, match="nonempty"):
+        DominationQuery(x=HALF, y=RAD, kappa=1.0, lam=1.0, norms=(), estimator=EXACT)
 
 
 def test_halved_law_is_dominated():

@@ -263,3 +263,9 @@ def test_counterexample_validation():
         counterexample_experiment(1.5, [2], kappa=10.0, lam=1.0)
     with pytest.raises(ParameterError):
         counterexample_experiment(0.5, [2], kappa=0.5, lam=1.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 2.5, True, "4"])
+def test_counterexample_n_grid_needs_positive_integers(bad):
+    with pytest.raises(ParameterError, match="positive integers"):
+        counterexample_experiment(0.7, [4, bad], kappa=10.0, lam=1.0, budget=100)
