@@ -68,6 +68,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     thresholds = [float(t) for t in thresholds]
     if isinstance(law, (FiniteSupportDist, ProductLaw)) and exact_capable(law):
         vectors, probs = enumerate_sum(law)
+        vectors = np.asfortranarray(vectors)  # every norm reads it transposed, copy-free
         values = (np.atleast_1d(norm.evaluate(vectors)) for norm in norms)
         return [[TailEstimate.from_exact(float(probs[vals > t].sum()))
                  for t in thresholds] for vals in values]
@@ -80,7 +81,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
         raise ParameterError("law has no exact tail path; use an mc estimator")
 
     def count_chunk(j, lo, hi):
-        xs = sample_sum_chunk(law, j, hi - lo, seed, stream)
+        xs = np.asfortranarray(sample_sum_chunk(law, j, hi - lo, seed, stream))
         return [[np.count_nonzero(vals > t) for t in thresholds]
                 for vals in (np.atleast_1d(norm.evaluate(xs)) for norm in norms)]
     counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)
@@ -238,8 +239,8 @@ def _inner_sign_mc(outcomes: np.ndarray, norm, budget: int, seed: int,
     while done < budget:
         b = min(budget - done, max(1, (1 << 22) // max(m * d, 1)))
         eps = rng.integers(0, 2, size=(b, n)) * 2.0 - 1.0
-        sums = np.einsum("bn,mnd->bmd", eps, outcomes)
-        vals = np.atleast_1d(norm.evaluate(sums.reshape(-1, d))).reshape(b, m)
+        sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
+        vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(b, m)
         acc += np.maximum(vals - 1.0, 0.0).sum(axis=0)
         done += b
     return acc / budget

@@ -4,11 +4,16 @@ Closed symmetric convex bodies are represented through their Minkowski
 gauges, i.e. only as norms: membership of x in the body is evaluate(x) <= 1.
 All evaluators are pure, accept single vectors or (m, d) batches, and are
 safe to call concurrently.
+
+Every kernel works on the (d, m) transpose of its batch and reduces along
+the long point axis.  A batch may come in either memory order; a
+Fortran-ordered (m, d) batch is transposed without a copy, so callers that
+build large batches build them column-major.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,17 +24,32 @@ ELLIPSOID_CONDITION_CAP = 1e3
 
 
 def _as_batch(x, d):
+    """x as a C-contiguous (d, m) array, and whether x was a single vector."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if x.shape[-1] != d:
         raise ParameterError(f"vector dimension {x.shape[-1]} != norm dimension {d}")
-    return x, single
+    return np.ascontiguousarray(x.T), single
 
 
 def _ret(vals, single):
     return float(vals[0]) if single else vals
+
+
+def _param_rows(rows, what):
+    """rows as a read-only 2-d float array: nonempty, rectangular and finite."""
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be equal-length rows of numbers") from None
+    if a.ndim != 2 or a.size == 0:
+        raise ParameterError(f"{what} must be a nonempty list of equal-length rows")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{what} entries must be finite")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -42,8 +62,8 @@ class LpNorm:
             raise ParameterError("lp norm needs p >= 1")
 
     def evaluate(self, x):
-        x, single = _as_batch(x, self.dimension)
-        return _ret(np.linalg.norm(x, ord=self.p, axis=-1), single)
+        xt, single = _as_batch(x, self.dimension)
+        return _ret(np.linalg.norm(xt, ord=self.p, axis=0), single)
 
 
 @dataclass(frozen=True)
@@ -51,17 +71,19 @@ class WeightedLpNorm:
     dimension: int
     p: float
     weights: tuple
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise ParameterError("weighted lp norm needs p >= 1")
-        if len(self.weights) != self.dimension or any(w <= 0 for w in self.weights):
+        w = _param_rows([self.weights], "weight")
+        if w.shape[1] != self.dimension or (w <= 0).any():
             raise ParameterError("weights must be positive, one per coordinate")
+        object.__setattr__(self, "_w", w.T)
 
     def evaluate(self, x):
-        x, single = _as_batch(x, self.dimension)
-        w = np.asarray(self.weights)
-        return _ret(np.linalg.norm(x * w, ord=self.p, axis=-1), single)
+        xt, single = _as_batch(x, self.dimension)
+        return _ret(np.linalg.norm(xt * self._w, ord=self.p, axis=0), single)
 
 
 @dataclass(frozen=True)
@@ -69,24 +91,25 @@ class EllipsoidNorm:
     """||x|| = sqrt(x^T A x) for symmetric positive-definite A."""
 
     matrix: tuple  # row tuples, for hashability
+    _a: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = self._a()
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10):
+        a = _param_rows(self.matrix, "ellipsoid matrix")
+        if a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10):
             raise ParameterError("ellipsoid matrix must be symmetric square")
         if np.linalg.eigvalsh(a).min() <= 0:
             raise ParameterError("ellipsoid matrix must be positive definite")
-
-    def _a(self):
-        return np.array(self.matrix, dtype=float)
+        object.__setattr__(self, "_a", a)
 
     @property
     def dimension(self):
         return len(self.matrix)
 
     def evaluate(self, x):
-        x, single = _as_batch(x, self.dimension)
-        q = np.einsum("md,de,me->m", x, self._a(), x)
+        xt, single = _as_batch(x, self.dimension)
+        q = np.zeros(xt.shape[1])
+        for a_i, x_i in zip(self._a, xt):  # x^T A x, one O(m) row at a time
+            q += x_i * (a_i @ xt)
         return _ret(np.sqrt(np.maximum(q, 0.0)), single)
 
 
@@ -95,22 +118,23 @@ class PolytopeGauge:
     """||x|| = max_j |<u_j, x>| for directions u_j spanning R^d."""
 
     directions: tuple  # row tuples
+    _u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = self._u()
+        u = _param_rows(self.directions, "polytope gauge directions")
         if np.linalg.matrix_rank(u) < u.shape[1]:
             raise ParameterError("polytope gauge directions must span R^d")
-
-    def _u(self):
-        return np.array(self.directions, dtype=float)
+        object.__setattr__(self, "_u", u)
 
     @property
     def dimension(self):
-        return len(self.directions[0])
+        return self._u.shape[1]
 
     def evaluate(self, x):
-        x, single = _as_batch(x, self.dimension)
-        return _ret(np.abs(x @ self._u().T).max(axis=-1), single)
+        xt, single = _as_batch(x, self.dimension)
+        y = self._u @ xt
+        np.abs(y, out=y)
+        return _ret(y.max(axis=0), single)
 
 
 @dataclass(frozen=True)
@@ -119,8 +143,8 @@ class ScaledNorm:
     factor: float
 
     def __post_init__(self):
-        if self.factor <= 0:
-            raise ParameterError("scale factor must be positive")
+        if not (0.0 < self.factor < np.inf):
+            raise ParameterError("scale factor must be positive and finite")
 
     @property
     def dimension(self):
@@ -166,17 +190,23 @@ def norm_to_spec(norm) -> dict:
     raise ParameterError(f"unknown norm type {type(norm).__name__}")
 
 
+def _p_from_spec(p) -> float:
+    """The exponent of an lp spec: a number, or "inf" or null for the max norm."""
+    if p in ("inf", None):
+        return np.inf
+    try:
+        return float(p)
+    except (TypeError, ValueError):
+        raise ParameterError(f"lp exponent must be a number, \"inf\" or null, got {p!r}") from None
+
+
 def norm_from_spec(spec: dict):
     spec = dict(spec)
     variant = spec.pop("variant", None)
     if variant == "lp":
-        p = spec["p"]
-        return LpNorm(dimension=int(spec["dimension"]),
-                      p=np.inf if p in ("inf", None) else float(p))
+        return LpNorm(dimension=int(spec["dimension"]), p=_p_from_spec(spec["p"]))
     if variant == "weighted_lp":
-        p = spec["p"]
-        return WeightedLpNorm(dimension=int(spec["dimension"]),
-                              p=np.inf if p == "inf" else float(p),
+        return WeightedLpNorm(dimension=int(spec["dimension"]), p=_p_from_spec(spec["p"]),
                               weights=tuple(float(w) for w in spec["weights"]))
     if variant == "ellipsoid":
         return EllipsoidNorm(matrix=tuple(tuple(float(v) for v in r)

@@ -126,8 +126,9 @@ def signed_mean_over_outcomes(outcomes: np.ndarray, norm,
     # keep block * M * d around 2^22 floats
     max_block = max(1, (1 << 22) // max(m * d, 1))
     for eps in _eps_blocks(n, max_block=max_block):
-        sums = np.einsum("bn,mnd->bmd", eps, outcomes)
-        vals = np.atleast_1d(norm.evaluate(sums.reshape(-1, d))).reshape(len(eps), m)
+        # column-major sums: the norm reads their transpose without a copy
+        sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
+        vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(len(eps), m)
         acc += _apply_transform(vals, transform).sum(axis=0)
     return acc / half
 

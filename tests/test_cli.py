@@ -196,6 +196,51 @@ def test_empty_norm_family_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+GAUSSIAN_TAIL_CFG = {
+    "kind": "tail", "seed": 1,
+    "source": {"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+    "thresholds": [1.0], "estimator": {"kind": "mc", "budget": 1000},
+}
+L2 = {"variant": "lp", "dimension": 2, "p": 2}
+
+
+@pytest.mark.parametrize("norm, message", [
+    ({"variant": "scaled", "factor": float("nan"), "inner": L2}, "finite"),
+    ({"variant": "scaled", "factor": float("inf"), "inner": L2}, "finite"),
+    ({"variant": "weighted_lp", "dimension": 2, "p": 2, "weights": [1.0, float("nan")]},
+     "finite"),
+    ({"variant": "ellipsoid", "matrix": [[float("inf"), 0.0], [0.0, 1.0]]}, "finite"),
+    ({"variant": "ellipsoid", "matrix": [[1.0, 0.0], [0.0]]}, "equal-length"),
+    ({"variant": "polytope_gauge", "directions": [[float("nan"), 0.0], [0.0, 1.0]]},
+     "finite"),
+    ({"variant": "polytope_gauge", "directions": []}, "nonempty"),
+    ({"variant": "polytope_gauge", "directions": [[1.0, 0.0], [0.0]]}, "equal-length"),
+    ({"variant": "weighted_lp", "dimension": 2, "p": "two", "weights": [1.0, 1.0]},
+     "exponent"),
+])
+def test_malformed_norm_exits_one(tmp_path, capsys, norm, message):
+    # A NaN factor or weight used to pass validation and report P(||X|| > t) = 0.
+    path = _write(tmp_path, dict(GAUSSIAN_TAIL_CFG, norms={"list": [norm]}))
+    assert main(["validate", path]) == 1
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error:") and message in line for line in lines)
+    assert not (tmp_path / "o").exists()
+
+
+def test_null_p_means_infinity_for_both_lp_variants(tmp_path):
+    reports = []
+    for p in (None, "inf"):
+        norms = [{"variant": "lp", "dimension": 2, "p": p},
+                 {"variant": "weighted_lp", "dimension": 2, "p": p, "weights": [1.0, 2.0]}]
+        cfg = dict(GAUSSIAN_TAIL_CFG, norms={"list": norms})
+        out = tmp_path / f"o-{p}"
+        assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+
+
 def test_counterexample_witness_exits_two(tmp_path):
     cfg = {"kind": "counterexample", "seed": 1, "delta": 0.5,
            "n_grid": [4, 16, 64, 256], "kappa": 100.0, "lambda": 2.0}

@@ -1,5 +1,7 @@
 """Norm evaluators: axioms, serialization round-trips, random families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from domlab import (EllipsoidNorm, LpNorm, ParameterError, PolytopeGauge,
                     ScaledNorm, WeightedLpNorm, absolute_value, euclidean,
                     norm_from_spec, norm_to_spec, random_norm_family, scale_norm)
+from domlab.inequalities import signed_mean_over_outcomes
 
 FAMILY = random_norm_family(seed=123, d=3, size=12)
 
@@ -58,6 +61,93 @@ def test_batch_matches_single():
         batch = np.atleast_1d(norm.evaluate(xs))
         for i, x in enumerate(xs):
             assert batch[i] == pytest.approx(norm.evaluate(x), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# column-major kernels against the row-major formulas they replaced
+
+
+def _row_major(norm, x):
+    """The kernels' previous formulas, reducing over the last axis of an (m, d) batch."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if isinstance(norm, ScaledNorm):
+        return norm.factor * _row_major(norm.inner, x)
+    if isinstance(norm, LpNorm):
+        return np.linalg.norm(x, ord=norm.p, axis=-1)
+    if isinstance(norm, WeightedLpNorm):
+        return np.linalg.norm(x * np.asarray(norm.weights), ord=norm.p, axis=-1)
+    if isinstance(norm, EllipsoidNorm):
+        q = np.einsum("md,de,me->m", x, np.array(norm.matrix, dtype=float), x)
+        return np.sqrt(np.maximum(q, 0.0))
+    return np.abs(x @ np.array(norm.directions, dtype=float).T).max(axis=-1)
+
+
+def _kernel_cases(d, rng):
+    ps = [1.0, 1.5, 2.0, 3.0, np.inf]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = (q * 10.0 ** rng.uniform(-1.0, 2.0, size=d)) @ q.T
+    norms = [LpNorm(dimension=d, p=p) for p in ps]
+    norms += [WeightedLpNorm(dimension=d, p=p, weights=tuple(10.0 ** rng.uniform(-1, 1, d)))
+              for p in ps]
+    norms.append(PolytopeGauge(directions=tuple(map(tuple, rng.standard_normal((4 * d, d))))))
+    norms.append(EllipsoidNorm(matrix=tuple(map(tuple, (a + a.T) / 2.0))))
+    return norms + [scale_norm(n, 10.0 ** rng.uniform(-1, 1)) for n in norms]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+def test_column_major_kernels_match_row_major_formulas(d):
+    # Exact wherever the arithmetic is unchanged: max reductions, and sums
+    # and matmul entries over fewer than 8 coordinates, which numpy and BLAS
+    # add in coordinate order for either layout.  From 8 coordinates on,
+    # numpy sums a short contiguous last axis pairwise but a long axis row by
+    # row, and BLAS may block a matmul differently by shape, so lp sums and
+    # gauge entries may move in the last bits; the ellipsoid's x^T A x is now
+    # summed row by row instead of by einsum.  Those get a relative tolerance
+    # of 1e-12, far above the few ulps per coordinate that reordering costs.
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((257, d)) * 10.0 ** rng.uniform(-3, 3, size=(257, d))
+    x[5] = 0.0
+    for norm in _kernel_cases(d, rng):
+        leaf = norm.inner if isinstance(norm, ScaledNorm) else norm
+        exact = not isinstance(leaf, EllipsoidNorm) and (
+            d < 8 or getattr(leaf, "p", None) == np.inf)
+        got_c = norm.evaluate(x)
+        assert np.array_equal(norm.evaluate(np.asfortranarray(x)), got_c)
+        single = norm.evaluate(x[7])
+        assert isinstance(single, float)
+        assert norm.evaluate(np.empty((0, d))).shape == (0,)
+        for got, ref in ((got_c, _row_major(norm, x)), (single, _row_major(norm, x[7])[0])):
+            if exact:
+                assert np.array_equal(got, ref), norm
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=repr(norm))
+
+
+# Peak traced allocation, MiB, of signed_mean_over_outcomes on (4096, 8, 2)
+# outcomes under norms 0, 3, 4, 5, 6 of random_norm_family(77, 2, 20): one
+# 128-pattern block of sums is 8 MiB, so a copy of it per norm call exceeds
+# these bounds.  The row-major kernels peaked at 24, 20, 40, 28 and 20 MiB.
+SIGNED_MEAN_PEAK_MIB = {0: 25, 3: 21, 4: 29, 5: 29, 6: 21}
+
+
+def test_signed_mean_over_outcomes_makes_no_batch_copy():
+    family = random_norm_family(77, 2, 20)
+    outcomes = np.random.default_rng(0).standard_normal((4096, 8, 2))
+    for index, bound in SIGNED_MEAN_PEAK_MIB.items():
+        tracemalloc.start()
+        try:
+            signed_mean_over_outcomes(outcomes, family[index])
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (index, peak)
+
+
+def test_parameter_arrays_stay_out_of_eq_hash_and_repr():
+    for norm in FAMILY:
+        clone = norm_from_spec(norm_to_spec(norm))
+        assert clone == norm and hash(clone) == hash(norm)
+        assert not any(f"{name}=" in repr(norm) for name in ("_w", "_a", "_u"))
 
 
 # ---------------------------------------------------------------------------
