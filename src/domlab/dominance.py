@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import (FiniteSupportDist, Law, ProductLaw, analytic_survival,
-                            enumerate_product, enumerate_sum, sample_outcomes,
+from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
+                            analytic_survival, enumerate_product, enumerate_sum,
                             sample_sum_chunk)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import norm_to_spec
@@ -202,47 +202,43 @@ def proxy_mc(law: ProductLaw, norm, outer_budget: int, seed: int,
              inner_budget: Optional[int] = None, threads: int = 1) -> ProxyValue:
     """Monte-Carlo proxy: outer expectation sampled, inner sign mean exact
     whenever n is within the enumeration cap (inner MC noise enters the
-    clamp nonlinearly, so the exact inner is preferred)."""
+    clamp nonlinearly, so the exact inner is preferred); no result depends
+    on ``threads``."""
     if outer_budget < 1:
         raise ParameterError("outer budget must be >= 1")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = max(1, min(outer_budget, (1 << 20) // max(1, 1 << (law.n - 1))))
+    if inner_budget is not None and inner_budget < 1:
+        raise ParameterError("inner budget must be >= 1")
     inner_exact = law.n <= SIGN_ENUMERATION_CAP
-    rng_stream = 3
-    while done < outer_budget:
-        b = min(outer_budget - done, max(chunk, 1024))
-        outcomes = sample_outcomes(law, b, seed, stream=(rng_stream, done), threads=threads)
+    inner_budget = 4096 if inner_budget is None else inner_budget
+
+    def moments(j, lo, hi):
+        outcomes = _draw_chunk(law, j, hi - lo, seed, (3,))
         if inner_exact:
             inner = signed_mean_over_outcomes(outcomes, norm, ("shifted_plus", 1.0))
         else:
-            inner = _inner_sign_mc(outcomes, norm, inner_budget or 4096, seed, done)
+            inner = _inner_sign_mc(outcomes, norm, inner_budget, seed, j)
         vals = np.minimum(inner, 1.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / outer_budget
-    var = max(total_sq / outer_budget - mean * mean, 0.0)
+        return float(vals.sum()), float((vals * vals).sum())
+    chunks = map_chunks(moments, outer_budget, threads)
+    mean = sum(total for total, _ in chunks) / outer_budget
+    var = max(sum(total_sq for _, total_sq in chunks) / outer_budget - mean * mean, 0.0)
     stderr = math.sqrt(var / outer_budget)
     return ProxyValue(value=min(mean, 1.0), method="mc", stderr=stderr,
                       outer_samples=outer_budget,
-                      inner="exact" if inner_exact else f"mc({inner_budget or 4096})")
+                      inner="exact" if inner_exact else f"mc({inner_budget})")
 
 
 def _inner_sign_mc(outcomes: np.ndarray, norm, budget: int, seed: int,
-                   offset: int) -> np.ndarray:
+                   j: int) -> np.ndarray:
     m, n, d = outcomes.shape
-    rng = substream(seed, 4, offset)
+    rng = substream(seed, 4, j)
     acc = np.zeros(m)
-    done = 0
-    while done < budget:
-        b = min(budget - done, max(1, (1 << 22) // max(m * d, 1)))
-        eps = rng.integers(0, 2, size=(b, n)) * 2.0 - 1.0
+    step = max(1, (1 << 22) // (m * d))
+    for lo in range(0, budget, step):
+        eps = rng.integers(0, 2, size=(min(step, budget - lo), n)) * 2.0 - 1.0
         sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
-        vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(b, m)
+        vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(len(eps), m)
         acc += np.maximum(vals - 1.0, 0.0).sum(axis=0)
-        done += b
     return acc / budget
 
 

@@ -242,6 +242,25 @@ def test_proxy_mc_matches_exact():
     assert mc.inner == "exact"
 
 
+def test_proxy_mc_rejects_a_bad_inner_budget():
+    law = ProductLaw((RAD,) * 23)  # past the sign cap: the inner mean is MC
+    for bad in (-3, 0):
+        with pytest.raises(ParameterError, match="inner budget"):
+            proxy_mc(law, absolute_value(), outer_budget=10, seed=1, inner_budget=bad)
+    mc = proxy_mc(law, absolute_value(), outer_budget=10, seed=1, inner_budget=64)
+    assert mc.value == 1.0 and mc.inner == "mc(64)"
+
+
+def test_proxy_mc_is_thread_free():
+    # Both inner branches, and an outer budget with a partial last chunk.
+    for law, inner in ((ProductLaw((HALF, RAD, HALF)), "exact"),
+                       (ProductLaw((FiniteSupportDist.rademacher(0.1),) * 23), "mc(8)")):
+        runs = [proxy_mc(law, absolute_value(), outer_budget=CHUNK + 77, seed=4,
+                         inner_budget=8, threads=threads) for threads in (1, 3)]
+        assert runs[0] == runs[1]
+        assert runs[0].inner == inner and 0.0 < runs[0].value < 1.0
+
+
 def test_proxy_bounds_random_laws():
     rng = np.random.default_rng(9)
     for _ in range(25):

@@ -1,16 +1,18 @@
 """Sign-pattern enumeration against brute-force oracles; classical verifiers."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist,
+from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist, LpNorm,
                     ParameterError, ProductLaw, SignInstance, absolute_value,
-                    euclidean, gaussian, sign_mean_exact,
+                    euclidean, gaussian, pareto_tail, sign_mean_exact,
                     sign_tail_exact, sign_tail_mc, signed_mean_over_outcomes,
                     verify_L1L2, verify_PZ, verify_contraction, verify_kahane,
                     verify_sum_inequalities)
+from domlab.rng import CHUNK
 
 
 def _brute_tail(vectors, norm, t):
@@ -139,6 +141,24 @@ def test_paley_zygmund_holds():
             assert rep.lhs == pytest.approx(0.5 * (1.0 - theta) ** 2, abs=1e-15)
 
 
+def test_sign_verifiers_evaluate_the_norm_once_per_pattern(monkeypatch):
+    rows = []
+    real = LpNorm.evaluate
+
+    def counting(self, x):
+        rows.append(len(np.atleast_2d(x)))
+        return real(self, x)
+
+    monkeypatch.setattr(LpNorm, "evaluate", counting)
+    n = 16  # two _eps_blocks blocks of half-patterns
+    inst = SignInstance(np.random.default_rng(9).standard_normal((n, 2)), euclidean(2))
+    for verify in (lambda: verify_kahane(inst, s=0.7, t=1.1),
+                   lambda: verify_L1L2(inst), lambda: verify_PZ(inst, 0.5)):
+        rows.clear()
+        assert verify().holds
+        assert sum(rows) == 1 << (n - 1)
+
+
 def test_contraction_holds_and_validates():
     rng = np.random.default_rng(7)
     vectors = rng.standard_normal((5, 2))
@@ -236,3 +256,33 @@ def test_sum_inequalities_follow_the_estimator_kind():
     for est in (EXACT, Estimator("exact", budget=1000)):
         with pytest.raises(ParameterError, match="no exact tail path"):
             verify_sum_inequalities(gauss, absolute_value(), levels, estimator=est)
+
+
+def test_sum_inequalities_mc_memory_is_bounded_and_unchanged():
+    # Outcome tuples are drawn and counted one CHUNK at a time: a 16x larger
+    # budget must not raise the traced peak.  The draws are those of
+    # sample_outcomes(law, budget, seed), so the integer counts, and with
+    # them the reports, are pinned to the values of the whole-batch code.
+    law = ProductLaw((pareto_tail(2.0),) * 3)
+    levels = {"s": 2.0, "t": 3.0, "u": 4.0}
+
+    def run(budget):
+        return verify_sum_inequalities(law, absolute_value(), levels,
+                                       estimator=Estimator("mc", budget=budget), seed=2)
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            run(budget)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64 * CHUNK) <= 2 * peak(4 * CHUNK)
+    reports = run(4 * CHUNK + 123)
+    assert {name: (rep.lhs, rep.rhs, rep.verdict, rep.samples)
+            for name, rep in reports.items()} == {
+        "levy": (0.5317138641155769, 0.8383365044020026, "holds", 262267),
+        "max_summand": (0.2971551891774413, 0.8383365044020026, "holds", 262267),
+        "hoffmann_jorgensen": (0.053182443845394195, 0.8945297760613833, "holds", 262267),
+        "summand_tails": (0.3328020681214182, 0.4227891913005268, "holds", 262267)}
