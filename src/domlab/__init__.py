@@ -11,7 +11,7 @@ claims about tails are answered with three-valued verdicts
 
 from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDist,
                             ProductLaw, SamplerSource,
-                            analytic_survival, bernoulli_thinned, dump_samples_csv,
+                            analytic_survival, bernoulli_thinned,
                             enumerate_product, enumerate_sum, gaussian,
                             pareto_tail, sample, sample_outcomes, sample_sum,
                             scaled_source, sum_of, symmetric_stable, thin)

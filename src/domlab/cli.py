@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .config import EXPERIMENTS, load_config, validate_config
-from .distributions import dump_samples_csv
 from .errors import CapacityError, ParameterError, PreconditionError
 
 EXIT_OK = 0
@@ -69,11 +68,13 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
+    """One CSV table; a header of None writes no header row.  ``rows`` may be
+    a generator, so a table is streamed to disk as it is produced."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)  # RFC 4180: CRLF line terminator is the default
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        if header is not None:
+            w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _exit_code(verdicts):
@@ -96,12 +97,8 @@ def run_config(path: str, out_dir: str, threads: int) -> int:
     code = _exit_code(verdicts)
 
     _write_json(os.path.join(out_dir, "report.json"), report)
-    for name, table in tables.items():
-        if name.startswith("__raw__"):
-            dump_samples_csv(os.path.join(out_dir, name[len("__raw__"):]), table)
-        else:
-            header, rows = table
-            _write_csv(os.path.join(out_dir, name), header, rows)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
     manifest = {
         "config_sha256": hashlib.sha256(raw_bytes).hexdigest(),
         "version": __version__,

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
-                            gaussian, pareto_tail, sample_sum, scaled_source,
-                            sum_of, symmetric_stable)
+                            gaussian, pareto_tail, sample_sum_chunk,
+                            scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, check_domination, exact_capable,
                         tail_table, tensorisation_experiment)
 from .errors import ParameterError
@@ -27,7 +27,7 @@ from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contract
                            verify_kahane, verify_sum_inequalities)
 from .majorisation import (_majorisation_violation, counterexample_experiment,
                            decompose, schur_convexity_check)
-from .rng import substream
+from .rng import CHUNK, substream
 from .stats import DEFAULT_CONFIDENCE, Estimator
 from .weakborell import WBParams, check_wb, wb_sum_experiment, wb_tensorize_constants
 
@@ -133,6 +133,13 @@ def _resolve_tail(raw):
     return resolved
 
 
+def _sample_rows(law, budget, seed):
+    """The rows of sample_sum(law, budget, seed, stream=(0,)), one chunk at a time."""
+    for j, lo in enumerate(range(0, budget, CHUNK)):
+        columns = sample_sum_chunk(law, j, min(CHUNK, budget - lo), seed, (0,)).T
+        yield from zip(*columns.tolist())
+
+
 def _run_tail(cfg, threads):
     law = cfg["_source"]
     norms = cfg["_norms"]
@@ -152,8 +159,7 @@ def _run_tail(cfg, threads):
                             csv_rows)}
     if cfg.get("dump_samples") and est.kind == "mc" and not exact_capable(law):
         report["samples_file"] = "samples.csv"
-        tables["__raw__samples.csv"] = sample_sum(law, est.budget, seed,
-                                                  stream=(0,), threads=threads)
+        tables["samples.csv"] = (None, _sample_rows(law, est.budget, seed))
     return report, tables, []
 
 
@@ -474,8 +480,8 @@ EXPERIMENTS = {kind.name: kind for kind in (
                         "against weight 1 defeat any fixed (kappa, lambda): "
                         "reports the smallest witness n in the grid.",
          "config": {"kind": "counterexample", "seed": 1, "delta": 0.5,
-                    "n_grid": [1, 2, 4, 8, 16, 32, 64], "kappa": 100.0,
-                    "lambda": 1.0}}),
+                    "n_grid": [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536],
+                    "kappa": 100.0, "lambda": 1.0, "budget": 100000}}),
     ExperimentKind(
         "inequality-suite", ("instances", "max_n", "dimension", "product_laws"),
         ("max_components",), _resolve_inequality_suite, _run_inequality_suite,

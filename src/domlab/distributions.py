@@ -132,12 +132,12 @@ def gaussian(covariance) -> SamplerSource:
 
 
 def symmetric_stable(index: float, scale: float = 1.0) -> SamplerSource:
-    """Scalar symmetric stable-type source with stability index in (0, 2].
+    """Scalar symmetric stable source with stability index in (0, 2].
 
-    Sampling uses the Chambers-Mallows-Stuck transform, except for
-    index 1/2, which is realized as a signed scaled square of a standard
-    gaussian so that its survival function has the closed form
-    erfc(sqrt(t / (2 scale))) used as the analytic oracle.
+    Every index is sampled by the Chambers-Mallows-Stuck transform, so
+    ``scale * X`` with X standard symmetric stable (scipy's
+    ``levy_stable(index, 0)``).  No closed-form survival is offered: tails
+    are Monte Carlo estimates with intervals.
     """
     if not (0.0 < index <= 2.0):
         raise ParameterError(f"stability index must lie in (0, 2], got {index}")
@@ -236,9 +236,6 @@ def _draw(source: Source, n: int, ss: np.random.SeedSequence) -> np.ndarray:
     if fam == "symmetric_stable":
         alpha, scale = par["index"], par["scale"]
         sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        if alpha == 0.5:
-            mag = rng.standard_normal(n) ** 2
-            return (scale * sign * mag)[:, None]
         v = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
         if alpha == 1.0:
             x = np.tan(v)
@@ -334,12 +331,12 @@ def enumerate_product(law: ProductLaw, cap: int = PRODUCT_SUPPORT_CAP):
     return outcomes, probs
 
 
-def enumerate_sum(law: Law, cap: int = PRODUCT_SUPPORT_CAP):
+def enumerate_sum(law: Law):
     """Atoms (vectors, probs) of the law of the sum; exact path only."""
     if isinstance(law, FiniteSupportDist):
         return law.vectors(), law.probs()
     if isinstance(law, ProductLaw):
-        outcomes, probs = enumerate_product(law, cap=cap)
+        outcomes, probs = enumerate_product(law)
         return outcomes.sum(axis=1), probs
     raise ParameterError("exact enumeration needs a finite-support law")
 
@@ -383,9 +380,6 @@ def analytic_survival(source: Law) -> Optional[Callable[[float], float]]:
     if fam == "pareto_tail":
         delta = par["exponent"]
         return lambda t: 1.0 if t <= 1.0 else float(t) ** (-delta)
-    if fam == "symmetric_stable" and par["index"] == 0.5:
-        scale = par["scale"]
-        return lambda t: 1.0 if t <= 0.0 else float(erfc(math.sqrt(t / (2.0 * scale))))
     if fam == "gaussian":
         sigma = math.sqrt(float(par["covariance"][0, 0]))
         if sigma == 0.0:
@@ -404,15 +398,3 @@ def analytic_survival(source: Law) -> Optional[Callable[[float], float]]:
         keep = par["keep"]
         return lambda t: 1.0 if t < 0.0 else keep * inner(t)
     return None
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def dump_samples_csv(path, samples: np.ndarray) -> None:
-    """Write samples as CSV, one row per vector, 17 significant digits."""
-    samples = np.atleast_2d(samples)
-    with open(path, "w", newline="") as fh:
-        for row in samples:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\r\n")

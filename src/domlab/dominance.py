@@ -193,7 +193,7 @@ class ProxyValue:
 def proxy_exact(law: ProductLaw, norm) -> ProxyValue:
     """E min{E_eps (||sum eps_i X_i|| - 1)_+, 1}, exact over the product support."""
     outcomes, probs = enumerate_product(law)
-    inner = signed_mean_over_outcomes(outcomes, norm, ("shifted_plus", 1.0))
+    inner = signed_mean_over_outcomes(outcomes, norm)
     value = float(probs @ np.minimum(inner, 1.0))
     return ProxyValue(value=min(value, 1.0), method="exact")
 
@@ -214,7 +214,7 @@ def proxy_mc(law: ProductLaw, norm, outer_budget: int, seed: int,
     def moments(j, lo, hi):
         outcomes = _draw_chunk(law, j, hi - lo, seed, (3,))
         if inner_exact:
-            inner = signed_mean_over_outcomes(outcomes, norm, ("shifted_plus", 1.0))
+            inner = signed_mean_over_outcomes(outcomes, norm)
         else:
             inner = _inner_sign_mc(outcomes, norm, inner_budget, seed, j)
         vals = np.minimum(inner, 1.0)
@@ -297,8 +297,8 @@ def conditional_convexity_check(xlaw: ProductLaw, ylaw: ProductLaw, norm,
                          precheck_norms, EXACT, seed=0)
     ox, px = enumerate_product(xlaw)
     oy, py = enumerate_product(ylaw)
-    gx = signed_mean_over_outcomes(ox, norm, ("shifted_plus", 1.0))
-    gy = signed_mean_over_outcomes(oy, norm, ("shifted_plus", 1.0))
+    gx = signed_mean_over_outcomes(ox, norm)
+    gy = signed_mean_over_outcomes(oy, norm)
     reports = []
     for t in t_grid:
         if t < 0:

@@ -47,9 +47,10 @@ class SignInstance:
         return self.vectors.shape[1]
 
 
-def _check_cap(n: int, cap: int = SIGN_ENUMERATION_CAP):
-    if n > cap:
-        raise CapacityError(f"{n} summands exceed the sign-enumeration cap {cap}")
+def _check_cap(n: int):
+    if n > SIGN_ENUMERATION_CAP:
+        raise CapacityError(f"{n} summands exceed the sign-enumeration cap "
+                            f"{SIGN_ENUMERATION_CAP}")
 
 
 def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
@@ -118,9 +119,8 @@ def sign_mean_exact(inst: SignInstance, transform="identity") -> float:
     return _mean(_sign_norms(inst), transform)
 
 
-def signed_mean_over_outcomes(outcomes: np.ndarray, norm,
-                              transform=("shifted_plus", 1.0)) -> np.ndarray:
-    """E_eps transform(||sum eps_i x_i||) for each outcome tuple.
+def signed_mean_over_outcomes(outcomes: np.ndarray, norm) -> np.ndarray:
+    """E_eps (||sum eps_i x_i|| - 1)_+ for each outcome tuple.
 
     outcomes has shape (M, n, d); result has shape (M,).  This is the
     inner integrand of the proxy functional, vectorized over outcomes.
@@ -135,7 +135,7 @@ def signed_mean_over_outcomes(outcomes: np.ndarray, norm,
         # column-major sums: the norm reads their transpose without a copy
         sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
         vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(len(eps), m)
-        acc += _apply_transform(vals, transform).sum(axis=0)
+        acc += np.maximum(vals - 1.0, 0.0).sum(axis=0)
     return acc / half
 
 

@@ -34,11 +34,11 @@ DEFAULT_TOL = 1e-9
 _MASS_TOL = 1e-12
 
 
-def _majorisation_violation(a, b, tol: float = DEFAULT_TOL) -> Optional[int]:
+def _majorisation_violation(a, b) -> Optional[int]:
     """Number k of the first violated partial sum, or None when a < b.
 
-    Partial sums are those of the nonincreasing rearrangements; a total that
-    differs by more than tol counts as partial sum n.
+    Partial sums are those of the nonincreasing rearrangements, compared
+    within DEFAULT_TOL; a total that differs by more counts as partial sum n.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -46,9 +46,9 @@ def _majorisation_violation(a, b, tol: float = DEFAULT_TOL) -> Optional[int]:
         raise ParameterError("a and b must be equal-length sequences")
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
-    if not abs(ca[-1] - cb[-1]) <= tol:
+    if not abs(ca[-1] - cb[-1]) <= DEFAULT_TOL:
         return len(ca)
-    bad = np.nonzero(~(ca[:-1] <= cb[:-1] + tol))[0]
+    bad = np.nonzero(~(ca[:-1] <= cb[:-1] + DEFAULT_TOL))[0]
     return int(bad[0]) + 1 if len(bad) else None
 
 
@@ -60,9 +60,9 @@ def _require_majorised(a, b):
     return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
 
 
-def is_majorised(a, b, tol: float = DEFAULT_TOL) -> bool:
+def is_majorised(a, b) -> bool:
     """True iff a is majorised by b (partial sums of sorted rearrangements)."""
-    return _majorisation_violation(a, b, tol) is None
+    return _majorisation_violation(a, b) is None
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def decompose(a, b) -> PermutationMixture:
 # convexity and domination experiments for weighted sums
 
 
-def schur_convexity_check(a, b, component: FiniteSupportDist, norm,
-                          shift: float = 1.0) -> SlackReport:
+def schur_convexity_check(a, b, component: FiniteSupportDist, norm) -> SlackReport:
     """E (||sum a_i X_i|| - 1)_+ <= E (||sum b_i X_i|| - 1)_+ for a < b, exact.
 
     X_i are iid copies of the finite-support component; expectations are
@@ -191,7 +190,7 @@ def schur_convexity_check(a, b, component: FiniteSupportDist, norm,
     def weighted_mean(weights):
         sums = np.einsum("i,mid->md", weights, outcomes)
         vals = np.atleast_1d(norm.evaluate(sums))
-        return float(probs @ np.maximum(vals - shift, 0.0))
+        return float(probs @ np.maximum(vals - 1.0, 0.0))
 
     return SlackReport.from_exact("schur_convexity", weighted_mean(a), weighted_mean(b))
 
@@ -289,15 +288,14 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
                               seed: int = 0) -> CounterexampleTable:
     """Probe the failure of weighted domination for stability index < 1.
 
-    For iid index-delta stable-type summands with uniform weights 1/n
+    For iid index-delta stable summands with uniform weights 1/n
     against the single weight 1, domination at (kappa, lam) would force
     P(|X_1| > 1) <= kappa P(lam |X_1| > n^{1/delta - 1}), which fails for
-    large n.  Both tails come from tail_table: the closed-form survival
-    where the source has one (delta = 1/2), else one Monte Carlo batch of
-    the given budget on the seed's root stream.  The witness
-    is the smallest n > 1 where the one verdict rule reports "violated",
-    so a Monte Carlo witness needs the Clopper-Pearson intervals (at
-    DEFAULT_CONFIDENCE) to separate, not just the point estimates.
+    large n.  Both tails come from one tail_table Monte Carlo batch of the
+    given budget on the seed's root stream.  The witness is the smallest
+    n > 1 where the one verdict rule reports "violated", so it needs the
+    Clopper-Pearson intervals (at DEFAULT_CONFIDENCE) to separate, not just
+    the point estimates.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
@@ -317,5 +315,4 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
         if witness is None and n > 1 and compare_tails(lhs, rhs, kappa) == "violated":
             witness = n
     return CounterexampleTable(delta=delta, kappa=kappa, lam=lam,
-                               rows=tuple(rows), witness=witness,
-                               method="analytic" if lhs.exact else "mc")
+                               rows=tuple(rows), witness=witness, method="mc")

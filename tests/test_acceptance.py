@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.stats import levy_stable
 
 from domlab import (Estimator, FiniteSupportDist, ProductLaw, SignInstance,
                     WBParams, absolute_value, check_wb, counterexample_experiment,
@@ -202,26 +202,34 @@ def test_criterion_08_schur_convexity():
 
 def test_criterion_09_counterexample_witness(tmp_path):
     started = time.monotonic()
-    table = counterexample_experiment(0.5, [4, 16, 64, 256], kappa=100.0,
-                                      lam=2.0)
-    # [DERIVED] lhs = erfc(1/sqrt(2)) ~ 0.3173; rhs = 100 erfc(sqrt(n/4))
-    # first drops below lhs at n = 64 (rhs ~ 1.54e-6).
-    assert table.witness == 64
-    lhs = float(erfc(math.sqrt(0.5)))
-    assert table.rows[0].lhs == pytest.approx(lhs, abs=1e-15)
-    assert abs(lhs - 0.3173) < 2e-4
-    row64 = [r for r in table.rows if r.n == 64][0]
-    assert row64.rhs == pytest.approx(100.0 * float(erfc(4.0)), rel=1e-12)
-    assert row64.rhs < 2e-6
-    cfg = {"kind": "counterexample", "seed": 1, "delta": 0.5,
-           "n_grid": [4, 16, 64, 256], "kappa": 100.0, "lambda": 2.0}
+    grid = [4 ** k for k in range(1, 10)]  # 4 ... 262,144
+    budget = 10**6
+    table = counterexample_experiment(0.5, grid, kappa=100.0, lam=2.0, budget=budget)
+    assert table.method == "mc"
+    assert table.witness == 65536
+
+    # [DERIVED] the true index-1/2 law, from scipy's levy_stable: the witness
+    # is the first grid point where kappa P(|X| > n / lambda) < P(|X| > 1).
+    def oracle(t):
+        return 2.0 * float(levy_stable.sf(t, 0.5, 0.0))
+    lhs = oracle(1.0)
+    assert abs(lhs - 0.54256) < 1e-5
+    assert 100.0 * oracle(65536 / 2.0) < lhs <= 100.0 * oracle(16384 / 2.0)
+    se = math.sqrt(lhs * (1.0 - lhs) / budget)
+    assert abs(table.rows[0].lhs - lhs) < 5.0 * se
+    row = [r for r in table.rows if r.n == 65536][0]
+    p = oracle(65536 / 2.0)
+    assert abs(row.rhs / 100.0 - p) < 5.0 * math.sqrt(p * (1.0 - p) / budget)
+    cfg = {"kind": "counterexample", "seed": 1, "delta": 0.5, "n_grid": grid,
+           "kappa": 100.0, "lambda": 2.0, "budget": budget}
     path = tmp_path / "ce.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["expected_violation"] is True
-    _report(9, "witness n = 64, CLI exit 2 with expected-violation flag",
-            started, 30.0)
+    assert report["witness"] == 65536
+    _report(9, "witness n = 65536 on the true law, CLI exit 2 with "
+            "expected-violation flag", started, 30.0)
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -2,12 +2,15 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from domlab import ParameterError
+from domlab import (Estimator, ParameterError, bernoulli_thinned, norm_from_spec,
+                    pareto_tail, scaled_source, sum_of, symmetric_stable, tail_table)
 from domlab.cli import CATALOG, main
 from domlab.config import EXPERIMENTS, validate_config
+from domlab.rng import CHUNK
 
 TAIL_CFG = {
     "kind": "tail", "seed": 1,
@@ -88,6 +91,60 @@ def test_catalog_configs_all_validate(tmp_path):
         path = _write(tmp_path, entry["config"], entry["name"] + ".json")
         out = str(tmp_path / entry["name"])
         assert main(["run", path, "--out", out]) != 1, entry["name"]
+
+
+# ---------------------------------------------------------------------------
+# round trips: validate, then run through the CLI
+
+
+def _round_trip(tmp_path, cfg, name):
+    """(exit code, report.json bytes) of one validated config."""
+    path = _write(tmp_path, cfg, name + ".json")
+    assert main(["validate", path]) == 0
+    code = main(["run", path, "--out", str(tmp_path / name)])
+    return code, (tmp_path / name / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec, source", [
+    ({"family": "symmetric_stable", "index": 0.7, "scale": 2.0},
+     symmetric_stable(0.7, 2.0)),
+    ({"family": "bernoulli_thinned", "keep": 0.3,
+      "inner": {"family": "symmetric_stable", "index": 1.0}},
+     bernoulli_thinned(symmetric_stable(1.0), 0.3)),
+    ({"family": "scaled", "factor": -2.0,
+      "inner": {"family": "pareto_tail", "exponent": 3.0}},
+     scaled_source(pareto_tail(3.0), -2.0)),
+    ({"family": "sum_of", "parts": [{"family": "pareto_tail", "exponent": 2.0},
+                                    {"family": "symmetric_stable", "index": 1.5}]},
+     sum_of([pareto_tail(2.0), symmetric_stable(1.5)])),
+], ids=["symmetric_stable", "bernoulli_thinned", "scaled", "sum_of"])
+def test_source_spec_round_trip(tmp_path, spec, source):
+    est = {"kind": "mc", "budget": 5000}
+    cfg = dict(TAIL_CFG, source=spec, estimator=est)
+    assert validate_config(cfg)["_source"] == source
+    code, raw = _round_trip(tmp_path, cfg, "tail")
+    assert code == 0
+    (row,) = tail_table(source, [norm_from_spec(TAIL_CFG["norms"]["list"][0])],
+                        TAIL_CFG["thresholds"], Estimator(**est), seed=1, stream=(0,))
+    assert [c["tail"] for c in json.loads(raw)["cells"]] == [p.to_json() for p in row]
+
+
+def test_wb_sum_components_form_matches_iid_form(tmp_path):
+    iid = dict(EXPERIMENTS["wb-sum"].example["config"],
+               estimator={"kind": "mc", "budget": 20000})
+    components = {k: v for k, v in iid.items() if k not in ("iid", "n")}
+    components["components"] = [iid["iid"]] * iid["n"]
+    code, raw = _round_trip(tmp_path, components, "components")
+    assert code == 0
+    assert (code, raw) == _round_trip(tmp_path, iid, "iid")
+
+
+def test_majorize_reports_a_pair_that_is_not_majorised(tmp_path):
+    cfg = {"kind": "majorize", "seed": 1, "a": [0.9, 0.1], "b": [0.5, 0.5]}
+    code, raw = _round_trip(tmp_path, cfg, "majorize")
+    assert code == 2
+    assert json.loads(raw) == {"kind": "majorize", "majorised": False,
+                               "violating_partial_sum": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +299,17 @@ def test_null_p_means_infinity_for_both_lp_variants(tmp_path):
 
 
 def test_counterexample_witness_exits_two(tmp_path):
+    # [DERIVED] 100 P(|X| > n) for the index-1/2 law (2 levy_stable.sf(n, 0.5, 0))
+    # is 0.621 at n = 16384 and 0.311 at 65536, against P(|X| > 1) = 0.543.
     cfg = {"kind": "counterexample", "seed": 1, "delta": 0.5,
-           "n_grid": [4, 16, 64, 256], "kappa": 100.0, "lambda": 2.0}
+           "n_grid": [4, 1024, 16384, 65536], "kappa": 100.0, "lambda": 1.0,
+           "budget": 100000}
     out = str(tmp_path / "o")
     assert main(["run", _write(tmp_path, cfg), "--out", out]) == 2
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["expected_violation"] is True
-    assert report["witness"] == 64
+    assert report["method"] == "mc"
+    assert report["witness"] == 65536
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +334,8 @@ def test_manifest_contents(tmp_path):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     import hashlib
 
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     assert manifest["config_sha256"] == digest
     assert manifest["seed"] == 1
     assert manifest["exit_code"] == 0
@@ -292,16 +354,16 @@ def test_csv_is_rfc4180(tmp_path):
 
 
 def test_float_output_has_17_significant_digits(tmp_path):
-    cfg = {"kind": "counterexample", "seed": 1, "delta": 0.5,
-           "n_grid": [64], "kappa": 100.0, "lambda": 2.0}
+    cfg = dict(TAIL_CFG, source={"family": "gaussian", "covariance": [[1.0]]},
+               thresholds=[1.0])
     out = str(tmp_path / "o")
     main(["run", _write(tmp_path, cfg), "--out", out])
-    raw = (tmp_path / "o" / "table.csv").read_text()
-    lhs_field = raw.splitlines()[1].split(",")[1]
+    raw = (tmp_path / "o" / "tails.csv").read_text()
+    value_field = raw.splitlines()[1].split(",")[2]
     import math
     from scipy.special import erfc
 
-    assert lhs_field == format(float(erfc(math.sqrt(0.5))), ".17g")
+    assert value_field == format(float(erfc(math.sqrt(0.5))), ".17g")
 
 
 def test_list_experiments(capsys):
@@ -342,6 +404,25 @@ def test_dump_samples_writes_the_tail_batch(tmp_path):
     assert rows[-1] == b""
     assert rows[:-1] == [",".join(format(x, ".17g") for x in row).encode()
                          for row in expected]
+
+
+def test_dump_samples_memory_is_bounded(tmp_path):
+    # samples.csv is written one chunk at a time: an 8x larger budget must
+    # not raise the traced peak.  (Every value is formatted to 17 digits
+    # under tracemalloc, so the budgets stay small.)
+    def peak(budget):
+        cfg = dict(TAIL_CFG, dump_samples=True,
+                   source={"family": "symmetric_stable", "index": 1.5},
+                   estimator={"kind": "mc", "budget": budget})
+        path = _write(tmp_path, cfg, f"dump-{budget}.json")
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", str(tmp_path / str(budget))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * CHUNK) <= 2 * peak(2 * CHUNK)
 
 
 def test_dump_samples_skipped_on_exact_config(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 import domlab.dominance as dominance
 from domlab import (DominationQuery, Estimator, FiniteSupportDist, LpNorm,
                     ParameterError, PreconditionError, ProductLaw, TailEstimate,
-                    WBParams, absolute_value, check_domination, check_wb,
-                    conditional_convexity_check, euclidean, exact_capable,
+                    WBParams, absolute_value, bernoulli_thinned, check_domination,
+                    check_wb, conditional_convexity_check, euclidean, exact_capable,
                     gaussian, pareto_tail, proxy_bound_check, proxy_exact,
                     proxy_mc, random_norm_family, removedelta_check, sample_sum,
                     scale_norm, scaled_source, tail_probability, tail_table,
@@ -52,6 +52,16 @@ def test_tail_mc_matches_analytic():
     assert p.lo <= np.exp(-0.5) <= p.hi
     assert p.value == pytest.approx(np.exp(-0.5), abs=0.005)
     assert tail_probability(src, absolute_value(), 2.0, est, seed=2).exact
+
+
+def test_tail_table_samples_a_thinned_vector_source():
+    # No closed form in d = 2, so the cell is sampled through the thinning draw.
+    law = bernoulli_thinned(gaussian(np.eye(2)), 0.3)
+    (cell,), = tail_table(law, [euclidean(2)], [1.0], Estimator("mc", budget=200_000),
+                          seed=3)
+    assert not cell.exact
+    # [DERIVED] P(||delta Z|| > 1) = 0.3 P(||Z|| > 1) = 0.3 exp(-1/2).
+    assert cell.lo <= 0.3 * np.exp(-0.5) <= cell.hi
 
 
 def test_tail_requires_mc_when_no_exact_path():

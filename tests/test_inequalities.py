@@ -84,7 +84,7 @@ def test_signed_mean_over_outcomes_matches_per_instance():
     rng = np.random.default_rng(2)
     outcomes = rng.standard_normal((6, 4, 2))
     norm = euclidean(2)
-    batch = signed_mean_over_outcomes(outcomes, norm, ("shifted_plus", 1.0))
+    batch = signed_mean_over_outcomes(outcomes, norm)
     for m in range(6):
         single = sign_mean_exact(SignInstance(outcomes[m], norm),
                                  ("shifted_plus", 1.0))

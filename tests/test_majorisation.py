@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.stats import levy_stable
 
 from domlab import (Estimator, FiniteSupportDist, ParameterError,
                     PreconditionError, WBParams, absolute_value,
@@ -227,18 +227,20 @@ def test_weighted_domination_precondition():
 # the heavy-tail counterexample
 
 
-def test_counterexample_analytic_witness():
-    table = counterexample_experiment(0.5, [4, 16, 64, 256], kappa=100.0,
-                                      lam=2.0)
-    assert table.method == "analytic"
-    assert table.witness == 64
+def test_counterexample_mc_witness_on_the_true_law():
+    # [DERIVED] for delta = 1/2 and lambda = 1 the rhs threshold is n itself;
+    # 100 P(|X| > n) = 200 levy_stable.sf(n, 0.5, 0) first drops below
+    # P(|X| > 1) = 0.543 at n = 65536 (0.311; 0.621 at n = 16384).
+    budget = 100_000
+    table = counterexample_experiment(0.5, [4 ** k for k in range(9)], kappa=100.0,
+                                      lam=1.0, budget=budget, seed=1)
+    assert table.method == "mc"
+    assert table.witness == 65536
     assert table.to_json()["expected_violation"] is True
-    lhs = float(erfc(math.sqrt(0.5)))
     for row in table.rows:
-        assert row.lhs == pytest.approx(lhs, abs=1e-15)
-        # rhs = kappa * erfc(sqrt(n/4)) at threshold n / lam = n/2.
-        assert row.rhs == pytest.approx(100.0 * float(erfc(math.sqrt(row.n / 4.0))),
-                                        rel=1e-12)
+        for value, t in ((row.lhs, 1.0), (row.rhs / 100.0, float(row.n))):
+            p = 2.0 * float(levy_stable.sf(t, 0.5, 0.0))
+            assert abs(value - p) < 5.0 * math.sqrt(p * (1.0 - p) / budget)
 
 
 def test_counterexample_mc_path():
