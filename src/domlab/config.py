@@ -133,11 +133,10 @@ def _resolve_tail(raw):
     return resolved
 
 
-def _sample_rows(law, budget, seed):
-    """The rows of sample_sum(law, budget, seed, stream=(0,)), one chunk at a time."""
+def _sample_chunks(law, budget, seed):
+    """The rows of sample_sum(law, budget, seed, stream=(0,)), one chunk array at a time."""
     for j, lo in enumerate(range(0, budget, CHUNK)):
-        columns = sample_sum_chunk(law, j, min(CHUNK, budget - lo), seed, (0,)).T
-        yield from zip(*columns.tolist())
+        yield sample_sum_chunk(law, j, min(CHUNK, budget - lo), seed, (0,))
 
 
 def _run_tail(cfg, threads):
@@ -159,7 +158,7 @@ def _run_tail(cfg, threads):
                             csv_rows)}
     if cfg.get("dump_samples") and est.kind == "mc" and not exact_capable(law):
         report["samples_file"] = "samples.csv"
-        tables["samples.csv"] = (None, _sample_rows(law, est.budget, seed))
+        tables["samples.csv"] = (None, _sample_chunks(law, est.budget, seed))
     return report, tables, []
 
 

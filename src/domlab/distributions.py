@@ -11,6 +11,17 @@ Two kinds of sources coexist:
 All sampling is deterministic given (seed, stream, count) and independent
 of the thread count: rng.CHUNK-row chunk j of a source draws from substream
 (seed, *stream, j), and of product-law component i from (seed, *stream, i, j).
+
+Exact enumeration of a finite-support product law has three forms, each
+bounded by PRODUCT_SUPPORT_CAP on what it builds:
+
+* enumerate_sum -- the distinct atoms of the sum, convolved one component
+  at a time with exactly equal atoms merged after each step (the cap
+  counts the atoms of one step before the merge);
+* enumerate_sign_classes -- outcome tuples up to the sign of each summand,
+  for functions that no single sign flip changes (the cap counts classes);
+* enumerate_product -- every outcome tuple, for callers that need the
+  summands themselves (the cap counts tuples).
 """
 
 from __future__ import annotations
@@ -309,36 +320,103 @@ def sample_sum(law: Law, count: int, seed: int, threads: int = 1,
 # exact enumeration
 
 
+def _product(parts, cap: int, what: str):
+    """Every tuple of one atom per part, parts given as (vectors, probs) pairs.
+
+    Returns (outcomes, probs) with outcomes of shape (M, n, d), tuples in
+    row-major order of the parts' atom indices.
+    """
+    sizes = [len(p) for _, p in parts]
+    total = math.prod(sizes)
+    if total > cap:
+        raise CapacityError(f"{what} {total} exceeds cap {cap}")
+    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
+    idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (M, n)
+    outcomes = np.stack([v[idx[:, i]] for i, (v, _) in enumerate(parts)], axis=1)
+    probs = np.ones(total)
+    for i, (_, p) in enumerate(parts):
+        probs *= p[idx[:, i]]
+    return outcomes, probs
+
+
 def enumerate_product(law: ProductLaw, cap: int = PRODUCT_SUPPORT_CAP):
     """All outcome tuples of a finite-support product law.
 
     Returns (outcomes, probs) with outcomes of shape (M, n, d); probs sum
     to 1 up to float rounding and each tuple of atoms appears exactly once.
+    ``cap`` bounds the number of tuples M.
     """
     if not law.all_finite():
         raise ParameterError("enumerate_product requires finite-support components")
-    sizes = [c.support_size for c in law.components]
-    total = math.prod(sizes)
-    if total > cap:
-        raise CapacityError(f"product support size {total} exceeds cap {cap}")
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (M, n)
-    outcomes = np.stack(
-        [law.components[i].vectors()[idx[:, i]] for i in range(law.n)], axis=1)
-    probs = np.ones(total)
-    for i in range(law.n):
-        probs *= law.components[i].probs()[idx[:, i]]
-    return outcomes, probs
+    return _product([(c.vectors(), c.probs()) for c in law.components], cap,
+                    "product support size")
+
+
+def _fold_signs(dist: FiniteSupportDist):
+    """One representative per +/- pair of atoms carrying the pair's mass, and
+    the zero atom, as (vectors, probs)."""
+    index, vectors, masses = {}, [], []
+    for vec, p in dist.atoms:
+        key = tuple(float(x) for x in vec)
+        i = index.get(tuple(-x for x in key))
+        if i is None:
+            index[key] = len(masses)
+            vectors.append(key)
+            masses.append(p)
+        else:
+            masses[i] += p
+    return np.array(vectors, dtype=float), np.array(masses)
+
+
+def enumerate_sign_classes(law: ProductLaw):
+    """Outcome tuples of a finite-support product law up to the sign of each summand.
+
+    Every component keeps one atom per +/- pair, carrying the pair's mass,
+    plus its zero atom; returns (outcomes, probs) like enumerate_product.
+    A function of the tuple that no single sign flip x_i -> -x_i changes,
+    such as E_eps ||sum eps_i x_i||, has the same law over these classes
+    as over the tuples.  PRODUCT_SUPPORT_CAP bounds the number of classes.
+    """
+    if not law.all_finite():
+        raise ParameterError("enumerate_sign_classes requires finite-support components")
+    return _product([_fold_signs(c) for c in law.components], PRODUCT_SUPPORT_CAP,
+                    "sign-class count")
+
+
+def _merge_atoms(vectors: np.ndarray, probs: np.ndarray):
+    """Merge rows with exactly equal vectors, adding their masses."""
+    order = np.lexsort(vectors.T[::-1])
+    vectors, probs = vectors[order], probs[order]
+    first = np.empty(len(probs), dtype=bool)
+    first[0] = True
+    np.any(vectors[1:] != vectors[:-1], axis=1, out=first[1:])
+    return vectors[first], np.bincount(np.cumsum(first) - 1, weights=probs)
 
 
 def enumerate_sum(law: Law):
-    """Atoms (vectors, probs) of the law of the sum; exact path only."""
+    """Distinct atoms (vectors, probs) of the law of the sum; exact path only.
+
+    A product law is convolved one component at a time.  Partial sums are
+    added left to right, so every atom is bit-identical to the sum of a
+    tuple added in that order; after each step, atoms with exactly equal
+    vectors are merged and their masses added.  PRODUCT_SUPPORT_CAP bounds
+    the atoms of one step before they are merged; no outcome tuple is built.
+    """
     if isinstance(law, FiniteSupportDist):
         return law.vectors(), law.probs()
-    if isinstance(law, ProductLaw):
-        outcomes, probs = enumerate_product(law)
-        return outcomes.sum(axis=1), probs
-    raise ParameterError("exact enumeration needs a finite-support law")
+    if not (isinstance(law, ProductLaw) and law.all_finite()):
+        raise ParameterError("exact enumeration needs a finite-support law")
+    first, *rest = law.components
+    vectors, probs = first.vectors(), first.probs()
+    for c in rest:
+        size = len(probs) * c.support_size
+        if size > PRODUCT_SUPPORT_CAP:
+            raise CapacityError(f"{size} atoms before merging exceed the product "
+                                f"support cap {PRODUCT_SUPPORT_CAP}")
+        vectors = (vectors[:, None, :] + c.vectors()).reshape(size, -1)
+        probs = np.multiply.outer(probs, c.probs()).reshape(size)
+        vectors, probs = _merge_atoms(vectors, probs)
+    return vectors, probs
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
-                            analytic_survival, enumerate_product, enumerate_sum,
-                            sample_sum_chunk)
+                            analytic_survival, enumerate_sign_classes,
+                            enumerate_sum, sample_sum_chunk)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import norm_to_spec
 from .inequalities import (SIGN_ENUMERATION_CAP, SignInstance, sign_mean_exact,
@@ -191,8 +191,12 @@ class ProxyValue:
 
 
 def proxy_exact(law: ProductLaw, norm) -> ProxyValue:
-    """E min{E_eps (||sum eps_i X_i|| - 1)_+, 1}, exact over the product support."""
-    outcomes, probs = enumerate_product(law)
+    """E min{E_eps (||sum eps_i X_i|| - 1)_+, 1}, exact over the product support.
+
+    The inner sign mean does not change when one X_i flips sign, so the
+    outer expectation runs over enumerate_sign_classes, not every tuple.
+    """
+    outcomes, probs = enumerate_sign_classes(law)
     inner = signed_mean_over_outcomes(outcomes, norm)
     value = float(probs @ np.minimum(inner, 1.0))
     return ProxyValue(value=min(value, 1.0), method="exact")
@@ -288,15 +292,16 @@ def conditional_convexity_check(xlaw: ProductLaw, ylaw: ProductLaw, norm,
     g(X) = E_eps (||sum eps_i X_i|| - 1)_+ is stochastically below the law
     of g(Y):  P(g(X) > t) <= P(g(Y) > t) for every t >= 0.  Checks every t
     in t_grid plus the integrated form E min{g, 1}.  When precheck_norms
-    is given, per-index (1,1)-domination is re-verified first.
+    is given, per-index (1,1)-domination is re-verified first.  Like
+    proxy_exact, both laws of g are enumerated over sign classes.
     """
     if precheck_norms is not None:
         if xlaw.n != ylaw.n:
             raise ParameterError("laws must have equally many components")
         _recheck_premise(zip(xlaw.components, ylaw.components), 1.0, 1.0,
                          precheck_norms, EXACT, seed=0)
-    ox, px = enumerate_product(xlaw)
-    oy, py = enumerate_product(ylaw)
+    ox, px = enumerate_sign_classes(xlaw)
+    oy, py = enumerate_sign_classes(ylaw)
     gx = signed_mean_over_outcomes(ox, norm)
     gy = signed_mean_over_outcomes(oy, norm)
     reports = []

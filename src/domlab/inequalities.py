@@ -54,9 +54,25 @@ def _check_cap(n: int):
 
 
 def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
-    """Blocks of sign patterns (rows) with the first sign fixed to +1."""
+    """Blocks of sign patterns (rows) with the first sign fixed to +1.
+
+    Pattern k has sign 2 * bit_j(k) - 1 in column j + 1.  When the block
+    size is a power of two, the low-bit columns repeat from block to block
+    and the high-bit columns are constant within one, so one low-bit table
+    is built per call and each block copies it and fills its high columns.
+    """
     half = 1 << (n - 1)
     block = min(half, max_block)
+    low = block.bit_length() - 1
+    if block == 1 << low:
+        table = np.ones((block, n))
+        table[:, 1:1 + low] = ((np.arange(block)[:, None] >> np.arange(low)) & 1) * 2.0 - 1.0
+        high = np.arange(low, n - 1)
+        for start in range(0, half, block):
+            eps = table.copy()
+            eps[:, 1 + low:] = ((start >> high) & 1) * 2.0 - 1.0
+            yield eps
+        return
     shifts = np.arange(max(n - 1, 1))
     for start in range(0, half, block):
         idx = np.arange(start, min(start + block, half), dtype=np.int64)

@@ -1,14 +1,18 @@
 """Config schema strictness, CLI exit codes, and report artifacts."""
 
+import csv
 import json
+import math
 import os
 import tracemalloc
+
+import numpy as np
 
 import pytest
 
 from domlab import (Estimator, ParameterError, bernoulli_thinned, norm_from_spec,
                     pareto_tail, scaled_source, sum_of, symmetric_stable, tail_table)
-from domlab.cli import CATALOG, main
+from domlab.cli import CATALOG, _write_csv, main
 from domlab.config import EXPERIMENTS, validate_config
 from domlab.rng import CHUNK
 
@@ -241,6 +245,46 @@ def test_cap_violation_exits_one_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _rademacher_tensorize(n):
+    return {"kind": "tensorize", "seed": 1,
+            "pairs": [{"x": {"family": "finite", "atoms": [[[0.5], 0.5], [[-0.5], 0.5]]},
+                       "y": {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}}
+                      for _ in range(n)],
+            "kappa": 1.0, "lambda": 1.0, "alpha": 1.0,
+            "norms": {"list": [{"variant": "lp", "dimension": 1, "p": 2}]},
+            "estimator": {"kind": "exact"}}
+
+
+def test_exact_tensorize_far_above_the_tuple_cap_exits_zero(tmp_path):
+    # 30 Rademacher pairs: 2^30 outcome tuples per sum, 31 distinct atoms.
+    # [DERIVED] P(|sum e_i / 2| > 1) = sum over |2k - 30| > 2 of C(30, k) / 2^30.
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, _rademacher_tensorize(30)), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    expected = sum(math.comb(30, k) for k in range(31) if abs(2 * k - 30) > 2) / 2**30
+    px = rep["records"][0]["px"]
+    assert px["exact"] and px["value"] == expected
+
+
+def test_law_above_the_atom_cap_exits_one_without_traceback(tmp_path, capsys):
+    # Three components of 102 generic atoms: their sum has 102^3 > 10^6 atoms.
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(3):
+        values = rng.standard_normal(51)
+        atoms = [[[float(v)], 1.0 / 102] for v in values] + \
+                [[[float(-v)], 1.0 / 102] for v in values]
+        pairs.append({"x": {"family": "finite",
+                            "atoms": [[[0.5 * v[0]], p] for v, p in atoms]},
+                      "y": {"family": "finite", "atoms": atoms}})
+    cfg = dict(_rademacher_tensorize(0), pairs=pairs)
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1061208 atoms before merging" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_empty_norm_family_exits_one(tmp_path, capsys):
     # Over no norms every check passes vacuously, so "holds" would claim nothing.
     cfg = {"kind": "domination", "seed": 1,
@@ -364,6 +408,25 @@ def test_float_output_has_17_significant_digits(tmp_path):
     from scipy.special import erfc
 
     assert value_field == format(float(erfc(math.sqrt(0.5))), ".17g")
+
+
+def test_csv_blocks_match_the_row_writer(tmp_path):
+    # A 2-D numeric array among the rows is written in one piece, with the
+    # bytes csv.writer gives its rows after each float is formatted to 17 digits.
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0, 1e300, 2.5]
+    floats = np.array(special * 4).reshape(-1, 3)
+    ints = np.array([[0, -1, 2**62], [7, 10**17, -(2**63)]])
+    rows = [("norm_index", 1, -0.0, math.nan), (2**70, math.inf, 5e-324, "x")]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c"])
+        for row in [*rows, *floats.tolist(), *ints.tolist(), *floats[:1].tolist()]:
+            w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    got = tmp_path / "got.csv"
+    _write_csv(got, ["a", "b", "c"], iter([*rows, floats, ints, floats[:1]]))
+    assert got.read_bytes() == expected.read_bytes()
+    assert b"nan,inf,-inf\r\n-0,0,4.9406564584124654e-324\r\n" in got.read_bytes()
 
 
 def test_list_experiments(capsys):

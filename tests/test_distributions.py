@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.stats import levy_stable
 
-from domlab import (CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
-                    analytic_survival, enumerate_product,
-                    enumerate_sum, gaussian, pareto_tail, sample, sample_outcomes,
-                    sample_sum, scaled_source, sum_of, symmetric_stable, thin)
+import domlab.distributions as distributions
+from domlab import (EXACT, CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
+                    absolute_value, analytic_survival, enumerate_product,
+                    enumerate_sign_classes, enumerate_sum, gaussian, pareto_tail, sample,
+                    sample_outcomes, sample_sum, scaled_source, sum_of, symmetric_stable,
+                    tail_table, thin)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +91,89 @@ def test_enumerate_product_cap():
     law = ProductLaw((FiniteSupportDist.rademacher(),) * 4)
     with pytest.raises(CapacityError, match="cap"):
         enumerate_product(law, cap=15)
+
+
+def _merged_sum_oracle(comps):
+    # [DERIVED] independent oracle: itertools.product over atom lists, each
+    # tuple added left to right in Python floats, equal sums merged in a dict.
+    masses = {}
+    for combo in itertools.product(*[c.atoms for c in comps]):
+        total = combo[0][0]
+        for vec, _ in combo[1:]:
+            total = tuple(a + b for a, b in zip(total, vec))
+        masses[total] = masses.get(total, 0.0) + math.prod(p for _, p in combo)
+    return masses
+
+
+def test_enumerate_sum_matches_merged_itertools_oracle():
+    rng = np.random.default_rng(3)
+    lattice = FiniteSupportDist.symmetric_pairs([[1.0, 0.0], [1.0, 1.0]], [0.3, 0.5],
+                                                zero_prob=0.2)
+    generic = FiniteSupportDist.symmetric_pairs(rng.standard_normal((2, 2)), [0.6, 0.4])
+    square = FiniteSupportDist.from_pairs([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
+                                           [-1.0, -1.0]], [0.25] * 4)
+    for comps in ((lattice,) * 4, (square,) * 5, (lattice, generic, square, lattice),
+                  (FiniteSupportDist.rademacher(0.1),) * 7):
+        vectors, probs = enumerate_sum(ProductLaw(comps))
+        got = {tuple(v): p for v, p in zip(vectors.tolist(), probs)}
+        expected = _merged_sum_oracle(comps)
+        assert len(got) == len(vectors)  # every atom is distinct
+        assert set(got) == set(expected)  # bit-identical atom locations
+        for key, p in expected.items():
+            assert got[key] == pytest.approx(p, rel=1e-14)
+
+
+def test_enumerate_sum_tie_on_a_threshold_stays_outside_the_tail():
+    # [DERIVED] e1/2 + e2/2 + e3/2 takes +-1/2 with mass 3/4 and +-3/2 with
+    # mass 1/4; atoms exactly at t = 1/2 or t = 3/2 are not above it.
+    law = ProductLaw((FiniteSupportDist.rademacher(0.5),) * 3)
+    vectors, probs = enumerate_sum(law)
+    assert sorted(vectors[:, 0]) == [-1.5, -0.5, 0.5, 1.5]
+    (tie, clear, top_tie), = tail_table(law, [absolute_value()], [0.5, 0.25, 1.5], EXACT)
+    assert (tie.value, clear.value, top_tie.value) == (0.25, 1.0, 0.0)
+
+
+def test_enumerate_sum_is_exact_far_above_the_tuple_cap(monkeypatch):
+    # [DERIVED] P(|e_1 + ... + e_40| > 10) = sum over |2k - 40| > 10 of
+    # C(40, k) / 2^40: 2^40 tuples, 41 atoms, and no tuple array is built.
+    def no_tuples(*args, **kwargs):
+        raise AssertionError("enumerate_sum built outcome tuples")
+
+    monkeypatch.setattr(distributions, "_product", no_tuples)
+    law = ProductLaw((FiniteSupportDist.rademacher(),) * 40)
+    vectors, probs = enumerate_sum(law)
+    assert len(probs) == 41
+    expected = sum(math.comb(40, k) for k in range(41) if abs(2 * k - 40) > 10) / 2**40
+    (tail,), = tail_table(law, [absolute_value()], [10.0], EXACT)
+    assert tail.value == expected and tail.exact
+
+
+def test_enumerate_sum_caps_the_atoms_formed_before_a_merge(monkeypatch):
+    # Generic atoms never merge: 6 * 6 = 36 atoms, then 36 * 6 = 216 > 200.
+    monkeypatch.setattr(distributions, "PRODUCT_SUPPORT_CAP", 200)
+    rng = np.random.default_rng(4)
+    comps = tuple(FiniteSupportDist.symmetric_pairs(rng.standard_normal((3, 2)),
+                                                    [0.2, 0.3, 0.5]) for _ in range(3))
+    assert len(enumerate_sum(ProductLaw(comps[:2]))[1]) == 36
+    with pytest.raises(CapacityError, match="216 atoms before merging exceed .* cap 200"):
+        enumerate_sum(ProductLaw(comps))
+
+
+def test_enumerate_sign_classes_keeps_one_atom_per_pair(monkeypatch):
+    comp = FiniteSupportDist.symmetric_pairs([[2.0, 1.0], [0.0, 1.0]], [0.6, 0.3],
+                                             zero_prob=0.1)
+    outcomes, probs = enumerate_sign_classes(ProductLaw((comp,)))
+    assert outcomes.shape == (3, 1, 2)
+    got = {tuple(o[0]): p for o, p in zip(outcomes.tolist(), probs)}
+    assert got == {(2.0, 1.0): 0.3 + 0.3, (0.0, 1.0): 0.15 + 0.15, (0.0, 0.0): 0.1}
+    outcomes, probs = enumerate_sign_classes(ProductLaw((comp,) * 2))
+    assert len(probs) == 9 and probs.sum() == pytest.approx(1.0, abs=1e-15)
+    rad = ProductLaw((FiniteSupportDist.rademacher(3.0),) * 20)
+    outcomes, probs = enumerate_sign_classes(rad)  # 2^20 tuples, one class
+    assert outcomes.tolist() == [[[3.0]] * 20] and probs.tolist() == [1.0]
+    monkeypatch.setattr(distributions, "PRODUCT_SUPPORT_CAP", 8)
+    with pytest.raises(CapacityError, match="sign-class count 9 exceeds cap 8"):
+        enumerate_sign_classes(ProductLaw((comp,) * 2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import domlab.dominance as dominance
-from domlab import (DominationQuery, Estimator, FiniteSupportDist, LpNorm,
-                    ParameterError, PreconditionError, ProductLaw, TailEstimate,
-                    WBParams, absolute_value, bernoulli_thinned, check_domination,
-                    check_wb, conditional_convexity_check, euclidean, exact_capable,
-                    gaussian, pareto_tail, proxy_bound_check, proxy_exact,
-                    proxy_mc, random_norm_family, removedelta_check, sample_sum,
-                    scale_norm, scaled_source, tail_probability, tail_table,
-                    tensorisation_experiment, thin)
+from domlab import (CapacityError, DominationQuery, Estimator, FiniteSupportDist,
+                    LpNorm, ParameterError, PreconditionError, ProductLaw, SignInstance,
+                    TailEstimate, WBParams, absolute_value, bernoulli_thinned,
+                    check_domination, check_wb, conditional_convexity_check,
+                    enumerate_product, euclidean, exact_capable, gaussian, pareto_tail,
+                    proxy_bound_check, proxy_exact, proxy_mc, random_norm_family,
+                    removedelta_check, sample_sum, scale_norm, scaled_source,
+                    sign_mean_exact, signed_mean_over_outcomes, tail_probability,
+                    tail_table, tensorisation_experiment, thin)
 from domlab.dominance import REMOVEDELTA_CAP
 from domlab.rng import CHUNK
 
@@ -243,6 +244,79 @@ def test_proxy_exact_three_rademacher():
     # E_eps(|S|-1)_+ = (1/4)(3-1) = 1/2 for every outcome of signs of ones.
     law = ProductLaw((RAD,) * 3)
     assert proxy_exact(law, absolute_value()).value == pytest.approx(0.5, abs=1e-15)
+
+
+def _tuple_integrand(law, norm):
+    # The tuple-based computation: g on every outcome tuple, with its mass.
+    outcomes, probs = enumerate_product(law)
+    return signed_mean_over_outcomes(outcomes, norm), probs
+
+
+def _sign_class_oracle_laws():
+    rng = np.random.default_rng(21)
+
+    def two_pairs():
+        w = rng.uniform(0.2, 0.8)
+        return FiniteSupportDist.symmetric_pairs(rng.standard_normal((2, 2)) * 0.6,
+                                                 [w, 1.0 - w])
+
+    def with_zero():
+        return FiniteSupportDist.symmetric_pairs(rng.standard_normal((1, 2)), [0.7],
+                                                 zero_prob=0.3)
+
+    rad = FiniteSupportDist.from_pairs([[0.8, 0.3], [-0.8, -0.3]], [0.5, 0.5])
+    return [ProductLaw(tuple(two_pairs() for _ in range(4))),
+            ProductLaw((with_zero(), two_pairs(), rad, with_zero())),
+            ProductLaw((rad, two_pairs(), with_zero(), two_pairs(), rad))]
+
+
+SIGN_CLASS_NORMS = [euclidean(2), *random_norm_family(seed=8, d=2, size=6)]
+
+
+def test_proxy_exact_matches_the_tuple_enumeration():
+    for law in _sign_class_oracle_laws():
+        for norm in SIGN_CLASS_NORMS:
+            g, probs = _tuple_integrand(law, norm)
+            expected = float(probs @ np.minimum(g, 1.0))
+            assert 0.0 < expected < 1.0
+            assert proxy_exact(law, norm).value == pytest.approx(expected, rel=1e-14)
+
+
+def test_conditional_convexity_matches_the_tuple_enumeration():
+    t_grid = [0.0, 0.05, 0.2, 0.6]
+    for ylaw in _sign_class_oracle_laws():
+        xlaw = ProductLaw(tuple(thin(c, 0.6) for c in ylaw.components))
+        for norm in SIGN_CLASS_NORMS:
+            (gx, px), (gy, py) = _tuple_integrand(xlaw, norm), _tuple_integrand(ylaw, norm)
+            expected = [(float(px[gx > t].sum()), float(py[gy > t].sum())) for t in t_grid]
+            expected.append((float(px @ np.minimum(gx, 1.0)),
+                             float(py @ np.minimum(gy, 1.0))))
+            reports = conditional_convexity_check(xlaw, ylaw, norm, t_grid)
+            assert len(reports) == len(expected)
+            for rep, (lhs, rhs) in zip(reports, expected):
+                assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=1e-300)
+                assert rep.rhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
+
+
+def test_proxy_exact_far_above_the_tuple_cap():
+    # 12 four-atom components: 4^12 = 16.7M tuples, 2^12 = 4096 sign classes.
+    # [DERIVED] oracle: the proxy summed class by class, each class's inner
+    # mean from sign_mean_exact and its mass the product of pair masses.
+    rng = np.random.default_rng(12)
+    pairs = rng.standard_normal((12, 2, 2)) * 0.4
+    weights = rng.uniform(0.2, 0.8, 12)
+    law = ProductLaw(tuple(FiniteSupportDist.symmetric_pairs(pairs[i], [w, 1.0 - w])
+                           for i, w in enumerate(weights)))
+    with pytest.raises(CapacityError, match="cap"):
+        enumerate_product(law)
+    norm = euclidean(2)
+    expected = 0.0
+    for choice in itertools.product((0, 1), repeat=12):
+        mass = np.prod([w if c == 0 else 1.0 - w for w, c in zip(weights, choice)])
+        inner = sign_mean_exact(SignInstance(pairs[np.arange(12), list(choice)], norm),
+                                ("shifted_plus", 1.0))
+        expected += mass * min(inner, 1.0)
+    assert proxy_exact(law, norm).value == pytest.approx(expected, rel=1e-13)
 
 
 def test_proxy_mc_matches_exact():
