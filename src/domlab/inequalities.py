@@ -21,7 +21,7 @@ from .errors import CapacityError, ParameterError
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
 
-SIGN_ENUMERATION_CAP = 22  # ~4M half-patterns, sub-second per instance
+SIGN_ENUMERATION_CAP = 22  # 2^21 ~ 2.1M half-patterns, 16 MB of float64 norms
 _SIGN_BLOCK = 1 << 14  # sign patterns per block of _eps_blocks
 
 
@@ -58,19 +58,26 @@ def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
 
     Pattern k has sign 2 * bit_j(k) - 1 in column j + 1.  When the block
     size is a power of two, the low-bit columns repeat from block to block
-    and the high-bit columns are constant within one, so one low-bit table
-    is built per call and each block copies it and fills its high columns.
+    and the high-bit columns are constant within one, so one array is
+    filled per call and rewritten in place: going from block b - 1 to b
+    negates only the high columns whose bit of b changed.  The caller must
+    use each block before asking for the next, because on this path every
+    yield is the same array, overwritten by the next block.
     """
     half = 1 << (n - 1)
     block = min(half, max_block)
     low = block.bit_length() - 1
     if block == 1 << low:
-        table = np.ones((block, n))
-        table[:, 1:1 + low] = ((np.arange(block)[:, None] >> np.arange(low)) & 1) * 2.0 - 1.0
-        high = np.arange(low, n - 1)
-        for start in range(0, half, block):
-            eps = table.copy()
-            eps[:, 1 + low:] = ((start >> high) & 1) * 2.0 - 1.0
+        eps = np.ones((block, n))
+        for j in range(low):
+            # -1 on the first run of 2^j rows of every 2^(j+1)
+            eps.reshape(-1, 2 << j, n)[:, :1 << j, 1 + j] = -1.0
+        eps[:, 1 + low:] = -1.0
+        for b in range(half // block):
+            if b:
+                # b ^ (b - 1) has exactly the bits that differ from b - 1: the
+                # lowest set bit of b and every bit below it
+                eps[:, 1 + low:1 + low + (b ^ (b - 1)).bit_length()] *= -1.0
             yield eps
         return
     shifts = np.arange(max(n - 1, 1))

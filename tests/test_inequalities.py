@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist, LpNorm,
-                    ParameterError, ProductLaw, SignInstance, absolute_value,
-                    euclidean, gaussian, pareto_tail, sign_mean_exact,
+from domlab import (EXACT, CapacityError, EllipsoidNorm, Estimator,
+                    FiniteSupportDist, LpNorm, ParameterError, PolytopeGauge,
+                    ProductLaw, SignInstance, WeightedLpNorm, absolute_value,
+                    euclidean, gaussian, pareto_tail, scale_norm, sign_mean_exact,
                     sign_tail_exact, sign_tail_mc, signed_mean_over_outcomes,
                     verify_L1L2, verify_PZ, verify_contraction, verify_kahane,
                     verify_sum_inequalities)
+from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _sign_norms
 from domlab.rng import CHUNK
 
 
@@ -78,6 +80,60 @@ def test_enumeration_cap_enforced():
     inst = SignInstance(np.ones((23, 1)), absolute_value())
     with pytest.raises(CapacityError, match="cap"):
         sign_tail_exact(inst, 1.0)
+
+
+def _explicit_column(col, lo, hi):
+    # [DERIVED] pattern k: +1 in column 0, 2 * bit_j(k) - 1 in column j + 1.
+    if col == 0:
+        return np.ones(hi - lo)
+    return ((np.arange(lo, hi) >> (col - 1)) & 1) * 2.0 - 1.0
+
+
+def _explicit_eps(n, lo, hi):
+    return np.column_stack([_explicit_column(col, lo, hi) for col in range(n)])
+
+
+@pytest.mark.parametrize("max_block", [1, 2, 8, 77, 1000, 1 << 14])
+def test_eps_blocks_match_the_explicit_table(max_block):
+    # Blocks may share one array, so each is copied out before the next is drawn.
+    for n in range(1, 21):
+        half = 1 << (n - 1)
+        block = min(half, max_block)
+        got = np.empty((half, n))
+        lo = 0
+        for eps in _eps_blocks(n, max_block):
+            assert eps.shape == (min(block, half - lo), n)
+            got[lo:lo + len(eps)] = eps
+            lo += len(eps)
+        assert lo == half
+        for col in range(n):  # one column at a time keeps the oracle small
+            want = _explicit_column(col, 0, half)
+            assert np.array_equal(got[:, col].view(np.uint64), want.view(np.uint64)), (n, col)
+
+
+def _five_norms(rng, d):
+    # one norm of each variant: lp, weighted_lp, ellipsoid, polytope_gauge, scaled
+    z = rng.standard_normal((d, d))
+    u = np.vstack([rng.standard_normal((2 * d, d)), np.eye(d)])
+    return [LpNorm(d, float(rng.choice([1.0, 1.5, 2.0, np.inf]))),
+            WeightedLpNorm(d, 3.0, tuple(rng.uniform(0.5, 2.0, d))),
+            EllipsoidNorm(tuple(map(tuple, z @ z.T + np.eye(d)))),
+            PolytopeGauge(tuple(map(tuple, u))),
+            scale_norm(euclidean(d), 0.3)]
+
+
+def test_sign_norms_bit_identical_to_blocks_built_from_scratch():
+    rng = np.random.default_rng(10)
+    for n in range(1, 21):
+        d = 1 + n % 3
+        vectors = rng.standard_normal((n, d))
+        half = 1 << (n - 1)
+        for norm in _five_norms(rng, d):
+            want = np.concatenate([
+                norm.evaluate(_explicit_eps(n, lo, min(lo + _SIGN_BLOCK, half)) @ vectors)
+                for lo in range(0, half, _SIGN_BLOCK)])
+            got = _sign_norms(SignInstance(vectors, norm))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, norm)
 
 
 def test_signed_mean_over_outcomes_matches_per_instance():
