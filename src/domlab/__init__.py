@@ -12,8 +12,7 @@ claims about tails are answered with three-valued verdicts
 from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDist,
                             ProductLaw, SamplerSource,
                             analytic_survival, bernoulli_thinned,
-                            enumerate_product, enumerate_sign_classes,
-                            enumerate_sum, gaussian,
+                            enumerate_sign_classes, enumerate_sum, gaussian,
                             pareto_tail, sample, sample_outcomes, sample_sum,
                             scaled_source, sum_of, symmetric_stable, thin)
 from .dominance import (REMOVEDELTA_CAP, DominationQuery, DominationReport,

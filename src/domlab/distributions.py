@@ -12,16 +12,14 @@ All sampling is deterministic given (seed, stream, count) and independent
 of the thread count: rng.CHUNK-row chunk j of a source draws from substream
 (seed, *stream, j), and of product-law component i from (seed, *stream, i, j).
 
-Exact enumeration of a finite-support product law has three forms, each
-bounded by PRODUCT_SUPPORT_CAP on what it builds:
+Exact enumeration of a finite-support product law has two forms, each
+bounded by PRODUCT_SUPPORT_CAP on the atoms that one step builds:
 
 * enumerate_sum -- the distinct atoms of the sum, convolved one component
   at a time with exactly equal atoms merged after each step (the cap
   counts the atoms of one step before the merge);
 * enumerate_sign_classes -- outcome tuples up to the sign of each summand,
-  for functions that no single sign flip changes (the cap counts classes);
-* enumerate_product -- every outcome tuple, for callers that need the
-  summands themselves (the cap counts tuples).
+  for functions that no single sign flip changes (the cap counts classes).
 """
 
 from __future__ import annotations
@@ -320,38 +318,6 @@ def sample_sum(law: Law, count: int, seed: int, threads: int = 1,
 # exact enumeration
 
 
-def _product(parts, cap: int, what: str):
-    """Every tuple of one atom per part, parts given as (vectors, probs) pairs.
-
-    Returns (outcomes, probs) with outcomes of shape (M, n, d), tuples in
-    row-major order of the parts' atom indices.
-    """
-    sizes = [len(p) for _, p in parts]
-    total = math.prod(sizes)
-    if total > cap:
-        raise CapacityError(f"{what} {total} exceeds cap {cap}")
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (M, n)
-    outcomes = np.stack([v[idx[:, i]] for i, (v, _) in enumerate(parts)], axis=1)
-    probs = np.ones(total)
-    for i, (_, p) in enumerate(parts):
-        probs *= p[idx[:, i]]
-    return outcomes, probs
-
-
-def enumerate_product(law: ProductLaw, cap: int = PRODUCT_SUPPORT_CAP):
-    """All outcome tuples of a finite-support product law.
-
-    Returns (outcomes, probs) with outcomes of shape (M, n, d); probs sum
-    to 1 up to float rounding and each tuple of atoms appears exactly once.
-    ``cap`` bounds the number of tuples M.
-    """
-    if not law.all_finite():
-        raise ParameterError("enumerate_product requires finite-support components")
-    return _product([(c.vectors(), c.probs()) for c in law.components], cap,
-                    "product support size")
-
-
 def _fold_signs(dist: FiniteSupportDist):
     """One representative per +/- pair of atoms carrying the pair's mass, and
     the zero atom, as (vectors, probs)."""
@@ -372,15 +338,32 @@ def enumerate_sign_classes(law: ProductLaw):
     """Outcome tuples of a finite-support product law up to the sign of each summand.
 
     Every component keeps one atom per +/- pair, carrying the pair's mass,
-    plus its zero atom; returns (outcomes, probs) like enumerate_product.
+    plus its zero atom.  Returns (outcomes, probs) with outcomes of shape
+    (M, n, d), classes in row-major order of the components' kept atoms.
     A function of the tuple that no single sign flip x_i -> -x_i changes,
     such as E_eps ||sum eps_i x_i||, has the same law over these classes
     as over the tuples.  PRODUCT_SUPPORT_CAP bounds the number of classes.
     """
     if not law.all_finite():
         raise ParameterError("enumerate_sign_classes requires finite-support components")
-    return _product([_fold_signs(c) for c in law.components], PRODUCT_SUPPORT_CAP,
-                    "sign-class count")
+    parts = [_fold_signs(c) for c in law.components]
+    sizes = [len(p) for _, p in parts]
+    if math.prod(sizes) > PRODUCT_SUPPORT_CAP:
+        raise CapacityError(f"sign-class count {math.prod(sizes)} exceeds cap "
+                            f"{PRODUCT_SUPPORT_CAP}")
+    idx = np.indices(sizes).reshape(len(sizes), -1)  # (n, M)
+    outcomes = np.stack([v[i] for (v, _), i in zip(parts, idx)], axis=1)
+    return outcomes, np.prod([p[i] for (_, p), i in zip(parts, idx)], axis=0)
+
+
+def _step_masses(probs: np.ndarray, comp: FiniteSupportDist) -> np.ndarray:
+    """Masses of every (atom, comp atom) pair of one convolution step, row-major;
+    PRODUCT_SUPPORT_CAP bounds their number."""
+    size = len(probs) * comp.support_size
+    if size > PRODUCT_SUPPORT_CAP:
+        raise CapacityError(f"{size} atoms before merging exceed the product "
+                            f"support cap {PRODUCT_SUPPORT_CAP}")
+    return np.multiply.outer(probs, comp.probs()).reshape(size)
 
 
 def _merge_atoms(vectors: np.ndarray, probs: np.ndarray):
@@ -409,13 +392,9 @@ def enumerate_sum(law: Law):
     first, *rest = law.components
     vectors, probs = first.vectors(), first.probs()
     for c in rest:
-        size = len(probs) * c.support_size
-        if size > PRODUCT_SUPPORT_CAP:
-            raise CapacityError(f"{size} atoms before merging exceed the product "
-                                f"support cap {PRODUCT_SUPPORT_CAP}")
-        vectors = (vectors[:, None, :] + c.vectors()).reshape(size, -1)
-        probs = np.multiply.outer(probs, c.probs()).reshape(size)
-        vectors, probs = _merge_atoms(vectors, probs)
+        masses = _step_masses(probs, c)
+        vectors, probs = _merge_atoms(
+            (vectors[:, None, :] + c.vectors()).reshape(len(masses), -1), masses)
     return vectors, probs
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProductLaw, _draw_chunk, enumerate_product
+from .distributions import ProductLaw, _draw_chunk, _merge_atoms, _step_masses
 from .errors import CapacityError, ParameterError
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
@@ -56,36 +56,27 @@ def _check_cap(n: int):
 def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
     """Blocks of sign patterns (rows) with the first sign fixed to +1.
 
-    Pattern k has sign 2 * bit_j(k) - 1 in column j + 1.  When the block
-    size is a power of two, the low-bit columns repeat from block to block
-    and the high-bit columns are constant within one, so one array is
-    filled per call and rewritten in place: going from block b - 1 to b
-    negates only the high columns whose bit of b changed.  The caller must
-    use each block before asking for the next, because on this path every
+    Pattern k has sign 2 * bit_j(k) - 1 in column j + 1.  max_block is a
+    power of two, so every block is too: the low-bit columns repeat from
+    block to block and the high-bit columns are constant within one.  One
+    array is filled per call and rewritten in place: going from block
+    b - 1 to b negates only the high columns whose bit of b changed.  The
+    caller must use each block before asking for the next, because every
     yield is the same array, overwritten by the next block.
     """
     half = 1 << (n - 1)
     block = min(half, max_block)
     low = block.bit_length() - 1
-    if block == 1 << low:
-        eps = np.ones((block, n))
-        for j in range(low):
-            # -1 on the first run of 2^j rows of every 2^(j+1)
-            eps.reshape(-1, 2 << j, n)[:, :1 << j, 1 + j] = -1.0
-        eps[:, 1 + low:] = -1.0
-        for b in range(half // block):
-            if b:
-                # b ^ (b - 1) has exactly the bits that differ from b - 1: the
-                # lowest set bit of b and every bit below it
-                eps[:, 1 + low:1 + low + (b ^ (b - 1)).bit_length()] *= -1.0
-            yield eps
-        return
-    shifts = np.arange(max(n - 1, 1))
-    for start in range(0, half, block):
-        idx = np.arange(start, min(start + block, half), dtype=np.int64)
-        eps = np.ones((len(idx), n))
-        if n > 1:
-            eps[:, 1:] = ((idx[:, None] >> shifts) & 1) * 2.0 - 1.0
+    eps = np.ones((block, n))
+    for j in range(low):
+        # -1 on the first run of 2^j rows of every 2^(j+1)
+        eps.reshape(-1, 2 << j, n)[:, :1 << j, 1 + j] = -1.0
+    eps[:, 1 + low:] = -1.0
+    for b in range(half // block):
+        if b:
+            # b ^ (b - 1) has exactly the bits that differ from b - 1: the
+            # lowest set bit of b and every bit below it
+            eps[:, 1 + low:1 + low + (b ^ (b - 1)).bit_length()] *= -1.0
         yield eps
 
 
@@ -152,8 +143,8 @@ def signed_mean_over_outcomes(outcomes: np.ndarray, norm) -> np.ndarray:
     _check_cap(n)
     half = 1 << (n - 1)
     acc = np.zeros(m)
-    # keep block * M * d around 2^22 floats
-    max_block = max(1, (1 << 22) // max(m * d, 1))
+    # keep block * M * d at most about 2^22 floats, block a power of two
+    max_block = 1 << (max(1, (1 << 22) // max(m * d, 1)).bit_length() - 1)
     for eps in _eps_blocks(n, max_block=max_block):
         # column-major sums: the norm reads their transpose without a copy
         sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
@@ -227,13 +218,40 @@ def _sum_events(outcomes: np.ndarray, norm, s: float, t: float, u: float) -> np.
                             s_star > s + t + u, s_last > u, xn > t])
 
 
+def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float) -> list:
+    """Exact probability of each _sum_events column, one summand at a time.
+
+    A state is the partial sum S_k followed by the 0/1 flags S* > t,
+    S* > s+t+u, X* > t and X* > s; each step pairs every state with every
+    atom of the next summand and merges equal states, as enumerate_sum does.
+    P(||X_j|| > t) comes from the atoms of X_j alone.
+    """
+    d = law.dimension
+    states, probs, p_x = np.zeros((1, d + 4)), np.ones(1), []
+    for c in law.components:
+        xn = np.atleast_1d(norm.evaluate(c.vectors()))
+        p_x.append(float(c.probs()[xn > t].sum()))
+        masses = _step_masses(probs, c)
+        sums = (states[:, None, :d] + c.vectors()).reshape(len(masses), d)
+        sn = np.atleast_1d(norm.evaluate(sums)).reshape(len(probs), -1)
+        seen = np.stack(np.broadcast_arrays(sn > t, sn > s + t + u, xn > t, xn > s), axis=-1)
+        flags = np.maximum(states[:, None, d:], seen).reshape(len(masses), 4)
+        states, probs = _merge_atoms(np.hstack([sums, flags]), masses)
+    sn = np.atleast_1d(norm.evaluate(states[:, :d]))
+    sstar_t, sstar_stu, xstar_t, xstar_s = (states[:, d:] > 0.0).T
+    return [float(probs[col].sum())
+            for col in (sstar_t, sn > t, xstar_t, xstar_s, sstar_stu, sn > u)] + p_x
+
+
 def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
                             estimator=None, seed: int = 0) -> dict:
     """Levy / maximal-summand / Hoffmann-Jorgensen / summand-tail checks.
 
-    levels supplies s, t, u.  With finite-support components (within the
-    product cap) and no estimator or an exact one, the verdicts are exact;
-    an mc(budget, confidence) estimator samples instead, one rng.CHUNK of
+    levels supplies s, t, u.  With finite-support components and no
+    estimator or an exact one, the verdicts are exact: the law of the
+    running state (S_k and four flags) is convolved one summand at a time,
+    and PRODUCT_SUPPORT_CAP bounds the states of one step.  An
+    mc(budget, confidence) estimator samples instead, one rng.CHUNK of
     outcome tuples at a time, and verdicts carry confidence intervals.  A
     law with other components needs an mc estimator.
     Returns a dict of SlackReports keyed by inequality name; the
@@ -243,9 +261,7 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
     s, t, u = float(levels["s"]), float(levels["t"]), float(levels["u"])
     exact = law.all_finite() and (estimator is None or estimator.kind == "exact")
     if exact:
-        outcomes, probs = enumerate_product(law)
-        events = _sum_events(outcomes, norm, s, t, u)
-        probs_of = [TailEstimate.from_exact(float(probs[col].sum())) for col in events.T]
+        probs_of = [TailEstimate.from_exact(p) for p in _exact_sum_events(law, norm, s, t, u)]
         samples = 0
     else:
         if estimator is None or estimator.kind != "mc":

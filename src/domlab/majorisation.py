@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .distributions import (FiniteSupportDist, ProductLaw, enumerate_product,
+from .distributions import (FiniteSupportDist, ProductLaw, enumerate_sum,
                             scaled_source, sum_of, symmetric_stable)
 from .dominance import DominationQuery, DominationReport, check_domination, tail_table
 from .errors import ParameterError, PreconditionError
@@ -179,18 +179,19 @@ def decompose(a, b) -> PermutationMixture:
 def schur_convexity_check(a, b, component: FiniteSupportDist, norm) -> SlackReport:
     """E (||sum a_i X_i|| - 1)_+ <= E (||sum b_i X_i|| - 1)_+ for a < b, exact.
 
-    X_i are iid copies of the finite-support component; expectations are
-    enumerated over the product support.
+    X_i are iid copies of the finite-support component; each expectation
+    runs over the atoms of enumerate_sum on the component scaled by every
+    nonzero weight.
     """
     a, b = _require_majorised(a, b)
-    n = len(a)
-    law = ProductLaw(tuple([component] * n))
-    outcomes, probs = enumerate_product(law)
+    vectors, probs = component.vectors(), component.probs()
 
     def weighted_mean(weights):
-        sums = np.einsum("i,mid->md", weights, outcomes)
-        vals = np.atleast_1d(norm.evaluate(sums))
-        return float(probs @ np.maximum(vals - 1.0, 0.0))
+        parts = [FiniteSupportDist.from_pairs(w * vectors, probs) for w in weights if w != 0.0]
+        if not parts:
+            return 0.0  # the sum is 0 and (0 - 1)_+ = 0
+        sums, masses = enumerate_sum(ProductLaw(tuple(parts)))
+        return float(masses @ np.maximum(np.atleast_1d(norm.evaluate(sums)) - 1.0, 0.0))
 
     return SlackReport.from_exact("schur_convexity", weighted_mean(a), weighted_mean(b))
 
@@ -230,8 +231,6 @@ def weighted_domination_experiment(a, b, source, params: WBParams, norms,
     WB(C, delta, theta)-certified by the caller with delta > 1.
     """
     consts = weighted_domination_constants(params)
-    if abs(consts["kappa_direct"] - consts["kappa_derived"]) > 1e-9 * consts["kappa"]:
-        raise ParameterError("kappa forms disagree")  # unreachable by construction
     _require_majorised(a, b)
     x = _weighted_sum_law(a, source)
     y = _weighted_sum_law(b, source)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .errors import ParameterError
 
@@ -40,8 +40,8 @@ def clopper_pearson(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE):
     if not (0.0 < confidence < 1.0):
         raise ParameterError("confidence must lie in (0, 1)")
     a = (1.0 - confidence) / 2.0
-    lo = 0.0 if k == 0 else float(beta.ppf(a, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta.ppf(1.0 - a, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))
     return lo, hi
 
 

@@ -149,7 +149,6 @@ def recursion_bound(p0: float, params: WBParams, K: int):
     premise_ok = p0 < min(1.0 / 3.0, tens.theta)
     c, delta = params.C, params.delta
     rows = []
-    q = p0
     for k in range(K + 1):
         closed = 12.0 * 3.0 ** delta * c * 3.0 ** (-k * delta) * p0
         if k == 0:

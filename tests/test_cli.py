@@ -233,16 +233,36 @@ def test_failed_premise_exits_one_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _rademacher_schur(a, b):
+    return {"kind": "schur", "seed": 1, "a": a, "b": b,
+            "component": {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]},
+            "norm": {"variant": "lp", "dimension": 1, "p": 2}}
+
+
 def test_cap_violation_exits_one_without_traceback(tmp_path, capsys):
-    # 20 Rademacher summands have 2^20 > 10^6 joint outcomes.
-    cfg = {"kind": "schur", "seed": 1, "a": [0.05] * 20, "b": [1.0] + [0.0] * 19,
-           "component": {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]},
-           "norm": {"variant": "lp", "dimension": 1, "p": 2}}
+    # Weights 2^i / (2^20 - 1): no two sign patterns give the same partial
+    # sum, so the last step forms 2^20 > 10^6 atoms before merging.
+    a = [2.0**i / (2**20 - 1) for i in range(20)]
+    cfg = _rademacher_schur(a, [1.0] + [0.0] * 19)
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cap" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_schur_with_many_equal_weights_exits_zero(tmp_path):
+    # 20 Rademacher summands: 2^20 outcome tuples, 21 atoms of the sum.
+    # [DERIVED] rhs = E(|2 e_1| - 1)_+ = 1, and
+    # lhs = sum_k C(20, k) 2^-20 (|0.1 (2k - 20)| - 1)_+.
+    out = tmp_path / "o"
+    cfg = _rademacher_schur([0.1] * 20, [2.0] + [0.0] * 19)
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())["report"]
+    expected = sum(math.comb(20, k) * max(abs(0.1 * (2 * k - 20)) - 1.0, 0.0)
+                   for k in range(21)) / 2**20
+    assert rep["lhs"] == pytest.approx(expected, rel=1e-12)
+    assert rep["rhs"] == 1.0 and rep["holds"]
 
 
 def _rademacher_tensorize(n):

@@ -9,8 +9,8 @@ from scipy.stats import levy_stable
 
 import domlab.distributions as distributions
 from domlab import (EXACT, CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
-                    absolute_value, analytic_survival, enumerate_product,
-                    enumerate_sign_classes, enumerate_sum, gaussian, pareto_tail, sample,
+                    absolute_value, analytic_survival, enumerate_sign_classes,
+                    enumerate_sum, gaussian, pareto_tail, sample,
                     sample_outcomes, sample_sum, scaled_source, sum_of, symmetric_stable,
                     tail_table, thin)
 
@@ -61,36 +61,12 @@ def test_symmetric_pairs_with_zero_atom():
 # enumeration oracles
 
 
-def test_enumerate_product_matches_itertools_oracle():
-    # [DERIVED] independent oracle: itertools.product over atom lists.
-    comps = (FiniteSupportDist.rademacher(1.0),
-             FiniteSupportDist.symmetric_pairs([[2.0]], [0.6], zero_prob=0.4),
-             FiniteSupportDist.rademacher(0.5))
-    law = ProductLaw(comps)
-    outcomes, probs = enumerate_product(law)
-    expected = {}
-    for combo in itertools.product(*[c.atoms for c in comps]):
-        key = tuple(v[0] for v, _ in combo)
-        expected[key] = math.prod(p for _, p in combo)
-    got = {tuple(outcomes[m, :, 0]): probs[m] for m in range(len(probs))}
-    assert set(got) == set(expected)
-    for key in expected:
-        assert got[key] == pytest.approx(expected[key], abs=1e-15)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_enumerate_sum_three_rademacher_tail():
     # [DERIVED] P(|e1+e2+e3| > 1) = 2/8: only the two all-equal patterns.
     law = ProductLaw((FiniteSupportDist.rademacher(),) * 3)
     vectors, probs = enumerate_sum(law)
     tail = probs[np.abs(vectors[:, 0]) > 1.0].sum()
     assert tail == pytest.approx(0.25, abs=1e-15)
-
-
-def test_enumerate_product_cap():
-    law = ProductLaw((FiniteSupportDist.rademacher(),) * 4)
-    with pytest.raises(CapacityError, match="cap"):
-        enumerate_product(law, cap=15)
 
 
 def _merged_sum_oracle(comps):
@@ -133,13 +109,9 @@ def test_enumerate_sum_tie_on_a_threshold_stays_outside_the_tail():
     assert (tie.value, clear.value, top_tie.value) == (0.25, 1.0, 0.0)
 
 
-def test_enumerate_sum_is_exact_far_above_the_tuple_cap(monkeypatch):
+def test_enumerate_sum_is_exact_far_above_the_tuple_cap():
     # [DERIVED] P(|e_1 + ... + e_40| > 10) = sum over |2k - 40| > 10 of
-    # C(40, k) / 2^40: 2^40 tuples, 41 atoms, and no tuple array is built.
-    def no_tuples(*args, **kwargs):
-        raise AssertionError("enumerate_sum built outcome tuples")
-
-    monkeypatch.setattr(distributions, "_product", no_tuples)
+    # C(40, k) / 2^40: 2^40 tuples, far too many to build, and 41 atoms.
     law = ProductLaw((FiniteSupportDist.rademacher(),) * 40)
     vectors, probs = enumerate_sum(law)
     assert len(probs) == 41

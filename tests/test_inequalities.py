@@ -1,6 +1,7 @@
 """Sign-pattern enumeration against brute-force oracles; classical verifiers."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,7 @@ def _explicit_eps(n, lo, hi):
     return np.column_stack([_explicit_column(col, lo, hi) for col in range(n)])
 
 
-@pytest.mark.parametrize("max_block", [1, 2, 8, 77, 1000, 1 << 14])
+@pytest.mark.parametrize("max_block", [1, 2, 8, 1 << 14])
 def test_eps_blocks_match_the_explicit_table(max_block):
     # Blocks may share one array, so each is copied out before the next is drawn.
     for n in range(1, 21):
@@ -229,37 +230,98 @@ def test_contraction_holds_and_validates():
 # sum inequalities for independent symmetric vectors
 
 
-def _brute_sum_reports(law, norm, levels):
-    # [DERIVED] brute-force oracle on the enumerated product support.
-    from domlab import enumerate_product
+def _tuples(law):
+    # [DERIVED] every outcome tuple via itertools.product over the atom
+    # lists, shape (M, n, d), with the product of its masses.
+    combos = list(itertools.product(*[c.atoms for c in law.components]))
+    outcomes = np.array([[v for v, _ in combo] for combo in combos], dtype=float)
+    probs = np.array([math.prod(p for _, p in combo) for combo in combos])
+    return outcomes, probs
 
-    outcomes, probs = enumerate_product(law)
+
+def _brute_sum_reports(law, norm, levels):
+    # [DERIVED] brute-force oracle: both sides of every report, each event
+    # read off every outcome tuple and its partial sums.
+    outcomes, probs = _tuples(law)
     m, n, d = outcomes.shape
     s, t, u = levels["s"], levels["t"], levels["u"]
     xn = np.array([[norm.evaluate(outcomes[i, j]) for j in range(n)]
                    for i in range(m)])
     sn = np.array([[norm.evaluate(outcomes[i, : j + 1].sum(axis=0))
                     for j in range(n)] for i in range(m)])
-    out = {
-        "levy_lhs": probs[sn.max(axis=1) > t].sum(),
-        "levy_rhs": 2.0 * probs[sn[:, -1] > t].sum(),
-        "max_lhs": probs[xn.max(axis=1) > t].sum(),
+
+    def p(event):
+        return probs[event].sum()
+    p_xstar, p_last_t = p(xn.max(axis=1) > t), p(sn[:, -1] > t)
+    return {
+        "levy": (p(sn.max(axis=1) > t), 2.0 * p_last_t),
+        "max_summand": (p_xstar, 2.0 * p_last_t),
+        "hoffmann_jorgensen": (p(sn.max(axis=1) > s + t + u),
+                               p(xn.max(axis=1) > s)
+                               + 2.0 * p(sn.max(axis=1) > t) * p(sn[:, -1] > u)),
+        "summand_tails": (sum(p(xn[:, j] > t) for j in range(n)),
+                          p_xstar / (1.0 - p_xstar)),
     }
-    return out
+
+
+def _sum_oracle_cases():
+    comp = FiniteSupportDist.symmetric_pairs([[1.0], [0.5]], [0.5, 0.4],
+                                             zero_prob=0.1)
+    cases = [(ProductLaw((comp,) * 3), absolute_value(), {"s": 0.5, "t": 0.5, "u": 0.5})]
+    rng = np.random.default_rng(13)
+    for norm in (euclidean(2), LpNorm(2, 1.0), WeightedLpNorm(2, 3.0, (0.7, 1.6))):
+        comps = tuple(FiniteSupportDist.symmetric_pairs(rng.standard_normal((2, 2)),
+                                                        [w, 0.9 - w], zero_prob=0.1)
+                      for w in rng.uniform(0.2, 0.7, int(rng.integers(3, 5))))
+        cases.append((ProductLaw(comps), norm, {"s": 0.6, "t": 1.5, "u": 0.9}))
+    return cases
 
 
 def test_sum_inequalities_exact_against_oracle():
-    comp = FiniteSupportDist.symmetric_pairs([[1.0], [0.5]], [0.5, 0.4],
-                                             zero_prob=0.1)
-    law = ProductLaw((comp,) * 3)
-    levels = {"s": 0.5, "t": 0.5, "u": 0.5}
-    reports = verify_sum_inequalities(law, absolute_value(), levels)
-    oracle = _brute_sum_reports(law, absolute_value(), levels)
-    assert reports["levy"].lhs == pytest.approx(oracle["levy_lhs"], abs=1e-12)
-    assert reports["levy"].rhs == pytest.approx(oracle["levy_rhs"], abs=1e-12)
-    assert reports["max_summand"].lhs == pytest.approx(oracle["max_lhs"], abs=1e-12)
-    for name in ("levy", "max_summand", "hoffmann_jorgensen", "summand_tails"):
-        assert reports[name].holds, name
+    for law, norm, levels in _sum_oracle_cases():
+        reports = verify_sum_inequalities(law, norm, levels)
+        oracle = _brute_sum_reports(law, norm, levels)
+        assert set(reports) == set(oracle)
+        p_xstar = oracle["max_summand"][0]
+        for name, (lhs, rhs) in oracle.items():
+            rep = reports[name]
+            # p/(1 - p) magnifies a relative error in p = P(X* > t) by 1/(1 - p)
+            rel = 1e-14 / (1.0 - p_xstar) if name == "summand_tails" else 1e-14
+            assert rep.method == "exact" and rep.note != "skipped", name
+            assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=1e-300), name
+            assert rep.rhs == pytest.approx(rhs, rel=rel, abs=1e-300), name
+            assert rep.holds, name
+
+
+def test_sum_inequalities_exact_far_above_the_tuple_cap():
+    # 40 Rademacher summands: 2^40 outcome tuples.  [DERIVED] oracle: a dict
+    # dynamic programme over (walk position, S* > t, S* > s+t+u), each step
+    # splitting a mass in two.  |X_j| = 1 surely, so X* > t never holds and
+    # X* > s always does.  Every mass is a multiple of 2^-40, so sums are exact.
+    n, s, t, u = 40, 0.5, 1.5, 2.5
+    walk = {(0, False, False): 1.0}
+    for _ in range(n):
+        step = {}
+        for (pos, above_t, above_stu), mass in walk.items():
+            for nxt in (pos - 1, pos + 1):
+                key = (nxt, above_t or abs(nxt) > t, above_stu or abs(nxt) > s + t + u)
+                step[key] = step.get(key, 0.0) + mass / 2
+
+        walk = step
+
+    def p(event):
+        return sum(mass for key, mass in walk.items() if event(*key))
+    p_sstar_t, p_last_t = p(lambda pos, a, b: a), p(lambda pos, a, b: abs(pos) > t)
+    expected = {
+        "levy": (p_sstar_t, 2.0 * p_last_t),
+        "max_summand": (0.0, 2.0 * p_last_t),
+        "hoffmann_jorgensen": (p(lambda pos, a, b: b),
+                               1.0 + 2.0 * p_sstar_t * p(lambda pos, a, b: abs(pos) > u)),
+        "summand_tails": (0.0, 0.0)}
+    law = ProductLaw((FiniteSupportDist.rademacher(),) * n)
+    reports = verify_sum_inequalities(law, absolute_value(), {"s": s, "t": t, "u": u})
+    assert {name: (rep.lhs, rep.rhs) for name, rep in reports.items()} == expected
+    assert all(rep.method == "exact" and rep.holds for rep in reports.values())
 
 
 def test_sum_inequalities_random_exact_instances():

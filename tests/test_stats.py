@@ -1,10 +1,17 @@
 """The one three-valued verdict rule and the reports built on it."""
 
-import pytest
+import os
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+from scipy.stats import beta
+
+import domlab
 from domlab import (DominationQuery, Estimator, FiniteSupportDist, SlackReport,
                     TailEstimate, WBParams, absolute_value, check_domination,
-                    check_wb, compare_tails, gaussian, pareto_tail,
+                    check_wb, clopper_pearson, compare_tails, gaussian, pareto_tail,
                     random_norm_family, scale_norm)
 from domlab.stats import EXACT_SLACK_TOL
 
@@ -78,3 +85,25 @@ def test_check_wb_cells_follow_the_rule():
                 factor = params.C * cell.lam ** (-params.delta)
                 assert cell.verdict == compare_tails(
                     cell.p_lam, rep.p1[cell.norm_index], factor)
+
+
+def test_clopper_pearson_matches_the_beta_quantiles():
+    # [DERIVED] the interval's endpoints are the a and 1 - a quantiles of
+    # Beta(k, n - k + 1) and Beta(k + 1, n - k), a = (1 - confidence) / 2.
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        n = int(10 ** rng.uniform(0, 7))
+        k = int(rng.integers(0, n + 1))
+        confidence = float(rng.choice([0.9, 0.95, 0.99, rng.uniform(0.5, 0.999)]))
+        a = (1.0 - confidence) / 2.0
+        lo = 0.0 if k == 0 else float(beta.ppf(a, k, n - k + 1))
+        hi = 1.0 if k == n else float(beta.ppf(1.0 - a, k + 1, n - k))
+        assert clopper_pearson(k, n, confidence) == (lo, hi), (k, n, confidence)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(domlab.__file__))
+    code = "import sys, domlab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
