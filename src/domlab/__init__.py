@@ -13,13 +13,12 @@ from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDis
                             ProductLaw, SamplerSource,
                             analytic_survival, bernoulli_thinned,
                             enumerate_sign_classes, enumerate_sum, gaussian,
-                            pareto_tail, sample, sample_outcomes, sample_sum,
-                            scaled_source, sum_of, symmetric_stable, thin)
-from .dominance import (REMOVEDELTA_CAP, DominationQuery, DominationReport,
-                        NormRecord, ProxyValue, check_domination,
-                        conditional_convexity_check, exact_capable, proxy_bound_check,
-                        proxy_exact, proxy_mc, removedelta_check, tail_probability,
-                        tail_table, tensorisation_experiment)
+                            pareto_tail, sample, sample_sum, scaled_source,
+                            sum_of, symmetric_stable, thin)
+from .dominance import (DominationQuery, DominationReport, NormRecord, ProxyValue,
+                        check_domination, exact_capable, proxy_bound_check,
+                        proxy_exact, proxy_mc, tail_probability, tail_table,
+                        tensorisation_experiment)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import (ELLIPSOID_CONDITION_CAP, EllipsoidNorm, LpNorm,
                        PolytopeGauge, ScaledNorm, WeightedLpNorm, absolute_value,
@@ -35,7 +34,7 @@ from .majorisation import (CounterexampleTable, PermutationMixture,
                            weighted_domination_experiment)
 from .stats import (DEFAULT_CONFIDENCE, EXACT, Estimator, SlackReport,
                     TailEstimate, clopper_pearson, compare_tails, worst_verdict)
-from .weakborell import (WBParams, WBReport, check_wb, component_gate_consistency,
-                         recursion_bound, wb_sum_experiment, wb_tensorize_constants)
+from .weakborell import (WBParams, WBReport, check_wb, recursion_bound,
+                         wb_sum_experiment, wb_tensorize_constants)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
                             scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, check_domination, exact_capable,
                         tail_table, tensorisation_experiment)
-from .errors import ParameterError
+from .errors import ParameterError, _check_keys, _require
 from .geometry import euclidean, norm_from_spec, norm_to_spec, random_norm_family
 from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
                            verify_kahane, verify_sum_inequalities)
@@ -30,18 +30,6 @@ from .majorisation import (_majorisation_violation, counterexample_experiment,
 from .rng import CHUNK, substream
 from .stats import DEFAULT_CONFIDENCE, Estimator
 from .weakborell import WBParams, check_wb, wb_sum_experiment, wb_tensorize_constants
-
-
-def _check_keys(obj: dict, allowed, context: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ParameterError(f"{context}: unknown key(s) {sorted(unknown)}")
-
-
-def _require(obj: dict, keys, context: str):
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ParameterError(f"{context}: missing required key(s) {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +85,16 @@ def norms_from_spec(spec, context: str = "norms"):
     if isinstance(spec, dict) and "random" in spec:
         _check_keys(spec, {"random"}, context)
         rnd = spec["random"]
-        _check_keys(rnd, {"seed", "dimension", "size", "mix"}, context + ".random")
+        _check_keys(rnd, {"seed", "dimension", "size"}, context + ".random")
         _require(rnd, ["seed", "dimension", "size"], context + ".random")
         return random_norm_family(int(rnd["seed"]), int(rnd["dimension"]),
-                                  int(rnd["size"]), rnd.get("mix", "default"))
+                                  int(rnd["size"]))
     if isinstance(spec, dict) and "list" in spec:
         _check_keys(spec, {"list"}, context)
         if not spec["list"]:
             raise ParameterError(f"{context}: the norm list must be nonempty")
-        return [norm_from_spec(s) for s in spec["list"]]
+        return [norm_from_spec(s, f"{context}.list[{i}]")
+                for i, s in enumerate(spec["list"])]
     raise ParameterError(f"{context}: expected an object with 'random' or 'list'")
 
 
@@ -197,7 +186,7 @@ def _run_tensorize(cfg, threads):
     rep = tensorisation_experiment(
         cfg["_pairs"], float(cfg["kappa"]), float(cfg["lambda"]),
         float(cfg["alpha"]), cfg["_norms"], cfg["_estimator"],
-        seed=cfg["seed"], recheck=bool(cfg.get("recheck", True)), threads=threads)
+        seed=cfg["seed"], threads=threads)
     tables = {"scatter.csv": (("norm_index", "p_x", "kappa_p_y"),
                               rep.scatter_rows())}
     return dict(rep.to_json(), kind="tensorize"), tables, rep.verdicts()
@@ -230,21 +219,15 @@ def _resolve_wb_sum(raw):
         comps = [source_from_spec(raw["iid"], "iid")] * int(raw["n"])
     else:
         raise ParameterError("config[wb-sum]: need components or iid + n")
-    resolved = {"_components": comps, "_params": _wb_params(raw),
-                "_norms": norms_from_spec(raw["norms"]),
-                "_estimator": estimator_from_spec(raw["estimator"])}
-    if "component_estimator" in raw:
-        resolved["_component_estimator"] = estimator_from_spec(
-            raw["component_estimator"], "component_estimator")
-    return resolved
+    return {"_components": comps, "_params": _wb_params(raw),
+            "_norms": norms_from_spec(raw["norms"]),
+            "_estimator": estimator_from_spec(raw["estimator"])}
 
 
 def _run_wb_sum(cfg, threads):
     rep = wb_sum_experiment(
         cfg["_components"], cfg["_params"], cfg["_norms"], cfg["lambda_grid"],
-        cfg["_estimator"], seed=cfg["seed"],
-        recheck=bool(cfg.get("recheck", True)),
-        component_estimator=cfg.get("_component_estimator"), threads=threads)
+        cfg["_estimator"], seed=cfg["seed"], threads=threads)
     tens = wb_tensorize_constants(cfg["_params"])
     report = dict(rep.to_json(), kind="wb-sum",
                   tensorized={"C": tens.C, "delta": tens.delta,
@@ -340,10 +323,9 @@ def _run_inequality_suite(cfg, threads):
         a = rng.random(inst.n)
         b = a + rng.random(inst.n)
         reports.append(verify_contraction(inst.vectors, a, b, inst.norm))
-    max_comp = int(cfg.get("max_components", 3))
     for i in range(int(cfg["product_laws"])):
         rng = substream(seed, 11, i)
-        n = int(rng.integers(2, max_comp + 1))
+        n = int(rng.integers(2, 4))  # 2 or 3 components
         comps = tuple(_random_finite_component(rng, d, pairs=2)
                       for _ in range(n))
         law = ProductLaw(comps)
@@ -404,7 +386,7 @@ EXPERIMENTS = {kind.name: kind for kind in (
                     "estimator": {"kind": "exact"}}}),
     ExperimentKind(
         "tensorize", ("pairs", "kappa", "lambda", "alpha", "norms", "estimator"),
-        ("recheck",), _resolve_tensorize, _run_tensorize,
+        (), _resolve_tensorize, _run_tensorize,
         {"name": "sum-domination-tensorisation",
          "claim": "domination tensorisation theorem for sums",
          "description": "Per-summand (kappa, lambda)-dominated pairs imply the "
@@ -435,7 +417,7 @@ EXPERIMENTS = {kind.name: kind for kind in (
                     "estimator": {"kind": "exact"}}}),
     ExperimentKind(
         "wb-sum", ("C", "delta", "theta", "norms", "lambda_grid", "estimator"),
-        ("components", "iid", "n", "component_estimator", "recheck"),
+        ("components", "iid", "n"),
         _resolve_wb_sum, _run_wb_sum,
         {"name": "weak-concentration-tensorisation",
          "claim": "weak-concentration tensorisation theorem for sums",
@@ -483,7 +465,7 @@ EXPERIMENTS = {kind.name: kind for kind in (
                     "kappa": 100.0, "lambda": 1.0, "budget": 100000}}),
     ExperimentKind(
         "inequality-suite", ("instances", "max_n", "dimension", "product_laws"),
-        ("max_components",), _resolve_inequality_suite, _run_inequality_suite,
+        (), _resolve_inequality_suite, _run_inequality_suite,
         {"name": "classical-inequalities",
          "claim": "classical sign and sum inequalities on random instances",
          "description": "Exact verification of the Kahane multiplicative tail "

@@ -291,20 +291,15 @@ def _gather(draw, law, count, seed, threads, stream) -> np.ndarray:
                                      count, threads))
 
 
-def sample(source: Source, count: int, seed: int, threads: int = 1,
+def sample(law: Law, count: int, seed: int, threads: int = 1,
            stream: tuple = ()) -> np.ndarray:
-    """Sample ``count`` vectors, shape (count, d).
+    """Sample ``count`` vectors, shape (count, d), or for a product law
+    ``count`` outcome tuples, shape (count, n, d).
 
     Deterministic in (seed, count, stream); bit-identical for any thread
     count.  ``stream`` is an integer path prefix that isolates independent
     uses of the same master seed.
     """
-    return _gather(_draw_chunk, source, count, seed, threads, stream)
-
-
-def sample_outcomes(law: ProductLaw, count: int, seed: int, threads: int = 1,
-                    stream: tuple = ()) -> np.ndarray:
-    """Sample count outcome tuples from a product law, shape (count, n, d)."""
     return _gather(_draw_chunk, law, count, seed, threads, stream)
 
 

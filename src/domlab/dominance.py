@@ -19,23 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
                             analytic_survival, enumerate_sign_classes,
                             enumerate_sum, sample_sum_chunk)
-from .errors import CapacityError, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 from .geometry import norm_to_spec
-from .inequalities import (SIGN_ENUMERATION_CAP, SignInstance, sign_mean_exact,
-                           signed_mean_over_outcomes)
+from .inequalities import SIGN_ENUMERATION_CAP, signed_mean_over_outcomes
 from .rng import map_chunks, substream
 from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
                     worst_verdict)
-
-REMOVEDELTA_CAP = 14  # joint delta x sign enumeration stays under ~5M patterns
-
 
 # ---------------------------------------------------------------------------
 # tail probabilities
@@ -261,7 +257,7 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# conditional convexity / tensorisation of the proxy integrand
+# the per-summand domination premise
 
 
 def _recheck_premise(pairs, kappa: float, lam: float, norms, estimator: Estimator,
@@ -283,109 +279,31 @@ def _recheck_premise(pairs, kappa: float, lam: float, norms, estimator: Estimato
                     f"not dominated under norm {rec.index}")
 
 
-def conditional_convexity_check(xlaw: ProductLaw, ylaw: ProductLaw, norm,
-                                t_grid: Sequence[float],
-                                precheck_norms: Optional[Sequence] = None):
-    """Distribution-function comparison of the proxy integrand.
-
-    With each X_i (1,1)-dominated by Y_i, the law of
-    g(X) = E_eps (||sum eps_i X_i|| - 1)_+ is stochastically below the law
-    of g(Y):  P(g(X) > t) <= P(g(Y) > t) for every t >= 0.  Checks every t
-    in t_grid plus the integrated form E min{g, 1}.  When precheck_norms
-    is given, per-index (1,1)-domination is re-verified first.  Like
-    proxy_exact, both laws of g are enumerated over sign classes.
-    """
-    if precheck_norms is not None:
-        if xlaw.n != ylaw.n:
-            raise ParameterError("laws must have equally many components")
-        _recheck_premise(zip(xlaw.components, ylaw.components), 1.0, 1.0,
-                         precheck_norms, EXACT, seed=0)
-    ox, px = enumerate_sign_classes(xlaw)
-    oy, py = enumerate_sign_classes(ylaw)
-    gx = signed_mean_over_outcomes(ox, norm)
-    gy = signed_mean_over_outcomes(oy, norm)
-    reports = []
-    for t in t_grid:
-        if t < 0:
-            raise ParameterError("t grid must be nonnegative")
-        lhs = float(px[gx > t].sum())
-        rhs = float(py[gy > t].sum())
-        reports.append(SlackReport.from_exact(f"integrand_tail_t={t:g}", lhs, rhs))
-    lhs_int = float(px @ np.minimum(gx, 1.0))
-    rhs_int = float(py @ np.minimum(gy, 1.0))
-    reports.append(SlackReport.from_exact("integrated_proxy", lhs_int, rhs_int))
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # full-size experiments
 
 
 def tensorisation_experiment(pairs, kappa: float, lam: float, alpha: float,
                              norms, estimator: Estimator, seed: int = 0,
-                             recheck: bool = True, threads: int = 1,
-                             route: str = "split") -> DominationReport:
-    """Sum-domination check with the constants of either reduction route.
+                             threads: int = 1) -> DominationReport:
+    """Sum-domination check with the tensorised constants.
 
-    Given per-index (kappa, lambda)-dominated pairs (X_i, Y_i), the sums
-    are checked over the norm family for the tensorised constants:
-    route="split" uses the indicator-splitting argument and tests
-    (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)-domination;
-    route="thin" uses Bernoulli thinning and tests
-    (64 kappa / alpha, 2 (1+alpha) kappa lambda)-domination.
+    Each pair (X_i, Y_i) is first re-checked for (kappa, lambda)-domination
+    over the norm family (a violated norm raises, naming the pair); the
+    sums are then checked over the same family for
+    (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)-domination.
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("alpha must lie in (0, 1]")
-    if route == "split":
-        kap_c = math.ceil(kappa)
-        kappa_out = 16.0 / alpha * kap_c
-        lam_out = (1.0 + alpha) * kap_c * lam
-        experiment = "tensorisation"
-    elif route == "thin":
-        kappa_out = 64.0 / alpha * kappa
-        lam_out = 2.0 * (1.0 + alpha) * kappa * lam
-        experiment = "reduction_thin"
-    else:
-        raise ParameterError(f"unknown reduction route {route!r}")
+    kap_c = math.ceil(kappa)
     xs = ProductLaw(tuple(x for x, _ in pairs))
     ys = ProductLaw(tuple(y for _, y in pairs))
-    if recheck:
-        _recheck_premise(zip(xs.components, ys.components), kappa, lam, norms,
-                         estimator, seed, threads)
-    rep = check_domination(DominationQuery(x=xs, y=ys, kappa=kappa_out, lam=lam_out,
+    _recheck_premise(zip(xs.components, ys.components), kappa, lam, norms,
+                     estimator, seed, threads)
+    rep = check_domination(DominationQuery(x=xs, y=ys, kappa=16.0 / alpha * kap_c,
+                                           lam=(1.0 + alpha) * kap_c * lam,
                                            norms=tuple(norms), estimator=estimator),
                            seed=seed, threads=threads)
-    meta = dict(rep.meta, experiment=experiment, alpha=alpha,
+    meta = dict(rep.meta, experiment="tensorisation", alpha=alpha,
                 input_kappa=kappa, input_lambda=lam)
     return DominationReport(kappa=rep.kappa, lam=rep.lam, records=rep.records, meta=meta)
-
-
-def removedelta_check(vectors, norm, p: float) -> SlackReport:
-    """P_delta(E_eps ||sum eps_i delta_i v_i|| > 1) >= (p/4) 1{E_eps ||sum eps_i v_i|| > 2/p}.
-
-    Exact joint enumeration over delta in {0,1}^n with Bernoulli(p)
-    weights and, per delta, the exact sign mean.  Reported with the
-    guaranteed bound on the lhs side so holds <=> lhs <= rhs.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ParameterError("p must lie in (0, 1]")
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n = vectors.shape[0]
-    if n > REMOVEDELTA_CAP:
-        raise CapacityError(f"{n} vectors exceed the joint enumeration cap {REMOVEDELTA_CAP}")
-    full_mean = sign_mean_exact(SignInstance(vectors, norm), "identity")
-    indicator = 1.0 if full_mean > 2.0 / p else 0.0
-    prob_above = 0.0
-    for mask in range(1 << n):
-        active = [i for i in range(n) if (mask >> i) & 1]
-        weight = p ** len(active) * (1.0 - p) ** (n - len(active))
-        if weight == 0.0:
-            continue
-        if not active:
-            mean = 0.0
-        else:
-            mean = sign_mean_exact(SignInstance(vectors[active], norm), "identity")
-        if mean > 1.0:
-            prob_above += weight
-    return SlackReport.from_exact("removedelta", (p / 4.0) * indicator, prob_above,
-                                  note=f"full sign mean {full_mean:.6g}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_keys, _require
 from .rng import substream
 
 ELLIPSOID_CONDITION_CAP = 1e3
@@ -200,9 +200,24 @@ def _p_from_spec(p) -> float:
         raise ParameterError(f"lp exponent must be a number, \"inf\" or null, got {p!r}") from None
 
 
-def norm_from_spec(spec: dict):
-    spec = dict(spec)
-    variant = spec.pop("variant", None)
+_NORM_KEYS = {  # variant -> its required keys besides "variant"; none is optional
+    "lp": ("dimension", "p"),
+    "weighted_lp": ("dimension", "p", "weights"),
+    "ellipsoid": ("matrix",),
+    "polytope_gauge": ("directions",),
+    "scaled": ("factor", "inner"),
+}
+
+
+def norm_from_spec(spec: dict, context: str = "norm"):
+    if not isinstance(spec, dict):
+        raise ParameterError(f"{context}: expected an object")
+    _require(spec, ["variant"], context)
+    variant = spec["variant"]
+    if variant not in _NORM_KEYS:
+        raise ParameterError(f"{context}: unknown norm variant {variant!r}")
+    _check_keys(spec, {"variant", *_NORM_KEYS[variant]}, context)
+    _require(spec, _NORM_KEYS[variant], context)
     if variant == "lp":
         return LpNorm(dimension=int(spec["dimension"]), p=_p_from_spec(spec["p"]))
     if variant == "weighted_lp":
@@ -214,10 +229,8 @@ def norm_from_spec(spec: dict):
     if variant == "polytope_gauge":
         return PolytopeGauge(directions=tuple(tuple(float(v) for v in r)
                                               for r in spec["directions"]))
-    if variant == "scaled":
-        return ScaledNorm(inner=norm_from_spec(spec["inner"]),
-                          factor=float(spec["factor"]))
-    raise ParameterError(f"unknown norm variant {variant!r}")
+    return ScaledNorm(inner=norm_from_spec(spec["inner"], context + ".inner"),
+                      factor=float(spec["factor"]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,32 +264,19 @@ def _random_weighted(rng, d):
     return WeightedLpNorm(dimension=d, p=p, weights=tuple(w))
 
 
-def random_norm_family(seed: int, d: int, size: int, mix: str = "default"):
+def random_norm_family(seed: int, d: int, size: int):
     """Deterministic adversarial family of ``size`` norms on R^d.
 
-    The default mix always opens with the l1, l2 and l-infinity norms and
+    The family always opens with the l2, l1 and l-infinity norms and
     then cycles through random ellipsoids (condition number capped),
     polytope gauges with at most 4d unit directions, weighted lp norms and
-    rescalings.  mix="lp-only" yields lp norms only (euclidean first).
+    rescalings.
     """
     if size < 1:
         raise ParameterError("family size must be >= 1")
     rng = substream(seed, 0)
-    norms = []
-    if mix == "lp-only":
-        ps = [2.0, 1.0, np.inf, 1.5, 3.0, 4.0]
-        for i in range(size):
-            p = ps[i % len(ps)]
-            norm = LpNorm(dimension=d, p=p)
-            if i >= len(ps):
-                norm = scale_norm(norm, 10.0 ** rng.uniform(-0.5, 0.5))
-            norms.append(norm)
-        return norms
-    if mix != "default":
-        raise ParameterError(f"unknown norm mix {mix!r}")
-    base = [LpNorm(dimension=d, p=2.0), LpNorm(dimension=d, p=1.0),
-            LpNorm(dimension=d, p=np.inf)]
-    norms.extend(base[:size])
+    norms = [LpNorm(dimension=d, p=2.0), LpNorm(dimension=d, p=1.0),
+             LpNorm(dimension=d, p=np.inf)][:size]
     makers = [_random_ellipsoid, _random_polytope, _random_weighted]
     i = 0
     while len(norms) < size:

@@ -218,19 +218,22 @@ def _sum_events(outcomes: np.ndarray, norm, s: float, t: float, u: float) -> np.
                             s_star > s + t + u, s_last > u, xn > t])
 
 
-def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float) -> list:
-    """Exact probability of each _sum_events column, one summand at a time.
+def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float):
+    """Exact probability of each _sum_events column, one summand at a time,
+    and q = P(X* <= t).
 
     A state is the partial sum S_k followed by the 0/1 flags S* > t,
     S* > s+t+u, X* > t and X* > s; each step pairs every state with every
     atom of the next summand and merges equal states, as enumerate_sum does.
-    P(||X_j|| > t) comes from the atoms of X_j alone.
+    P(||X_j|| > t) and q = prod_j P(||X_j|| <= t) come from the atoms of
+    each X_j alone, so q keeps full relative precision however small it is.
     """
     d = law.dimension
-    states, probs, p_x = np.zeros((1, d + 4)), np.ones(1), []
+    states, probs, p_x, q = np.zeros((1, d + 4)), np.ones(1), [], 1.0
     for c in law.components:
         xn = np.atleast_1d(norm.evaluate(c.vectors()))
         p_x.append(float(c.probs()[xn > t].sum()))
+        q *= float(c.probs()[xn <= t].sum())
         masses = _step_masses(probs, c)
         sums = (states[:, None, :d] + c.vectors()).reshape(len(masses), d)
         sn = np.atleast_1d(norm.evaluate(sums)).reshape(len(probs), -1)
@@ -240,7 +243,7 @@ def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float) -> li
     sn = np.atleast_1d(norm.evaluate(states[:, :d]))
     sstar_t, sstar_stu, xstar_t, xstar_s = (states[:, d:] > 0.0).T
     return [float(probs[col].sum())
-            for col in (sstar_t, sn > t, xstar_t, xstar_s, sstar_stu, sn > u)] + p_x
+            for col in (sstar_t, sn > t, xstar_t, xstar_s, sstar_stu, sn > u)] + p_x, q
 
 
 def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
@@ -261,7 +264,8 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
     s, t, u = float(levels["s"]), float(levels["t"]), float(levels["u"])
     exact = law.all_finite() and (estimator is None or estimator.kind == "exact")
     if exact:
-        probs_of = [TailEstimate.from_exact(p) for p in _exact_sum_events(law, norm, s, t, u)]
+        events, q = _exact_sum_events(law, norm, s, t, u)
+        probs_of = [TailEstimate.from_exact(p) for p in events]
         samples = 0
     else:
         if estimator is None or estimator.kind != "mc":
@@ -282,16 +286,19 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
         "hoffmann_jorgensen": SlackReport.from_estimates(
             "hoffmann_jorgensen", p_sstar_stu, p_xstar_s + 2.0 * p_sstar_t * p_slast_u,
             samples)}
-    if p_xstar.value >= 1.0:
-        reports["summand_tails"] = SlackReport(
-            name="summand_tails", lhs=float("nan"), rhs=float("nan"), verdict=None,
-            method="exact" if exact else "mc", samples=samples, note="skipped")
-    else:
-        lhs = sum(p_x, TailEstimate.from_exact(0.0))
+    # rhs = P(X* > t) / P(X* <= t); exactly, the denominator is q, not 1 - P(X* > t)
+    if exact and q > 0.0:
+        rhs = TailEstimate.from_exact(p_xstar.value / q)
+    elif not exact and p_xstar.value < 1.0:
         rhs = TailEstimate(p_xstar.value / (1.0 - p_xstar.value),
                            p_xstar.lo / (1.0 - p_xstar.lo),
                            p_xstar.hi / (1.0 - p_xstar.hi) if p_xstar.hi < 1.0 else math.inf,
-                           p_xstar.exact)
-        reports["summand_tails"] = SlackReport.from_estimates(
-            "summand_tails", lhs, rhs, samples)
+                           False)
+    else:
+        reports["summand_tails"] = SlackReport(
+            name="summand_tails", lhs=float("nan"), rhs=float("nan"), verdict=None,
+            method="exact" if exact else "mc", samples=samples, note="skipped")
+        return reports
+    lhs = sum(p_x, TailEstimate.from_exact(0.0))
+    reports["summand_tails"] = SlackReport.from_estimates("summand_tails", lhs, rhs, samples)
     return reports

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .distributions import (FiniteSupportDist, ProductLaw, enumerate_sum,
                             scaled_source, sum_of, symmetric_stable)
@@ -147,6 +146,8 @@ def decompose(a, b) -> PermutationMixture:
     Requires is_majorised(a, b); raises a not-majorised error naming the
     violating partial-sum index otherwise.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import; only needed here
+
     a, b = _require_majorised(a, b)
     n = len(a)
     residual = _doubly_stochastic_matrix(a, b)

@@ -11,14 +11,14 @@ inherited inequality and the scalar recursion behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .distributions import Law, ProductLaw
-from .dominance import tail_probability, tail_table
+from .dominance import tail_table
 from .errors import ParameterError, PreconditionError
 from .geometry import norm_to_spec
-from .stats import (EXACT_SLACK_TOL, Estimator, SlackReport, TailEstimate,
-                    compare_tails, worst_verdict)
+from .stats import (EXACT_SLACK_TOL, Estimator, TailEstimate, compare_tails,
+                    worst_verdict)
 
 
 @dataclass(frozen=True)
@@ -165,46 +165,22 @@ def recursion_bound(p0: float, params: WBParams, K: int):
     return rows
 
 
-def component_gate_consistency(law: ProductLaw, norm, theta_out: float,
-                               theta: float, estimator: Estimator,
-                               seed: int = 0):
-    """Check the gate chain P(||X_j|| > 1) <= 2 P(||S_n|| > 1) < 2 theta' <= theta.
-
-    Exact on finite-support laws.  Returns one SlackReport per component;
-    raises if theta' > theta / 2 (the chain needs theta' <= theta/2).
-    """
-    if theta_out > theta / 2.0 + EXACT_SLACK_TOL:
-        raise ParameterError("gate chain requires theta' <= theta / 2")
-    p_sum = tail_probability(law, norm, 1.0, estimator, seed, (6,))
-    reports = []
-    for j, comp in enumerate(law.components):
-        pj = tail_probability(comp, norm, 1.0, estimator, seed, (6, j))
-        reports.append(SlackReport.from_exact(
-            f"component_gate_{j}", pj.value, 2.0 * p_sum.value,
-            note="component unit tail vs twice the sum tail"))
-    return reports
-
-
 def wb_sum_experiment(components: Sequence[Law], params: WBParams, norms,
                       lambda_grid: Sequence[float], estimator: Estimator,
-                      seed: int = 0, recheck: bool = True,
-                      component_estimator: Optional[Estimator] = None,
-                      threads: int = 1) -> WBReport:
+                      seed: int = 0, threads: int = 1) -> WBReport:
     """Check the sum of WB-certified components against the inherited constants.
 
     Each component is first re-checked with the input params over the norm
-    family (a violated cell raises, naming the component); the sum is then
-    checked against wb_tensorize_constants(params).
+    family and with the run's estimator (a violated cell raises, naming the
+    component); the sum is then checked against wb_tensorize_constants(params).
     """
     components = tuple(components)
-    if recheck:
-        comp_est = component_estimator or estimator
-        for j, comp in enumerate(components):
-            rep = check_wb(comp, params, norms, lambda_grid, comp_est,
-                           seed=seed + 2000 + j, threads=threads)
-            if "violated" in rep.verdicts():
-                raise PreconditionError(
-                    f"component {j} fails its WB({params.C},{params.delta},{params.theta}) premise")
+    for j, comp in enumerate(components):
+        rep = check_wb(comp, params, norms, lambda_grid, estimator,
+                       seed=seed + 2000 + j, threads=threads)
+        if "violated" in rep.verdicts():
+            raise PreconditionError(
+                f"component {j} fails its WB({params.C},{params.delta},{params.theta}) premise")
     tens = wb_tensorize_constants(params)
     law = ProductLaw(components)
     rep = check_wb(law, tens, norms, lambda_grid, estimator, seed=seed,

@@ -39,6 +39,13 @@ def test_unknown_top_level_key_rejected():
     cfg = dict(TAIL_CFG, extra=1)
     with pytest.raises(ParameterError, match="unknown key"):
         validate_config(cfg)
+    # Keys that once chose a second code path are gone, not silently ignored.
+    for kind, key, value in (("tensorize", "recheck", False), ("wb-sum", "recheck", False),
+                             ("wb-sum", "component_estimator", {"kind": "exact"}),
+                             ("inequality-suite", "max_components", 3)):
+        cfg = dict(EXPERIMENTS[kind].example["config"], **{key: value})
+        with pytest.raises(ParameterError, match="unknown key"):
+            validate_config(cfg)
 
 
 def test_unknown_nested_key_rejected():
@@ -48,6 +55,10 @@ def test_unknown_nested_key_rejected():
         validate_config(cfg)
     cfg = json.loads(json.dumps(TAIL_CFG))
     cfg["estimator"]["budgt"] = 100
+    with pytest.raises(ParameterError, match="unknown key"):
+        validate_config(cfg)
+    cfg = json.loads(json.dumps(EXPERIMENTS["domination"].example["config"]))
+    cfg["norms"]["random"]["mix"] = "default"
     with pytest.raises(ParameterError, match="unknown key"):
         validate_config(cfg)
 
@@ -338,6 +349,9 @@ L2 = {"variant": "lp", "dimension": 2, "p": 2}
     ({"variant": "polytope_gauge", "directions": [[1.0, 0.0], [0.0]]}, "equal-length"),
     ({"variant": "weighted_lp", "dimension": 2, "p": "two", "weights": [1.0, 1.0]},
      "exponent"),
+    ({"variant": "lp", "dimension": 1, "p": 2, "weights": [5.0], "factr": 3}, "unknown key"),
+    ({"variant": "scaled", "factor": 2.0, "inner": {"variant": "lp", "dimension": 2}},
+     "missing"),
 ])
 def test_malformed_norm_exits_one(tmp_path, capsys, norm, message):
     # A NaN factor or weight used to pass validation and report P(||X|| > t) = 0.

@@ -10,9 +10,8 @@ from scipy.stats import levy_stable
 import domlab.distributions as distributions
 from domlab import (EXACT, CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
                     absolute_value, analytic_survival, enumerate_sign_classes,
-                    enumerate_sum, gaussian, pareto_tail, sample,
-                    sample_outcomes, sample_sum, scaled_source, sum_of, symmetric_stable,
-                    tail_table, thin)
+                    enumerate_sum, gaussian, pareto_tail, sample, sample_sum,
+                    scaled_source, sum_of, symmetric_stable, tail_table, thin)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def test_sample_prefix_stability():
 
 def test_sample_outcomes_columns_differ():
     law = ProductLaw((gaussian(np.eye(1)), gaussian(np.eye(1))))
-    out = sample_outcomes(law, 1000, seed=1)
+    out = sample(law, 1000, seed=1)
     assert out.shape == (1000, 2, 1)
     assert not np.array_equal(out[:, 0, :], out[:, 1, :])
     total = sample_sum(law, 1000, seed=1)

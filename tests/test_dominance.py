@@ -11,13 +11,11 @@ import domlab.dominance as dominance
 from domlab import (PRODUCT_SUPPORT_CAP, DominationQuery, Estimator, FiniteSupportDist,
                     LpNorm, ParameterError, PreconditionError, ProductLaw, SignInstance,
                     TailEstimate, WBParams, absolute_value, bernoulli_thinned,
-                    check_domination, check_wb, conditional_convexity_check,
-                    euclidean, exact_capable, gaussian, pareto_tail,
-                    proxy_bound_check, proxy_exact, proxy_mc, random_norm_family,
-                    removedelta_check, sample_sum, scale_norm, scaled_source,
-                    sign_mean_exact, signed_mean_over_outcomes, tail_probability,
-                    tail_table, tensorisation_experiment, thin)
-from domlab.dominance import REMOVEDELTA_CAP
+                    check_domination, check_wb, euclidean, exact_capable, gaussian,
+                    pareto_tail, proxy_bound_check, proxy_exact, proxy_mc,
+                    random_norm_family, sample_sum, scale_norm, sign_mean_exact,
+                    signed_mean_over_outcomes, tail_probability, tail_table,
+                    tensorisation_experiment)
 from domlab.rng import CHUNK
 
 EXACT = Estimator("exact")
@@ -286,22 +284,6 @@ def test_proxy_exact_matches_the_tuple_enumeration():
             assert proxy_exact(law, norm).value == pytest.approx(expected, rel=1e-14)
 
 
-def test_conditional_convexity_matches_the_tuple_enumeration():
-    t_grid = [0.0, 0.05, 0.2, 0.6]
-    for ylaw in _sign_class_oracle_laws():
-        xlaw = ProductLaw(tuple(thin(c, 0.6) for c in ylaw.components))
-        for norm in SIGN_CLASS_NORMS:
-            (gx, px), (gy, py) = _tuple_integrand(xlaw, norm), _tuple_integrand(ylaw, norm)
-            expected = [(float(px[gx > t].sum()), float(py[gy > t].sum())) for t in t_grid]
-            expected.append((float(px @ np.minimum(gx, 1.0)),
-                             float(py @ np.minimum(gy, 1.0))))
-            reports = conditional_convexity_check(xlaw, ylaw, norm, t_grid)
-            assert len(reports) == len(expected)
-            for rep, (lhs, rhs) in zip(reports, expected):
-                assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=1e-300)
-                assert rep.rhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
-
-
 def test_proxy_exact_far_above_the_tuple_cap():
     # 12 four-atom components: 4^12 = 16.7M tuples, 2^12 = 4096 sign classes.
     # [DERIVED] oracle: the proxy summed class by class, each class's inner
@@ -369,28 +351,6 @@ def test_proxy_bound_alpha_validation():
 
 
 # ---------------------------------------------------------------------------
-# conditional convexity of the proxy integrand
-
-
-def test_integrand_domination_under_thinning():
-    # Thinning makes a source more peaked, so the integrand's law drops.
-    ys = tuple(FiniteSupportDist.rademacher(v) for v in (1.0, 0.8, 1.2))
-    xs = tuple(thin(y, 0.5) for y in ys)
-    reports = conditional_convexity_check(
-        ProductLaw(xs), ProductLaw(ys), absolute_value(),
-        t_grid=[0.0, 0.25, 0.5, 1.0], precheck_norms=FAMILY1)
-    for rep in reports:
-        assert rep.holds, rep.name
-
-
-def test_integrand_precheck_failure():
-    with pytest.raises(PreconditionError, match="dominated"):
-        conditional_convexity_check(
-            ProductLaw((RAD,)), ProductLaw((HALF,)), absolute_value(),
-            t_grid=[0.0], precheck_norms=(scale_norm(absolute_value(), 1.5),))
-
-
-# ---------------------------------------------------------------------------
 # full-size experiments
 
 
@@ -417,37 +377,6 @@ def test_tensorisation_recheck_catches_bad_pair():
         tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
                                  norms=(scale_norm(absolute_value(), 1.5),),
                                  estimator=EXACT, seed=1)
-
-
-def test_reduction_routes():
-    pairs = [(HALF, RAD), (HALF, RAD)]
-    split = tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
-                                     route="split", norms=FAMILY1[:3],
-                                     estimator=EXACT, seed=1)
-    thin_rep = tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
-                                        route="thin", norms=FAMILY1[:3],
-                                        estimator=EXACT, seed=1)
-    assert split.kappa == 16.0 and split.lam == 2.0
-    assert thin_rep.kappa == 64.0 and thin_rep.lam == 4.0
-    assert split.overall == "holds" and thin_rep.overall == "holds"
-    with pytest.raises(ParameterError, match="route"):
-        tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
-                                 route="other", norms=FAMILY1[:1],
-                                 estimator=EXACT)
-
-
-def test_removedelta_holds():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        vectors = rng.standard_normal((6, 2))
-        for p in (0.25, 0.5, 1.0):
-            assert removedelta_check(vectors, euclidean(2), p).holds
-
-
-def test_removedelta_cap():
-    vectors = np.ones((REMOVEDELTA_CAP + 1, 1))
-    with pytest.raises(Exception, match="cap"):
-        removedelta_check(vectors, absolute_value(), 0.5)
 
 
 def test_report_serialization():

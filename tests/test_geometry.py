@@ -264,14 +264,3 @@ def test_family_opens_with_l2_l1_linf():
     ps = [n.p for n in fam[:3]]
     assert ps[0] == 2.0 and ps[1] == 1.0 and np.isinf(ps[2])
     assert len(fam) == 5
-
-
-def test_family_lp_only():
-    fam = random_norm_family(seed=1, d=2, size=8, mix="lp-only")
-    assert fam[0].p == 2.0
-    assert len(fam) == 8
-
-
-def test_family_rejects_unknown_mix():
-    with pytest.raises(ParameterError):
-        random_norm_family(seed=1, d=2, size=3, mix="exotic")

@@ -260,7 +260,7 @@ def _brute_sum_reports(law, norm, levels):
                                p(xn.max(axis=1) > s)
                                + 2.0 * p(sn.max(axis=1) > t) * p(sn[:, -1] > u)),
         "summand_tails": (sum(p(xn[:, j] > t) for j in range(n)),
-                          p_xstar / (1.0 - p_xstar)),
+                          p_xstar / p(xn.max(axis=1) <= t)),
     }
 
 
@@ -282,14 +282,11 @@ def test_sum_inequalities_exact_against_oracle():
         reports = verify_sum_inequalities(law, norm, levels)
         oracle = _brute_sum_reports(law, norm, levels)
         assert set(reports) == set(oracle)
-        p_xstar = oracle["max_summand"][0]
         for name, (lhs, rhs) in oracle.items():
             rep = reports[name]
-            # p/(1 - p) magnifies a relative error in p = P(X* > t) by 1/(1 - p)
-            rel = 1e-14 / (1.0 - p_xstar) if name == "summand_tails" else 1e-14
             assert rep.method == "exact" and rep.note != "skipped", name
             assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=1e-300), name
-            assert rep.rhs == pytest.approx(rhs, rel=rel, abs=1e-300), name
+            assert rep.rhs == pytest.approx(rhs, rel=1e-14, abs=1e-300), name
             assert rep.holds, name
 
 
@@ -338,6 +335,19 @@ def test_sum_inequalities_random_exact_instances():
         for name, rep in reports.items():
             assert rep.holds, name
             assert rep.method == "exact"
+
+
+def test_summand_tails_rhs_keeps_precision_near_certainty():
+    # Each X_j is +-2 with total mass 1 - 1e-3 and 0 with mass 1e-3, so at
+    # t = 0.5, P(X* <= t) = 1e-9.  [DERIVED] rhs = P(X* > t) / P(X* <= t)
+    # = (1 - 1e-9) / 1e-9; 1 - P(X* > t) would cancel to a few digits.
+    comp = FiniteSupportDist.symmetric_pairs([[2.0]], [1.0 - 1e-3], zero_prob=1e-3)
+    reports = verify_sum_inequalities(ProductLaw((comp,) * 3), absolute_value(),
+                                      {"s": 0.5, "t": 0.5, "u": 0.5})
+    rep = reports["summand_tails"]
+    assert rep.rhs == pytest.approx((1.0 - 1e-9) / 1e-9, rel=1e-12)
+    assert rep.lhs == pytest.approx(3.0 * (1.0 - 1e-3), rel=1e-14)
+    assert rep.method == "exact" and rep.holds
 
 
 def test_sum_inequalities_skip_when_rhs_infinite():

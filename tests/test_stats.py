@@ -103,7 +103,8 @@ def test_clopper_pearson_matches_the_beta_quantiles():
 
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(domlab.__file__))
-    code = "import sys, domlab; print('scipy.stats' in sys.modules)"
+    code = ("import sys, domlab; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,13 +1,10 @@
 """Polynomial tail-decay checks, the scalar recursion, and sum tensorisation."""
 
-import numpy as np
 import pytest
 
-from domlab import (Estimator, FiniteSupportDist, ParameterError,
-                    PreconditionError, ProductLaw, WBParams, absolute_value,
-                    check_wb, component_gate_consistency, pareto_tail,
-                    recursion_bound, scale_norm, wb_sum_experiment,
-                    wb_tensorize_constants)
+from domlab import (Estimator, ParameterError, PreconditionError, WBParams,
+                    absolute_value, check_wb, pareto_tail, recursion_bound,
+                    scale_norm, wb_sum_experiment, wb_tensorize_constants)
 
 EXACT = Estimator("exact")
 
@@ -142,25 +139,6 @@ def test_recursion_validation():
 
 # ---------------------------------------------------------------------------
 # gates and the sum experiment
-
-
-def test_component_gate_consistency_exact():
-    comp = FiniteSupportDist.symmetric_pairs([[3.0]], [0.02], zero_prob=0.98)
-    law = ProductLaw((comp,) * 3)
-    reports = component_gate_consistency(law, absolute_value(),
-                                         theta_out=0.1, theta=0.5,
-                                         estimator=EXACT)
-    assert len(reports) == 3
-    for rep in reports:
-        assert rep.holds
-
-
-def test_component_gate_requires_half_theta():
-    comp = FiniteSupportDist.rademacher()
-    law = ProductLaw((comp,))
-    with pytest.raises(ParameterError, match="theta"):
-        component_gate_consistency(law, absolute_value(), theta_out=0.4,
-                                   theta=0.5, estimator=EXACT)
 
 
 def test_wb_sum_experiment_holds():
