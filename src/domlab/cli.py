@@ -6,7 +6,8 @@ Subcommands:
   report (deterministic: sorted keys, no timestamps), CSV side files where
   the experiment produces tabular data, and a run manifest (config digest,
   version, wall clock, seeds, verdict summary).
-* ``validate CONFIG``     -- parse and validate a config without running it.
+* ``validate CONFIG``     -- check a config and build what its run uses; only
+  premise re-checks and size caps are left to ``run``.
 * ``list-experiments``    -- print the catalog of available experiment
   kinds with ready-to-run example configs.
 
@@ -29,13 +30,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENTS, load_config, validate_config
+from .config import EXPERIMENTS, load_config
 from .errors import CapacityError, ParameterError, PreconditionError
+from .stats import worst_verdict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_VIOLATED = 2
-EXIT_INCONCLUSIVE = 3
+# The exit code of a run, by the worst of its verdicts.
+_VERDICT_EXIT = {"holds": EXIT_OK, "inconclusive": 3, "violated": 2}
 
 # The list-experiments catalog: one ready-to-run example per experiment kind.
 CATALOG = [dict(kind.example, kind=name) for name, kind in EXPERIMENTS.items()]
@@ -90,24 +92,14 @@ def _write_csv(path, header, rows):
                 w.writerow([_fmt(v) for v in row])
 
 
-def _exit_code(verdicts):
-    if "violated" in verdicts:
-        return EXIT_VIOLATED
-    if "inconclusive" in verdicts:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
 def run_config(path: str, out_dir: str, threads: int) -> int:
-    with open(path, "rb") as fh:
-        raw_bytes = fh.read()
-    cfg = validate_config(json.loads(raw_bytes))
+    raw_bytes, cfg, run = load_config(path)
     started = time.monotonic()
-    report, tables, verdicts = EXPERIMENTS[cfg["kind"]].run(cfg, threads)
+    report, tables, verdicts = run(threads)
     elapsed = time.monotonic() - started
     os.makedirs(out_dir, exist_ok=True)  # only once the run has succeeded
-    counts = {v: verdicts.count(v) for v in ("holds", "inconclusive", "violated")}
-    code = _exit_code(verdicts)
+    counts = {v: verdicts.count(v) for v in _VERDICT_EXIT}
+    code = _VERDICT_EXIT[worst_verdict(verdicts)]
 
     _write_json(os.path.join(out_dir, "report.json"), report)
     for name, (header, rows) in tables.items():

@@ -40,6 +40,13 @@ PRODUCT_SUPPORT_CAP = 10**6
 _PROB_TOL = 1e-12
 
 
+def check_dimension(d: int) -> int:
+    """d, checked to lie in [1, DIMENSION_CAP]."""
+    if not (1 <= d <= DIMENSION_CAP):
+        raise ParameterError(f"dimension must be in [1, {DIMENSION_CAP}], got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class FiniteSupportDist:
     """Symmetric distribution on R^d with finitely many atoms.
@@ -53,8 +60,7 @@ class FiniteSupportDist:
     atoms: tuple  # tuple of (tuple[float, ...], float)
 
     def __post_init__(self):
-        if not (1 <= self.dimension <= DIMENSION_CAP):
-            raise ParameterError(f"dimension must be in [1, {DIMENSION_CAP}], got {self.dimension}")
+        check_dimension(self.dimension)
         if not self.atoms:
             raise ParameterError("finite-support law needs at least one atom")
         seen = {}

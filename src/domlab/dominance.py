@@ -18,7 +18,7 @@ boundary count as inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
                             analytic_survival, enumerate_sign_classes,
                             enumerate_sum, sample_sum_chunk)
 from .errors import ParameterError, PreconditionError
-from .geometry import norm_to_spec
+from .geometry import norm_family, norm_to_spec
 from .inequalities import SIGN_ENUMERATION_CAP, signed_mean_over_outcomes
 from .rng import map_chunks, substream
 from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
@@ -60,7 +60,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     Each norm is evaluated once per atom or sample; every threshold reads the
     same values.  ``threads`` runs chunks in parallel; no result depends on it.
     """
-    norms = list(norms)
+    norms = norm_family(norms, law.dimension)
     thresholds = [float(t) for t in thresholds]
     if isinstance(law, (FiniteSupportDist, ProductLaw)) and exact_capable(law):
         vectors, probs = enumerate_sum(law)
@@ -95,6 +95,17 @@ def tail_probability(law: Law, norm, threshold: float, estimator: Estimator,
 # queries and reports
 
 
+def check_domination_constants(kappa: float, lam: float):
+    """Raise unless kappa and lambda are >= 1, as every domination claim needs."""
+    if not (kappa >= 1.0 and lam >= 1.0):  # NaN fails too
+        raise ParameterError("kappa and lambda must be >= 1")
+
+
+def _check_alpha(alpha: float):
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError("alpha must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class DominationQuery:
     x: Law
@@ -105,13 +116,10 @@ class DominationQuery:
     estimator: Estimator
 
     def __post_init__(self):
-        if self.kappa < 1.0 or self.lam < 1.0:
-            raise ParameterError("kappa and lambda must be >= 1")
-        if getattr(self.x, "dimension", None) != getattr(self.y, "dimension", None):
+        check_domination_constants(self.kappa, self.lam)
+        if self.x.dimension != self.y.dimension:
             raise ParameterError("laws must share dimension")
-        object.__setattr__(self, "norms", tuple(self.norms))
-        if not self.norms:
-            raise ParameterError("the norm family must be nonempty")
+        object.__setattr__(self, "norms", norm_family(self.norms, self.x.dimension))
 
 
 @dataclass(frozen=True)
@@ -247,8 +255,7 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
 
     Returns (lower, upper) SlackReports.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     (p_above, p_one), = tail_table(law, [norm], [1.0 + alpha, 1.0], EXACT)
     prox = proxy_exact(law, norm).value
     lower = SlackReport.from_exact("proxy_lower", alpha * p_above.value, prox)
@@ -260,17 +267,15 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
 # the per-summand domination premise
 
 
-def _recheck_premise(pairs, kappa: float, lam: float, norms, estimator: Estimator,
-                     seed: int, threads: int = 1):
-    """Re-verify that each pair (X_i, Y_i) is (kappa, lambda)-dominated.
+def _recheck_premise(sums: DominationQuery, kappa: float, lam: float, seed: int,
+                     threads: int = 1):
+    """Re-verify that each pair (X_i, Y_i) of the sums is (kappa, lambda)-dominated.
 
-    Pair i is checked on the seed + 1000 + i streams; the first violated
-    norm raises PreconditionError.
+    Pair i is checked with the sums' norms and estimator on the seed + 1000 + i
+    streams; the first violated norm raises PreconditionError.
     """
-    for i, (xi, yi) in enumerate(pairs):
-        rep = check_domination(DominationQuery(x=xi, y=yi, kappa=kappa, lam=lam,
-                                               norms=tuple(norms),
-                                               estimator=estimator),
+    for i, (xi, yi) in enumerate(zip(sums.x.components, sums.y.components)):
+        rep = check_domination(replace(sums, x=xi, y=yi, kappa=kappa, lam=lam),
                                seed=seed + 1000 + i, threads=threads)
         for rec in rep.records:
             if rec.verdict == "violated":
@@ -283,27 +288,30 @@ def _recheck_premise(pairs, kappa: float, lam: float, norms, estimator: Estimato
 # full-size experiments
 
 
+def tensorisation_query(pairs, kappa: float, lam: float, alpha: float, norms,
+                        estimator: Estimator) -> DominationQuery:
+    """Query for the sums of (kappa, lambda)-dominated pairs (premise unchecked)
+    at (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)."""
+    check_domination_constants(kappa, lam)
+    _check_alpha(alpha)
+    kap_c = math.ceil(kappa)
+    return DominationQuery(x=ProductLaw(tuple(x for x, _ in pairs)),
+                           y=ProductLaw(tuple(y for _, y in pairs)),
+                           kappa=16.0 / alpha * kap_c, lam=(1.0 + alpha) * kap_c * lam,
+                           norms=norms, estimator=estimator)
+
+
 def tensorisation_experiment(pairs, kappa: float, lam: float, alpha: float,
                              norms, estimator: Estimator, seed: int = 0,
                              threads: int = 1) -> DominationReport:
-    """Sum-domination check with the tensorised constants.
+    """Sum-domination check with the tensorised constants of tensorisation_query.
 
     Each pair (X_i, Y_i) is first re-checked for (kappa, lambda)-domination
     over the norm family (a violated norm raises, naming the pair); the
-    sums are then checked over the same family for
-    (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)-domination.
+    sums are then checked over the same family.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError("alpha must lie in (0, 1]")
-    kap_c = math.ceil(kappa)
-    xs = ProductLaw(tuple(x for x, _ in pairs))
-    ys = ProductLaw(tuple(y for _, y in pairs))
-    _recheck_premise(zip(xs.components, ys.components), kappa, lam, norms,
-                     estimator, seed, threads)
-    rep = check_domination(DominationQuery(x=xs, y=ys, kappa=16.0 / alpha * kap_c,
-                                           lam=(1.0 + alpha) * kap_c * lam,
-                                           norms=tuple(norms), estimator=estimator),
-                           seed=seed, threads=threads)
-    meta = dict(rep.meta, experiment="tensorisation", alpha=alpha,
-                input_kappa=kappa, input_lambda=lam)
-    return DominationReport(kappa=rep.kappa, lam=rep.lam, records=rep.records, meta=meta)
+    query = tensorisation_query(pairs, kappa, lam, alpha, norms, estimator)
+    _recheck_premise(query, kappa, lam, seed, threads)
+    rep = check_domination(query, seed=seed, threads=threads)
+    return replace(rep, meta=dict(rep.meta, experiment="tensorisation", alpha=alpha,
+                                  input_kappa=kappa, input_lambda=lam))

@@ -5,16 +5,29 @@ class ParameterError(ValueError):
     """An argument is outside its documented domain."""
 
 
-def _check_keys(obj: dict, allowed, context: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ParameterError(f"{context}: unknown key(s) {sorted(unknown)}")
-
-
-def _require(obj: dict, keys, context: str):
-    missing = [k for k in keys if k not in obj]
+def _check_spec(obj, required, optional, context: str):
+    """Raise unless obj is an object with every required key and no key besides
+    the required and optional ones; optional=None allows any other key."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{context}: expected an object")
+    if optional is not None:
+        unknown = set(obj) - set(required) - set(optional)
+        if unknown:
+            raise ParameterError(f"{context}: unknown key(s) {sorted(unknown)}")
+    missing = [k for k in required if k not in obj]
     if missing:
         raise ParameterError(f"{context}: missing required key(s) {missing}")
+
+
+def _spec_tag(spec, tag: str, keys: dict, context: str) -> str:
+    """spec[tag], such as a source's family, once spec is checked against
+    keys[spec[tag]]: its (required, optional) keys besides the tag."""
+    _check_spec(spec, (tag,), None, context)
+    value = spec[tag]
+    if not isinstance(value, str) or value not in keys:
+        raise ParameterError(f"{context}: unknown {tag} {value!r}")
+    _check_spec(spec, keys[value][0], (tag, *keys[value][1]), context)
+    return value
 
 
 class CapacityError(RuntimeError):

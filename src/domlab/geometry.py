@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _check_keys, _require
+from .errors import ParameterError, _spec_tag
 from .rng import substream
 
 ELLIPSOID_CONDITION_CAP = 1e3
@@ -167,6 +167,17 @@ def absolute_value() -> LpNorm:
     return LpNorm(dimension=1, p=2.0)
 
 
+def norm_family(norms, dimension: int) -> tuple:
+    """The norms as a tuple, checked to be a nonempty family of norms on R^dimension."""
+    norms = tuple(norms)
+    if not norms:
+        raise ParameterError("the norm family must be nonempty")
+    for norm in norms:
+        if norm.dimension != dimension:
+            raise ParameterError(f"norm dimension {norm.dimension} != law dimension {dimension}")
+    return norms
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -200,24 +211,17 @@ def _p_from_spec(p) -> float:
         raise ParameterError(f"lp exponent must be a number, \"inf\" or null, got {p!r}") from None
 
 
-_NORM_KEYS = {  # variant -> its required keys besides "variant"; none is optional
-    "lp": ("dimension", "p"),
-    "weighted_lp": ("dimension", "p", "weights"),
-    "ellipsoid": ("matrix",),
-    "polytope_gauge": ("directions",),
-    "scaled": ("factor", "inner"),
+_NORM_KEYS = {  # variant -> its (required, optional) keys besides "variant"
+    "lp": (("dimension", "p"), ()),
+    "weighted_lp": (("dimension", "p", "weights"), ()),
+    "ellipsoid": (("matrix",), ()),
+    "polytope_gauge": (("directions",), ()),
+    "scaled": (("factor", "inner"), ()),
 }
 
 
 def norm_from_spec(spec: dict, context: str = "norm"):
-    if not isinstance(spec, dict):
-        raise ParameterError(f"{context}: expected an object")
-    _require(spec, ["variant"], context)
-    variant = spec["variant"]
-    if variant not in _NORM_KEYS:
-        raise ParameterError(f"{context}: unknown norm variant {variant!r}")
-    _check_keys(spec, {"variant", *_NORM_KEYS[variant]}, context)
-    _require(spec, _NORM_KEYS[variant], context)
+    variant = _spec_tag(spec, "variant", _NORM_KEYS, context)
     if variant == "lp":
         return LpNorm(dimension=int(spec["dimension"]), p=_p_from_spec(spec["p"]))
     if variant == "weighted_lp":

@@ -14,16 +14,17 @@ exists by Birkhoff's theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .distributions import (FiniteSupportDist, ProductLaw, enumerate_sum,
                             scaled_source, sum_of, symmetric_stable)
-from .dominance import DominationQuery, DominationReport, check_domination, tail_table
+from .dominance import (DominationQuery, DominationReport, check_domination,
+                        check_domination_constants, tail_table)
 from .errors import ParameterError, PreconditionError
-from .geometry import absolute_value
+from .geometry import absolute_value, norm_family
 from .stats import Estimator, SlackReport, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
 
@@ -33,16 +34,22 @@ DEFAULT_TOL = 1e-9
 _MASS_TOL = 1e-12
 
 
+def weight_pair(a, b):
+    """a and b as float arrays, checked to be equal-length sequences."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ParameterError("a and b must be equal-length sequences")
+    return a, b
+
+
 def _majorisation_violation(a, b) -> Optional[int]:
     """Number k of the first violated partial sum, or None when a < b.
 
     Partial sums are those of the nonincreasing rearrangements, compared
     within DEFAULT_TOL; a total that differs by more counts as partial sum n.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ParameterError("a and b must be equal-length sequences")
+    a, b = weight_pair(a, b)
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
     if not abs(ca[-1] - cb[-1]) <= DEFAULT_TOL:
@@ -185,6 +192,7 @@ def schur_convexity_check(a, b, component: FiniteSupportDist, norm) -> SlackRepo
     nonzero weight.
     """
     a, b = _require_majorised(a, b)
+    norm_family([norm], component.dimension)
     vectors, probs = component.vectors(), component.probs()
 
     def weighted_mean(weights):
@@ -238,12 +246,10 @@ def weighted_domination_experiment(a, b, source, params: WBParams, norms,
     rep = check_domination(DominationQuery(x=x, y=y, kappa=consts["kappa"], lam=2.0,
                                            norms=tuple(norms), estimator=estimator),
                            seed=seed, threads=threads)
-    meta = dict(rep.meta, experiment="weighted_domination",
-                kappa_direct=consts["kappa_direct"],
-                kappa_derived=consts["kappa_derived"],
-                params=params.to_json())
-    return DominationReport(kappa=rep.kappa, lam=rep.lam, records=rep.records,
-                            meta=meta)
+    return replace(rep, meta=dict(rep.meta, experiment="weighted_domination",
+                                  kappa_direct=consts["kappa_direct"],
+                                  kappa_derived=consts["kappa_derived"],
+                                  params=params.to_json()))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +289,19 @@ class CounterexampleTable:
         return [(r.n, r.lhs, r.rhs, r.ratio) for r in self.rows]
 
 
+def counterexample_grid(delta: float, n_grid: Sequence[int], kappa: float,
+                        lam: float) -> list:
+    """The sorted n grid of counterexample_experiment, once its constants are checked."""
+    if not (0.0 < delta < 1.0):
+        raise ParameterError("delta must lie in (0, 1)")
+    check_domination_constants(kappa, lam)
+    if len(n_grid) == 0 or any(isinstance(n, bool) or not hasattr(n, "__index__")
+                               or n < 1 for n in n_grid):
+        raise ParameterError("n_grid must be a nonempty list of positive integers, "
+                             f"got {list(n_grid)}")
+    return sorted(int(n) for n in n_grid)
+
+
 def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
                               lam: float, budget: int = 10**6,
                               seed: int = 0) -> CounterexampleTable:
@@ -297,13 +316,7 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
     Clopper-Pearson intervals (at DEFAULT_CONFIDENCE) to separate, not just
     the point estimates.
     """
-    if not (0.0 < delta < 1.0):
-        raise ParameterError("delta must lie in (0, 1)")
-    if kappa < 1.0 or lam < 1.0:
-        raise ParameterError("kappa and lambda must be >= 1")
-    if any(isinstance(n, bool) or not hasattr(n, "__index__") or n < 1 for n in n_grid):
-        raise ParameterError(f"n_grid entries must be positive integers, got {list(n_grid)}")
-    ns = sorted(int(n) for n in n_grid)
+    ns = counterexample_grid(delta, n_grid, kappa, lam)
     (lhs, *rhs_tails), = tail_table(
         symmetric_stable(delta), [absolute_value()],
         [1.0, *(n ** (1.0 / delta - 1.0) / lam for n in ns)],

@@ -10,7 +10,7 @@ inherited inequality and the scalar recursion behind it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .distributions import Law, ProductLaw
@@ -28,9 +28,9 @@ class WBParams:
     theta: float
 
     def __post_init__(self):
-        if self.C < 1.0:
+        if not self.C >= 1.0:  # NaN fails too
             raise ParameterError("C must be >= 1")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ParameterError("delta must be positive")
         if not (0.0 < self.theta < 1.0):
             raise ParameterError("theta must lie in (0, 1)")
@@ -48,6 +48,16 @@ def wb_tensorize_constants(params: WBParams) -> WBParams:
     c_out = 12.0 * nine * params.C
     theta_out = min(params.theta / 2.0, 1.0 / (96.0 * params.C * nine))
     return WBParams(C=c_out, delta=params.delta, theta=theta_out)
+
+
+def wb_lambda_grid(lambda_grid: Sequence[float]) -> list:
+    """The lambda grid as floats, checked to be nonempty with every point >= 1."""
+    lambda_grid = [float(l) for l in lambda_grid]
+    if not lambda_grid:
+        raise ParameterError("lambda grid must be nonempty")
+    if not all(l >= 1.0 for l in lambda_grid):  # NaN fails too
+        raise ParameterError("all lambda grid points must be >= 1")
+    return lambda_grid
 
 
 @dataclass(frozen=True)
@@ -75,8 +85,6 @@ class WBReport:
 
     @property
     def overall(self) -> str:
-        if not self.cells:
-            return "holds"
         return worst_verdict(c.verdict for c in self.cells)
 
     def verdicts(self):
@@ -108,11 +116,7 @@ def check_wb(law: Law, params: WBParams, norms, lambda_grid: Sequence[float],
     verdicts (the premise of the property fails there) and listed in the
     report's skipped field.
     """
-    lambda_grid = [float(l) for l in lambda_grid]
-    if not lambda_grid:
-        raise ParameterError("lambda grid must be nonempty")
-    if any(l < 1.0 for l in lambda_grid):
-        raise ParameterError("all lambda grid points must be >= 1")
+    lambda_grid = wb_lambda_grid(lambda_grid)
     norms = list(norms)
     table = tail_table(law, norms, [1.0, *lambda_grid], estimator, seed, (5,), threads)
     cells = []
@@ -174,17 +178,15 @@ def wb_sum_experiment(components: Sequence[Law], params: WBParams, norms,
     family and with the run's estimator (a violated cell raises, naming the
     component); the sum is then checked against wb_tensorize_constants(params).
     """
-    components = tuple(components)
-    for j, comp in enumerate(components):
+    law = ProductLaw(tuple(components))
+    for j, comp in enumerate(law.components):
         rep = check_wb(comp, params, norms, lambda_grid, estimator,
                        seed=seed + 2000 + j, threads=threads)
         if "violated" in rep.verdicts():
             raise PreconditionError(
                 f"component {j} fails its WB({params.C},{params.delta},{params.theta}) premise")
     tens = wb_tensorize_constants(params)
-    law = ProductLaw(components)
     rep = check_wb(law, tens, norms, lambda_grid, estimator, seed=seed,
                    threads=threads)
-    meta = dict(rep.meta, experiment="wb_sum", input_params=params.to_json())
-    return WBReport(params=rep.params, norm_specs=rep.norm_specs, p1=rep.p1,
-                    cells=rep.cells, skipped=rep.skipped, meta=meta)
+    return replace(rep, meta=dict(rep.meta, experiment="wb_sum",
+                                  input_params=params.to_json()))

@@ -13,7 +13,7 @@ import pytest
 from domlab import (Estimator, ParameterError, bernoulli_thinned, norm_from_spec,
                     pareto_tail, scaled_source, sum_of, symmetric_stable, tail_table)
 from domlab.cli import CATALOG, _write_csv, main
-from domlab.config import EXPERIMENTS, validate_config
+from domlab.config import EXPERIMENTS, source_from_spec, validate_config
 from domlab.rng import CHUNK
 
 TAIL_CFG = {
@@ -93,6 +93,16 @@ def test_bad_constants_rejected_through_constructors():
            "lambda_grid": [1], "estimator": {"kind": "exact"}}
     with pytest.raises(ParameterError, match="C"):
         validate_config(cfg)
+    # A NaN constant (JSON NaN) fails every range check instead of passing it.
+    for key, message in (("C", "C must be >= 1"), ("delta", "delta must be positive"),
+                         ("lambda_grid", "lambda grid points must be >= 1")):
+        value = [float("nan")] if key == "lambda_grid" else float("nan")
+        with pytest.raises(ParameterError, match=message):
+            validate_config(dict(cfg, **{"C": 1.0, key: value}))
+    for key in ("kappa", "lambda"):
+        with pytest.raises(ParameterError, match="kappa and lambda must be >= 1"):
+            validate_config(dict(EXPERIMENTS["domination"].example["config"],
+                                 **{key: float("nan")}))
 
 
 def test_catalog_configs_all_validate(tmp_path):
@@ -136,7 +146,7 @@ def _round_trip(tmp_path, cfg, name):
 def test_source_spec_round_trip(tmp_path, spec, source):
     est = {"kind": "mc", "budget": 5000}
     cfg = dict(TAIL_CFG, source=spec, estimator=est)
-    assert validate_config(cfg)["_source"] == source
+    assert source_from_spec(spec) == source
     code, raw = _round_trip(tmp_path, cfg, "tail")
     assert code == 0
     (row,) = tail_table(source, [norm_from_spec(TAIL_CFG["norms"]["list"][0])],
@@ -152,6 +162,52 @@ def test_wb_sum_components_form_matches_iid_form(tmp_path):
     code, raw = _round_trip(tmp_path, components, "components")
     assert code == 0
     assert (code, raw) == _round_trip(tmp_path, iid, "iid")
+
+
+def _example(kind, **edits):
+    return dict(json.loads(json.dumps(EXPERIMENTS[kind].example["config"])), **edits)
+
+
+_L2 = {"variant": "lp", "dimension": 2, "p": 2}
+
+
+@pytest.mark.parametrize("cfg, messages", [
+    (_example("tensorize", pairs=[]), ["at least one component"]),
+    (_example("tensorize", kappa=0.5), ["kappa and lambda must be >= 1"]),
+    (_example("wb-sum", n=0), ["at least one component"]),
+    (_example("wb-sum", components=[{"family": "pareto_tail", "exponent": 3.0}]),
+     ["components", "iid + n", "not both"]),
+    (_example("domination", kappa=0.5), ["kappa and lambda must be >= 1"]),
+    (_example("domination", **{"lambda": 0.5}), ["kappa and lambda must be >= 1"]),
+    (_example("domination", y={"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]}),
+     ["laws must share dimension"]),
+    (_example("domination", norms={"random": {"seed": 7, "dimension": 2, "size": 4}}),
+     ["norm dimension 2 != law dimension 1"]),
+    (_example("wb", lambda_grid=[]), ["lambda grid must be nonempty"]),
+    (_example("wb", lambda_grid=[0.5]), ["lambda grid points must be >= 1"]),
+    (_example("wb", norms={"list": [_L2]}), ["norm dimension 2 != law dimension 1"]),
+    (_example("tail", thresholds=["x"]), ["could not convert"]),
+    (_example("tail", norms={"list": [_L2]}), ["norm dimension 2 != law dimension 1"]),
+    (_example("counterexample", kappa=0.5), ["kappa and lambda must be >= 1"]),
+    (_example("counterexample", n_grid=[0]), ["positive integers"]),
+    (_example("inequality-suite", max_n=1), ["max_n >= 2"]),
+    (_example("inequality-suite", dimension=0), ["dimension must be in [1, 16]"]),
+    (_example("schur", a=[1.0]), ["equal-length"]),
+    (_example("schur", norm=_L2), ["norm dimension 2 != law dimension 1"]),
+], ids=["tensorize-no-pairs", "tensorize-kappa", "wb-sum-n0", "wb-sum-iid-and-components",
+        "domination-kappa", "domination-lambda", "domination-2d-y", "domination-2d-norms",
+        "wb-empty-grid", "wb-grid-below-1", "wb-2d-norm", "tail-threshold-string",
+        "tail-2d-norm", "counterexample-kappa", "counterexample-n0", "inequality-suite-max-n",
+        "inequality-suite-dimension", "schur-short-a", "schur-2d-norm"])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
+    # Each catalog example with one edit; each once passed validate and then
+    # failed at run (or, for wb-sum, silently dropped iid and n).
+    path = _write(tmp_path, cfg)
+    assert main(["validate", path]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error:") and all(m in line for m in messages), line
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_majorize_reports_a_pair_that_is_not_majorised(tmp_path):
