@@ -13,8 +13,7 @@ from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDis
                             ProductLaw, SamplerSource,
                             analytic_survival, bernoulli_thinned,
                             enumerate_sign_classes, enumerate_sum, gaussian,
-                            pareto_tail, sample, sample_sum, scaled_source,
-                            sum_of, symmetric_stable, thin)
+                            pareto_tail, scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, DominationReport, NormRecord, ProxyValue,
                         check_domination, exact_capable, proxy_bound_check,
                         proxy_exact, proxy_mc, tail_probability, tail_table,

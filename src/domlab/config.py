@@ -12,6 +12,7 @@ adds only key-level rules and the counts that only configs have.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +23,7 @@ from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
                             scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, check_domination, exact_capable,
                         tail_table, tensorisation_experiment, tensorisation_query)
-from .errors import ParameterError, _check_spec, _spec_tag
+from .errors import ParameterError, _check_spec, _spec_int, _spec_tag
 from .geometry import (euclidean, norm_family, norm_from_spec, norm_to_spec,
                        random_norm_family)
 from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
@@ -81,7 +82,8 @@ def norms_from_spec(spec, context: str = "norms"):
         _check_spec(spec, ("random",), (), context)
         keys = ("seed", "dimension", "size")
         _check_spec(spec["random"], keys, (), context + ".random")
-        return random_norm_family(*(int(spec["random"][k]) for k in keys))
+        return random_norm_family(*(_spec_int(spec["random"], k, context + ".random")
+                                    for k in keys))
     if isinstance(spec, dict) and "list" in spec:
         _check_spec(spec, ("list",), (), context)
         return [norm_from_spec(s, f"{context}.list[{i}]")
@@ -101,7 +103,9 @@ def estimator_from_spec(spec, context: str = "estimator") -> Estimator:
 
 
 def _sample_chunks(law, budget, seed):
-    """The rows of sample_sum(law, budget, seed, stream=(0,)), one chunk array at a time."""
+    """The budget rows that tail_table counts for an mc estimator on stream (0,):
+    sample_sum_chunk(law, j, ...) for each rng.CHUNK piece j, one array at a time,
+    so that samples.csv is written without holding the whole batch."""
     for j, lo in enumerate(range(0, budget, CHUNK)):
         yield sample_sum_chunk(law, j, min(CHUNK, budget - lo), seed, (0,))
 
@@ -111,8 +115,9 @@ def _prepare_tail(raw):
     norms = norm_family(norms_from_spec(raw["norms"]), law.dimension)
     est = estimator_from_spec(raw["estimator"])
     thresholds = [float(t) for t in raw["thresholds"]]
-    if not thresholds:
-        raise ParameterError("config[tail]: thresholds must be nonempty")
+    if not thresholds or not all(map(math.isfinite, thresholds)):
+        raise ParameterError("config[tail]: thresholds must be a nonempty list of "
+                             "finite numbers")
 
     def run(threads):
         table = tail_table(law, norms, thresholds, est, raw["seed"], (0,), threads)
@@ -200,7 +205,8 @@ def _prepare_wb_sum(raw):
         comps = [source_from_spec(c, f"components[{i}]")
                  for i, c in enumerate(raw["components"])]
     elif "iid" in raw and "n" in raw:
-        comps = [source_from_spec(raw["iid"], "iid")] * int(raw["n"])
+        n = _spec_int(raw, "n", "config[wb-sum]")
+        comps = [source_from_spec(raw["iid"], "iid")] * n
     else:
         raise ParameterError("config[wb-sum]: need components or iid + n")
     law = ProductLaw(tuple(comps))
@@ -272,11 +278,13 @@ def _random_finite_component(rng, d, pairs):
 
 
 def _prepare_inequality_suite(raw):
-    instances, max_n, product_laws = (int(raw[k]) for k in ("instances", "max_n", "product_laws"))
+    instances, max_n, d, product_laws = (
+        _spec_int(raw, k, "config[inequality-suite]")
+        for k in ("instances", "max_n", "dimension", "product_laws"))
     if instances < 1 or max_n < 2 or product_laws < 0:
         raise ParameterError("config[inequality-suite]: need instances >= 1, "
                              "max_n >= 2 and product_laws >= 0")
-    d = check_dimension(int(raw["dimension"]))
+    check_dimension(d)
     norm = euclidean(d)
 
     def run(threads):
@@ -452,8 +460,7 @@ def validate_config(raw: dict) -> Callable:
     Returns the kind's run: run(threads) -> (report, tables, verdicts).
     """
     kind = _spec_tag(raw, "kind", _CONFIG_KEYS, "config")
-    if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
-        raise ParameterError("config: seed must be an integer (no entropy defaults)")
+    _spec_int(raw, "seed", "config")  # no entropy defaults
     return EXPERIMENTS[kind].prepare(raw)
 
 

@@ -8,9 +8,12 @@ Two kinds of sources coexist:
   stable/pareto, thinned/scaled/summed combinations) sampled with
   deterministic counter-based substreams.
 
-All sampling is deterministic given (seed, stream, count) and independent
-of the thread count: rng.CHUNK-row chunk j of a source draws from substream
-(seed, *stream, j), and of product-law component i from (seed, *stream, i, j).
+Sources are sampled one rng.CHUNK-row chunk at a time (_draw_chunk,
+sample_sum_chunk); callers stream the chunks and hold at most one per
+worker thread, so memory does not grow with the Monte Carlo budget.  Chunk
+j of a source draws from substream (seed, *stream, j), and of product-law
+component i from (seed, *stream, i, j), so every draw is deterministic in
+(seed, stream, j) and independent of the thread count.
 
 Exact enumeration of a finite-support product law has two forms, each
 bounded by PRODUCT_SUPPORT_CAP on the atoms that one step builds:
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import CapacityError, ParameterError
-from .rng import map_chunks, seed_sequence
+from .rng import seed_sequence
 
 DIMENSION_CAP = 16
 PRODUCT_SUPPORT_CAP = 10**6
@@ -156,16 +159,16 @@ def symmetric_stable(index: float, scale: float = 1.0) -> SamplerSource:
     """
     if not (0.0 < index <= 2.0):
         raise ParameterError(f"stability index must lie in (0, 2], got {index}")
-    if scale <= 0.0:
-        raise ParameterError("scale must be positive")
+    if not (0.0 < scale < math.inf):  # NaN fails too
+        raise ParameterError("scale must be positive and finite")
     return SamplerSource(dimension=1, family="symmetric_stable",
                          params={"index": float(index), "scale": float(scale)})
 
 
 def pareto_tail(exponent: float) -> SamplerSource:
     """Scalar symmetric source with P(|X| > t) = min(1, t^-exponent)."""
-    if exponent <= 0.0:
-        raise ParameterError("tail exponent must be positive")
+    if not (0.0 < exponent < math.inf):  # NaN fails too
+        raise ParameterError("tail exponent must be positive and finite")
     return SamplerSource(dimension=1, family="pareto_tail",
                          params={"exponent": float(exponent)})
 
@@ -183,8 +186,8 @@ def bernoulli_thinned(inner: Source, keep: float) -> SamplerSource:
 
 def scaled_source(inner: Source, factor: float) -> SamplerSource:
     """Source factor * X."""
-    if factor == 0.0:
-        raise ParameterError("scale factor must be nonzero")
+    if factor == 0.0 or not math.isfinite(factor):
+        raise ParameterError("scale factor must be nonzero and finite")
     return SamplerSource(dimension=inner.dimension, family="scaled",
                          params={"inner": inner, "factor": float(factor)})
 
@@ -284,35 +287,10 @@ def _draw_chunk(law: Law, j: int, size: int, seed: int, stream: tuple) -> np.nda
 
 
 def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = ()) -> np.ndarray:
-    """Chunk j of sample_sum: a product law's components added as sum(axis=1) adds them."""
+    """Chunk j of the vector X (a source) or of X_1 + ... + X_n (a product law),
+    shape (size, d); the components are added as sum(axis=1) adds them."""
     x = _draw_chunk(law, j, size, seed, stream)
     return x.sum(axis=1) if isinstance(law, ProductLaw) else x
-
-
-def _gather(draw, law, count, seed, threads, stream) -> np.ndarray:
-    """The ``count`` rows of a sample, chunk j drawn by draw(law, j, size, seed, stream)."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    return np.concatenate(map_chunks(lambda j, lo, hi: draw(law, j, hi - lo, seed, stream),
-                                     count, threads))
-
-
-def sample(law: Law, count: int, seed: int, threads: int = 1,
-           stream: tuple = ()) -> np.ndarray:
-    """Sample ``count`` vectors, shape (count, d), or for a product law
-    ``count`` outcome tuples, shape (count, n, d).
-
-    Deterministic in (seed, count, stream); bit-identical for any thread
-    count.  ``stream`` is an integer path prefix that isolates independent
-    uses of the same master seed.
-    """
-    return _gather(_draw_chunk, law, count, seed, threads, stream)
-
-
-def sample_sum(law: Law, count: int, seed: int, threads: int = 1,
-               stream: tuple = ()) -> np.ndarray:
-    """Sample the vector X (for a plain source) or X_1+...+X_n (for a product law)."""
-    return _gather(sample_sum_chunk, law, count, seed, threads, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -397,32 +375,6 @@ def enumerate_sum(law: Law):
         vectors, probs = _merge_atoms(
             (vectors[:, None, :] + c.vectors()).reshape(len(masses), -1), masses)
     return vectors, probs
-
-
-# ---------------------------------------------------------------------------
-# constructions
-
-
-def thin(source: Source, p: float):
-    """Bernoulli thinning delta * X with P(delta = 1) = p.
-
-    Finite-support input yields the exact thinned finite-support law
-    (the zero atom gains mass 1 - p); sampler input is wrapped.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"keep-probability must lie in (0, 1], got {p}")
-    if isinstance(source, FiniteSupportDist):
-        if p == 1.0:
-            return source
-        zero = (0.0,) * source.dimension
-        masses = {}
-        for vec, q in source.atoms:
-            key = tuple(float(x) for x in vec)
-            masses[key] = masses.get(key, 0.0) + p * q
-        masses[zero] = masses.get(zero, 0.0) + (1.0 - p)
-        atoms = tuple(sorted(masses.items()))
-        return FiniteSupportDist(dimension=source.dimension, atoms=atoms)
-    return bernoulli_thinned(source, p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
                             enumerate_sum, sample_sum_chunk)
 from .errors import ParameterError, PreconditionError
 from .geometry import norm_family, norm_to_spec
-from .inequalities import SIGN_ENUMERATION_CAP, signed_mean_over_outcomes
-from .rng import map_chunks, substream
+from .inequalities import _check_cap, signed_mean_over_outcomes
+from .rng import map_chunks
 from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
                     worst_verdict)
 
@@ -65,7 +64,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     if isinstance(law, (FiniteSupportDist, ProductLaw)) and exact_capable(law):
         vectors, probs = enumerate_sum(law)
         vectors = np.asfortranarray(vectors)  # every norm reads it transposed, copy-free
-        values = (np.atleast_1d(norm.evaluate(vectors)) for norm in norms)
+        values = (norm.evaluate(vectors) for norm in norms)
         return [[TailEstimate.from_exact(float(probs[vals > t].sum()))
                  for t in thresholds] for vals in values]
     survival = analytic_survival(law)
@@ -79,7 +78,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     def count_chunk(j, lo, hi):
         xs = np.asfortranarray(sample_sum_chunk(law, j, hi - lo, seed, stream))
         return [[np.count_nonzero(vals > t) for t in thresholds]
-                for vals in (np.atleast_1d(norm.evaluate(xs)) for norm in norms)]
+                for vals in (norm.evaluate(xs) for norm in norms)]
     counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)
     return [[TailEstimate.from_counts(int(k), estimator.budget, estimator.confidence)
              for k in row] for row in counts]
@@ -187,7 +186,6 @@ class ProxyValue:
     method: str  # "exact" or "mc"
     stderr: float = 0.0
     outer_samples: int = 0
-    inner: str = "exact"
 
     def __post_init__(self):
         if not (-1e-12 <= self.value <= 1.0 + 1e-12):
@@ -207,47 +205,25 @@ def proxy_exact(law: ProductLaw, norm) -> ProxyValue:
 
 
 def proxy_mc(law: ProductLaw, norm, outer_budget: int, seed: int,
-             inner_budget: Optional[int] = None, threads: int = 1) -> ProxyValue:
-    """Monte-Carlo proxy: outer expectation sampled, inner sign mean exact
-    whenever n is within the enumeration cap (inner MC noise enters the
-    clamp nonlinearly, so the exact inner is preferred); no result depends
-    on ``threads``."""
+             threads: int = 1) -> ProxyValue:
+    """Monte-Carlo proxy: the outer expectation sampled on the (seed, 3)
+    substreams, one rng.CHUNK of outcome tuples at a time, and the inner sign
+    mean exact for each tuple.  More than SIGN_ENUMERATION_CAP summands raise
+    CapacityError before anything is drawn; no result depends on ``threads``."""
     if outer_budget < 1:
         raise ParameterError("outer budget must be >= 1")
-    if inner_budget is not None and inner_budget < 1:
-        raise ParameterError("inner budget must be >= 1")
-    inner_exact = law.n <= SIGN_ENUMERATION_CAP
-    inner_budget = 4096 if inner_budget is None else inner_budget
+    _check_cap(law.n)
 
     def moments(j, lo, hi):
         outcomes = _draw_chunk(law, j, hi - lo, seed, (3,))
-        if inner_exact:
-            inner = signed_mean_over_outcomes(outcomes, norm)
-        else:
-            inner = _inner_sign_mc(outcomes, norm, inner_budget, seed, j)
-        vals = np.minimum(inner, 1.0)
+        vals = np.minimum(signed_mean_over_outcomes(outcomes, norm), 1.0)
         return float(vals.sum()), float((vals * vals).sum())
     chunks = map_chunks(moments, outer_budget, threads)
     mean = sum(total for total, _ in chunks) / outer_budget
     var = max(sum(total_sq for _, total_sq in chunks) / outer_budget - mean * mean, 0.0)
     stderr = math.sqrt(var / outer_budget)
     return ProxyValue(value=min(mean, 1.0), method="mc", stderr=stderr,
-                      outer_samples=outer_budget,
-                      inner="exact" if inner_exact else f"mc({inner_budget})")
-
-
-def _inner_sign_mc(outcomes: np.ndarray, norm, budget: int, seed: int,
-                   j: int) -> np.ndarray:
-    m, n, d = outcomes.shape
-    rng = substream(seed, 4, j)
-    acc = np.zeros(m)
-    step = max(1, (1 << 22) // (m * d))
-    for lo in range(0, budget, step):
-        eps = rng.integers(0, 2, size=(min(step, budget - lo), n)) * 2.0 - 1.0
-        sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
-        vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(len(eps), m)
-        acc += np.maximum(vals - 1.0, 0.0).sum(axis=0)
-    return acc / budget
+                      outer_samples=outer_budget)
 
 
 def proxy_bound_check(law: ProductLaw, norm, alpha: float):
@@ -267,21 +243,17 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
 # the per-summand domination premise
 
 
-def _recheck_premise(sums: DominationQuery, kappa: float, lam: float, seed: int,
-                     threads: int = 1):
-    """Re-verify that each pair (X_i, Y_i) of the sums is (kappa, lambda)-dominated.
+def _recheck_premises(parts, check, seed: int, offset: int, failure: str):
+    """Re-verify the premise of each part i of a sum.
 
-    Pair i is checked with the sums' norms and estimator on the seed + 1000 + i
-    streams; the first violated norm raises PreconditionError.
+    check(part, seed + offset + i) returns a report with verdicts(); the
+    first part with a "violated" verdict raises
+    PreconditionError(failure.format(i=i, k=k)), k the index of that verdict.
     """
-    for i, (xi, yi) in enumerate(zip(sums.x.components, sums.y.components)):
-        rep = check_domination(replace(sums, x=xi, y=yi, kappa=kappa, lam=lam),
-                               seed=seed + 1000 + i, threads=threads)
-        for rec in rep.records:
-            if rec.verdict == "violated":
-                raise PreconditionError(
-                    f"pair {i} fails its ({kappa},{lam})-domination premise: "
-                    f"not dominated under norm {rec.index}")
+    for i, part in enumerate(parts):
+        verdicts = check(part, seed + offset + i).verdicts()
+        if "violated" in verdicts:
+            raise PreconditionError(failure.format(i=i, k=verdicts.index("violated")))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +283,12 @@ def tensorisation_experiment(pairs, kappa: float, lam: float, alpha: float,
     sums are then checked over the same family.
     """
     query = tensorisation_query(pairs, kappa, lam, alpha, norms, estimator)
-    _recheck_premise(query, kappa, lam, seed, threads)
+    _recheck_premises(
+        pairs, lambda pair, pair_seed: check_domination(
+            replace(query, x=pair[0], y=pair[1], kappa=kappa, lam=lam),
+            seed=pair_seed, threads=threads),
+        seed, 1000, f"pair {{i}} fails its ({kappa},{lam})-domination premise: "
+                    "not dominated under norm {k}")
     rep = check_domination(query, seed=seed, threads=threads)
     return replace(rep, meta=dict(rep.meta, experiment="tensorisation", alpha=alpha,
                                   input_kappa=kappa, input_lambda=lam))

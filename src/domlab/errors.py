@@ -30,6 +30,14 @@ def _spec_tag(spec, tag: str, keys: dict, context: str) -> str:
     return value
 
 
+def _spec_int(spec, key: str, context: str) -> int:
+    """spec[key], checked to be an integer; a bool or a float such as 2.5 raises."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{context}: {key} must be an integer, got {value!r}")
+    return value
+
+
 class CapacityError(RuntimeError):
     """An exact computation would exceed a configured size cap."""
 

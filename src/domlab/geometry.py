@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _spec_tag
+from .errors import ParameterError, _spec_int, _spec_tag
 from .rng import substream
 
 ELLIPSOID_CONDITION_CAP = 1e3
@@ -223,9 +223,11 @@ _NORM_KEYS = {  # variant -> its (required, optional) keys besides "variant"
 def norm_from_spec(spec: dict, context: str = "norm"):
     variant = _spec_tag(spec, "variant", _NORM_KEYS, context)
     if variant == "lp":
-        return LpNorm(dimension=int(spec["dimension"]), p=_p_from_spec(spec["p"]))
+        return LpNorm(dimension=_spec_int(spec, "dimension", context),
+                      p=_p_from_spec(spec["p"]))
     if variant == "weighted_lp":
-        return WeightedLpNorm(dimension=int(spec["dimension"]), p=_p_from_spec(spec["p"]),
+        return WeightedLpNorm(dimension=_spec_int(spec, "dimension", context),
+                              p=_p_from_spec(spec["p"]),
                               weights=tuple(float(w) for w in spec["weights"]))
     if variant == "ellipsoid":
         return EllipsoidNorm(matrix=tuple(tuple(float(v) for v in r)

@@ -1,22 +1,23 @@
-"""Exact and Monte-Carlo verifiers for classical sign/sum inequalities.
+"""Exact verifiers for classical sign/sum inequalities, and the sign tail by
+Monte Carlo.
 
 The exact engine enumerates sign patterns.  Because every quantity here
 depends on signs only through the norm of a sign-odd sum, the global flip
 eps -> -eps leaves it invariant, so enumeration runs over 2^(n-1)
 patterns with the first sign pinned to +1.  Each verifier reads every
 tail and moment it compares from one array of 2^(n-1) norm values (16 MB
-at the cap).  Monte-Carlo paths draw chunk j of rng.map_chunks on the
-substream (seed, *stream, j), so memory stays one chunk per thread.
+at the cap).  The sum inequalities convolve the law of a running state one
+summand at a time.  sign_tail_mc draws chunk j of rng.map_chunks on the
+substream (seed, 0, j), so memory stays one chunk per thread.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProductLaw, _draw_chunk, _merge_atoms, _step_masses
+from .distributions import ProductLaw, _merge_atoms, _step_masses
 from .errors import CapacityError, ParameterError
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
@@ -124,7 +125,7 @@ def sign_tail_mc(inst: SignInstance, t: float, budget: int, seed: int,
 
     def count_chunk(j, lo, hi):
         eps = substream(seed, 0, j).integers(0, 2, size=(hi - lo, inst.n)) * 2.0 - 1.0
-        return int(np.count_nonzero(np.atleast_1d(inst.norm.evaluate(eps @ inst.vectors)) > t))
+        return int(np.count_nonzero(inst.norm.evaluate(eps @ inst.vectors) > t))
     return TailEstimate.from_counts(sum(map_chunks(count_chunk, budget)), budget, confidence)
 
 
@@ -148,7 +149,7 @@ def signed_mean_over_outcomes(outcomes: np.ndarray, norm) -> np.ndarray:
     for eps in _eps_blocks(n, max_block=max_block):
         # column-major sums: the norm reads their transpose without a copy
         sums = np.einsum("bn,mnd->dbm", eps, outcomes, order="C").reshape(d, -1)
-        vals = np.atleast_1d(norm.evaluate(sums.T)).reshape(len(eps), m)
+        vals = norm.evaluate(sums.T).reshape(len(eps), m)
         acc += np.maximum(vals - 1.0, 0.0).sum(axis=0)
     return acc / half
 
@@ -207,20 +208,10 @@ def verify_contraction(vectors, a, b, norm) -> SlackReport:
 # sum inequalities for independent symmetric vectors
 
 
-def _sum_events(outcomes: np.ndarray, norm, s: float, t: float, u: float) -> np.ndarray:
-    """Event columns: S* > t, ||S_n|| > t, X* > t, X* > s, S* > s+t+u, ||S_n|| > u, ||X_j|| > t."""
-    m, n, d = outcomes.shape
-    xn = np.atleast_1d(norm.evaluate(outcomes.reshape(-1, d))).reshape(m, n)
-    partial = np.cumsum(outcomes, axis=1)
-    sn = np.atleast_1d(norm.evaluate(partial.reshape(-1, d))).reshape(m, n)
-    x_star, s_star, s_last = xn.max(axis=1), sn.max(axis=1), sn[:, -1]
-    return np.column_stack([s_star > t, s_last > t, x_star > t, x_star > s,
-                            s_star > s + t + u, s_last > u, xn > t])
-
-
 def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float):
-    """Exact probability of each _sum_events column, one summand at a time,
-    and q = P(X* <= t).
+    """Exact probabilities of S* > t, ||S_n|| > t, X* > t, X* > s,
+    S* > s+t+u and ||S_n|| > u, the sum of P(||X_j|| > t) over j, and
+    q = P(X* <= t), one summand at a time.
 
     A state is the partial sum S_k followed by the 0/1 flags S* > t,
     S* > s+t+u, X* > t and X* > s; each step pairs every state with every
@@ -229,76 +220,50 @@ def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float):
     each X_j alone, so q keeps full relative precision however small it is.
     """
     d = law.dimension
-    states, probs, p_x, q = np.zeros((1, d + 4)), np.ones(1), [], 1.0
+    states, probs, x_tails, q = np.zeros((1, d + 4)), np.ones(1), 0.0, 1.0
     for c in law.components:
-        xn = np.atleast_1d(norm.evaluate(c.vectors()))
-        p_x.append(float(c.probs()[xn > t].sum()))
+        xn = norm.evaluate(c.vectors())
+        x_tails += float(c.probs()[xn > t].sum())
         q *= float(c.probs()[xn <= t].sum())
         masses = _step_masses(probs, c)
         sums = (states[:, None, :d] + c.vectors()).reshape(len(masses), d)
-        sn = np.atleast_1d(norm.evaluate(sums)).reshape(len(probs), -1)
+        sn = norm.evaluate(sums).reshape(len(probs), -1)
         seen = np.stack(np.broadcast_arrays(sn > t, sn > s + t + u, xn > t, xn > s), axis=-1)
         flags = np.maximum(states[:, None, d:], seen).reshape(len(masses), 4)
         states, probs = _merge_atoms(np.hstack([sums, flags]), masses)
-    sn = np.atleast_1d(norm.evaluate(states[:, :d]))
+    sn = norm.evaluate(states[:, :d])
     sstar_t, sstar_stu, xstar_t, xstar_s = (states[:, d:] > 0.0).T
-    return [float(probs[col].sum())
-            for col in (sstar_t, sn > t, xstar_t, xstar_s, sstar_stu, sn > u)] + p_x, q
+    events = [float(probs[col].sum())
+              for col in (sstar_t, sn > t, xstar_t, xstar_s, sstar_stu, sn > u)]
+    return events + [x_tails], q
 
 
-def verify_sum_inequalities(law: ProductLaw, norm, levels: dict,
-                            estimator=None, seed: int = 0) -> dict:
-    """Levy / maximal-summand / Hoffmann-Jorgensen / summand-tail checks.
+def verify_sum_inequalities(law: ProductLaw, norm, levels: dict) -> dict:
+    """Levy / maximal-summand / Hoffmann-Jorgensen / summand-tail checks, exact.
 
-    levels supplies s, t, u.  With finite-support components and no
-    estimator or an exact one, the verdicts are exact: the law of the
-    running state (S_k and four flags) is convolved one summand at a time,
-    and PRODUCT_SUPPORT_CAP bounds the states of one step.  An
-    mc(budget, confidence) estimator samples instead, one rng.CHUNK of
-    outcome tuples at a time, and verdicts carry confidence intervals.  A
-    law with other components needs an mc estimator.
+    levels supplies s, t, u.  The components must have finite support: the
+    law of the running state (S_k and four flags) is convolved one summand
+    at a time, and PRODUCT_SUPPORT_CAP bounds the states of one step.
     Returns a dict of SlackReports keyed by inequality name; the
     summand-tail check is replaced by a "skipped" entry when
     P(X* > t) = 1, where its right-hand side is infinite.
     """
+    if not law.all_finite():
+        raise ParameterError("sum inequalities need finite-support components")
     s, t, u = float(levels["s"]), float(levels["t"]), float(levels["u"])
-    exact = law.all_finite() and (estimator is None or estimator.kind == "exact")
-    if exact:
-        events, q = _exact_sum_events(law, norm, s, t, u)
-        probs_of = [TailEstimate.from_exact(p) for p in events]
-        samples = 0
-    else:
-        if estimator is None or estimator.kind != "mc":
-            raise ParameterError("law has no exact tail path; use an mc estimator")
-        samples = estimator.budget
-
-        def count_chunk(j, lo, hi):
-            outcomes = _draw_chunk(law, j, hi - lo, seed, ())
-            return np.count_nonzero(_sum_events(outcomes, norm, s, t, u), axis=0)
-        counts = np.sum(map_chunks(count_chunk, samples), axis=0)
-        probs_of = [TailEstimate.from_counts(int(k), samples, estimator.confidence)
-                    for k in counts]
-    p_sstar_t, p_slast_t, p_xstar, p_xstar_s, p_sstar_stu, p_slast_u, *p_x = probs_of
+    events, q = _exact_sum_events(law, norm, s, t, u)
+    p_sstar_t, p_slast_t, p_xstar, p_xstar_s, p_sstar_stu, p_slast_u, x_tails = events
     reports = {
-        "levy": SlackReport.from_estimates("levy", p_sstar_t, 2.0 * p_slast_t, samples),
-        "max_summand": SlackReport.from_estimates(
-            "max_summand", p_xstar, 2.0 * p_slast_t, samples),
-        "hoffmann_jorgensen": SlackReport.from_estimates(
-            "hoffmann_jorgensen", p_sstar_stu, p_xstar_s + 2.0 * p_sstar_t * p_slast_u,
-            samples)}
-    # rhs = P(X* > t) / P(X* <= t); exactly, the denominator is q, not 1 - P(X* > t)
-    if exact and q > 0.0:
-        rhs = TailEstimate.from_exact(p_xstar.value / q)
-    elif not exact and p_xstar.value < 1.0:
-        rhs = TailEstimate(p_xstar.value / (1.0 - p_xstar.value),
-                           p_xstar.lo / (1.0 - p_xstar.lo),
-                           p_xstar.hi / (1.0 - p_xstar.hi) if p_xstar.hi < 1.0 else math.inf,
-                           False)
+        "levy": SlackReport.from_exact("levy", p_sstar_t, 2.0 * p_slast_t),
+        "max_summand": SlackReport.from_exact("max_summand", p_xstar, 2.0 * p_slast_t),
+        "hoffmann_jorgensen": SlackReport.from_exact(
+            "hoffmann_jorgensen", p_sstar_stu, p_xstar_s + 2.0 * p_sstar_t * p_slast_u)}
+    # rhs = P(X* > t) / P(X* <= t); the denominator is q, not 1 - P(X* > t)
+    if q > 0.0:
+        reports["summand_tails"] = SlackReport.from_exact("summand_tails", x_tails,
+                                                          p_xstar / q)
     else:
         reports["summand_tails"] = SlackReport(
             name="summand_tails", lhs=float("nan"), rhs=float("nan"), verdict=None,
-            method="exact" if exact else "mc", samples=samples, note="skipped")
-        return reports
-    lhs = sum(p_x, TailEstimate.from_exact(0.0))
-    reports["summand_tails"] = SlackReport.from_estimates("summand_tails", lhs, rhs, samples)
+            note="skipped")
     return reports

@@ -200,7 +200,7 @@ def schur_convexity_check(a, b, component: FiniteSupportDist, norm) -> SlackRepo
         if not parts:
             return 0.0  # the sum is 0 and (0 - 1)_+ = 0
         sums, masses = enumerate_sum(ProductLaw(tuple(parts)))
-        return float(masses @ np.maximum(np.atleast_1d(norm.evaluate(sums)) - 1.0, 0.0))
+        return float(masses @ np.maximum(norm.evaluate(sums) - 1.0, 0.0))
 
     return SlackReport.from_exact("schur_convexity", weighted_mean(a), weighted_mean(b))
 

@@ -47,12 +47,7 @@ def clopper_pearson(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE):
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """P(event) either exactly or with a two-sided confidence interval.
-
-    ``+`` and ``*`` combine estimates of nonnegative quantities endpoint by
-    endpoint, so a sum or product of enclosing intervals encloses the sum
-    or product of the true values.
-    """
+    """P(event) either exactly or with a two-sided confidence interval."""
 
     value: float
     lo: float
@@ -71,19 +66,6 @@ class TailEstimate:
         lo, hi = clopper_pearson(k, n, confidence)
         return TailEstimate(value=k / n, lo=lo, hi=hi, exact=False,
                             samples=n, confidence=confidence)
-
-    def __add__(self, other: "TailEstimate") -> "TailEstimate":
-        return TailEstimate(self.value + other.value, self.lo + other.lo,
-                            self.hi + other.hi, self.exact and other.exact)
-
-    def __mul__(self, other) -> "TailEstimate":
-        if isinstance(other, TailEstimate):
-            return TailEstimate(self.value * other.value, self.lo * other.lo,
-                                self.hi * other.hi, self.exact and other.exact)
-        return TailEstimate(self.value * other, self.lo * other, self.hi * other,
-                            self.exact)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         out = {"value": self.value, "exact": self.exact}
@@ -121,19 +103,17 @@ def compare_tails(px: TailEstimate, py: TailEstimate, factor: float) -> str:
 
 @dataclass(frozen=True)
 class SlackReport:
-    """One verified inequality lhs <= rhs.
+    """One inequality lhs <= rhs, verified exactly.
 
-    verdict is None when no claim was evaluated (note "skipped").  Monte
-    Carlo reports carry their verdict in note as well.
+    verdict is None when no claim was evaluated (note "skipped").
     """
 
     name: str
     lhs: float
     rhs: float
     verdict: Optional[str]
-    method: str = "exact"  # "exact" or "mc"
-    samples: int = 0
     note: str = ""
+    method = "exact"  # every report compares exact values
 
     @property
     def holds(self) -> bool:
@@ -144,25 +124,14 @@ class SlackReport:
         return self.rhs - self.lhs
 
     @staticmethod
-    def from_exact(name: str, lhs: float, rhs: float, note: str = "") -> "SlackReport":
-        return SlackReport.from_estimates(name, TailEstimate.from_exact(lhs),
-                                          TailEstimate.from_exact(rhs), note=note)
-
-    @staticmethod
-    def from_estimates(name: str, lhs: TailEstimate, rhs: TailEstimate,
-                       samples: int = 0, note: str = "") -> "SlackReport":
-        verdict = compare_tails(lhs, rhs, 1.0)
-        if lhs.exact and rhs.exact:
-            return SlackReport(name=name, lhs=lhs.value, rhs=rhs.value,
-                               verdict=verdict, note=note)
-        return SlackReport(name=name, lhs=lhs.value, rhs=rhs.value, verdict=verdict,
-                           method="mc", samples=samples, note=verdict)
+    def from_exact(name: str, lhs: float, rhs: float) -> "SlackReport":
+        verdict = compare_tails(TailEstimate.from_exact(lhs), TailEstimate.from_exact(rhs),
+                                1.0)
+        return SlackReport(name=name, lhs=lhs, rhs=rhs, verdict=verdict)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
                "holds": self.holds, "slack": self.slack, "method": self.method}
-        if self.samples:
-            out["samples"] = self.samples
         if self.note:
             out["note"] = self.note
         return out

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .distributions import Law, ProductLaw
-from .dominance import tail_table
-from .errors import ParameterError, PreconditionError
+from .dominance import _recheck_premises, tail_table
+from .errors import ParameterError
 from .geometry import norm_to_spec
 from .stats import (EXACT_SLACK_TOL, Estimator, TailEstimate, compare_tails,
                     worst_verdict)
@@ -179,12 +179,11 @@ def wb_sum_experiment(components: Sequence[Law], params: WBParams, norms,
     component); the sum is then checked against wb_tensorize_constants(params).
     """
     law = ProductLaw(tuple(components))
-    for j, comp in enumerate(law.components):
-        rep = check_wb(comp, params, norms, lambda_grid, estimator,
-                       seed=seed + 2000 + j, threads=threads)
-        if "violated" in rep.verdicts():
-            raise PreconditionError(
-                f"component {j} fails its WB({params.C},{params.delta},{params.theta}) premise")
+    _recheck_premises(
+        law.components, lambda comp, comp_seed: check_wb(
+            comp, params, norms, lambda_grid, estimator, seed=comp_seed, threads=threads),
+        seed, 2000,
+        f"component {{i}} fails its WB({params.C},{params.delta},{params.theta}) premise")
     tens = wb_tensorize_constants(params)
     rep = check_wb(law, tens, norms, lambda_grid, estimator, seed=seed,
                    threads=threads)

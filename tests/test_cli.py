@@ -194,14 +194,34 @@ _L2 = {"variant": "lp", "dimension": 2, "p": 2}
     (_example("inequality-suite", dimension=0), ["dimension must be in [1, 16]"]),
     (_example("schur", a=[1.0]), ["equal-length"]),
     (_example("schur", norm=_L2), ["norm dimension 2 != law dimension 1"]),
+    (_example("wb", source={"family": "pareto_tail", "exponent": math.nan}),
+     ["tail exponent must be positive and finite"]),
+    (_example("tail", thresholds=[0.5, math.nan]), ["thresholds", "finite numbers"]),
+    (_example("tail", source={"family": "scaled", "factor": math.inf,
+                              "inner": {"family": "pareto_tail", "exponent": 2.0}}),
+     ["scale factor must be nonzero and finite"]),
+    (_example("tail", source={"family": "symmetric_stable", "index": 1.0,
+                              "scale": math.nan},
+              estimator={"kind": "mc", "budget": 1000}),
+     ["scale must be positive and finite"]),
+    (_example("wb-sum", n=2.5), ["config[wb-sum]: n must be an integer"]),
+    (_example("inequality-suite", instances=1.9),
+     ["config[inequality-suite]: instances must be an integer"]),
+    (_example("domination", norms={"random": {"seed": 7.9, "dimension": 1, "size": 4}}),
+     ["norms.random: seed must be an integer"]),
 ], ids=["tensorize-no-pairs", "tensorize-kappa", "wb-sum-n0", "wb-sum-iid-and-components",
         "domination-kappa", "domination-lambda", "domination-2d-y", "domination-2d-norms",
         "wb-empty-grid", "wb-grid-below-1", "wb-2d-norm", "tail-threshold-string",
         "tail-2d-norm", "counterexample-kappa", "counterexample-n0", "inequality-suite-max-n",
-        "inequality-suite-dimension", "schur-short-a", "schur-2d-norm"])
+        "inequality-suite-dimension", "schur-short-a", "schur-2d-norm", "wb-nan-exponent",
+        "tail-nan-threshold", "tail-inf-scaled-factor", "tail-nan-stable-scale",
+        "wb-sum-fractional-n", "inequality-suite-fractional-instances",
+        "domination-fractional-norm-seed"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # Each catalog example with one edit; each once passed validate and then
-    # failed at run (or, for wb-sum, silently dropped iid and n).
+    # failed at run, or ran on a wrong input: wb-sum silently dropped iid and
+    # n, NaN or infinite parameters gave meaningless cells, and fractional
+    # counts were truncated.
     path = _write(tmp_path, cfg)
     assert main(["validate", path]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
@@ -543,7 +563,9 @@ def test_threads_flag_does_not_change_results(tmp_path):
 
 
 def test_dump_samples_writes_the_tail_batch(tmp_path):
-    from domlab import gaussian, sample_sum
+    from domlab import gaussian
+    from domlab.distributions import sample_sum_chunk
+    from domlab.rng import map_chunks
 
     cfg = dict(TAIL_CFG, seed=4, dump_samples=True,
                source={"family": "gaussian", "covariance": [[1.0, 0.3], [0.3, 0.5]]},
@@ -552,7 +574,9 @@ def test_dump_samples_writes_the_tail_batch(tmp_path):
     out = tmp_path / "mc"
     main(["run", _write(tmp_path, cfg), "--out", str(out), "--threads", "2"])
     assert json.loads((out / "report.json").read_text())["samples_file"] == "samples.csv"
-    expected = sample_sum(gaussian([[1.0, 0.3], [0.3, 0.5]]), 1000, 4, stream=(0,))
+    law = gaussian([[1.0, 0.3], [0.3, 0.5]])
+    expected = np.concatenate(map_chunks(
+        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 4, (0,)), 1000))
     rows = (out / "samples.csv").read_bytes().split(b"\r\n")
     assert rows[-1] == b""
     assert rows[:-1] == [",".join(format(x, ".17g") for x in row).encode()

@@ -9,9 +9,11 @@ from scipy.stats import levy_stable
 
 import domlab.distributions as distributions
 from domlab import (EXACT, CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
-                    absolute_value, analytic_survival, enumerate_sign_classes,
-                    enumerate_sum, gaussian, pareto_tail, sample, sample_sum,
-                    scaled_source, sum_of, symmetric_stable, tail_table, thin)
+                    absolute_value, analytic_survival, bernoulli_thinned,
+                    enumerate_sign_classes, enumerate_sum, gaussian, pareto_tail,
+                    scaled_source, sum_of, symmetric_stable, tail_table)
+from domlab.distributions import _draw_chunk, sample_sum_chunk
+from domlab.rng import CHUNK, map_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -151,43 +153,49 @@ def test_enumerate_sign_classes_keeps_one_atom_per_pair(monkeypatch):
 # sampling determinism
 
 
+def _sample(law, count, seed, threads=1, stream=(), draw=_draw_chunk):
+    """The count rows of draw's chunks over map_chunks, joined into one array."""
+    return np.concatenate(map_chunks(lambda j, lo, hi: draw(law, j, hi - lo, seed, stream),
+                                     count, threads))
+
+
 def test_sample_deterministic_in_seed():
     src = gaussian(np.eye(2))
-    a = sample(src, 1000, seed=5)
-    b = sample(src, 1000, seed=5)
-    c = sample(src, 1000, seed=6)
+    a = _sample(src, 1000, seed=5)
+    b = _sample(src, 1000, seed=5)
+    c = _sample(src, 1000, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_thread_count_invariant():
     src = sum_of([gaussian(np.eye(3)), scaled_source(gaussian(np.eye(3)), 2.0)])
-    a = sample(src, 200_000, seed=11, threads=1)
-    b = sample(src, 200_000, seed=11, threads=8)
+    a = _sample(src, 200_000, seed=11, threads=1)
+    b = _sample(src, 200_000, seed=11, threads=8)
     assert np.array_equal(a, b)
 
 
 def test_sample_streams_are_independent():
     src = pareto_tail(2.0)
-    a = sample(src, 1000, seed=7, stream=(1,))
-    b = sample(src, 1000, seed=7, stream=(2,))
+    a = _sample(src, 1000, seed=7, stream=(1,))
+    b = _sample(src, 1000, seed=7, stream=(2,))
     assert not np.array_equal(a, b)
 
 
 def test_sample_prefix_stability():
     # Chunked substreams: the first chunk of a longer run equals a shorter run.
     src = gaussian([[1.0]])
-    short = sample(src, 1 << 16, seed=3)
-    long = sample(src, (1 << 16) + 500, seed=3)
-    assert np.array_equal(short, long[: 1 << 16])
+    short = _sample(src, CHUNK, seed=3)
+    long = _sample(src, CHUNK + 500, seed=3)
+    assert np.array_equal(short, long[:CHUNK])
 
 
 def test_sample_outcomes_columns_differ():
     law = ProductLaw((gaussian(np.eye(1)), gaussian(np.eye(1))))
-    out = sample(law, 1000, seed=1)
+    out = _sample(law, 1000, seed=1)
     assert out.shape == (1000, 2, 1)
     assert not np.array_equal(out[:, 0, :], out[:, 1, :])
-    total = sample_sum(law, 1000, seed=1)
+    total = _sample(law, 1000, seed=1, draw=sample_sum_chunk)
     assert np.allclose(total, out.sum(axis=1))
 
 
@@ -201,7 +209,7 @@ def _empirical_tail(xs, t):
 
 def test_gaussian_sampler_matches_covariance():
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    xs = sample(gaussian(cov), 200_000, seed=42)
+    xs = _sample(gaussian(cov), 200_000, seed=42)
     assert np.allclose(np.cov(xs.T), cov, atol=0.05)
     assert abs(xs.mean()) < 0.01
 
@@ -213,7 +221,7 @@ def test_gaussian_rejects_non_psd():
 
 def test_pareto_tail_sampler_matches_survival():
     # [DERIVED] P(|X| > t) = t^-2 for the exponent-2 source.
-    xs = sample(pareto_tail(2.0), 400_000, seed=9)[:, 0]
+    xs = _sample(pareto_tail(2.0), 400_000, seed=9)[:, 0]
     surv = analytic_survival(pareto_tail(2.0))
     for t in (1.0, 2.0, 5.0):
         assert _empirical_tail(xs, t) == pytest.approx(surv(t), abs=0.01)
@@ -225,7 +233,7 @@ def test_stable_half_sampler_matches_levy_stable():
     # [DERIVED] index 1/2 is sampled by Chambers-Mallows-Stuck like every
     # index; its two-sided tail is 2 levy_stable.sf(t, 0.5, 0), heavy enough
     # that P(|X| > 100) ~ 0.077.  No closed form is offered for any index.
-    xs = sample(symmetric_stable(0.5, scale=1.0), 400_000, seed=13)[:, 0]
+    xs = _sample(symmetric_stable(0.5, scale=1.0), 400_000, seed=13)[:, 0]
     for t in (0.5, 1.0, 4.0, 100.0):
         assert _empirical_tail(xs, t) == pytest.approx(
             2.0 * float(levy_stable.sf(t, 0.5, 0.0)), abs=0.01)
@@ -235,14 +243,14 @@ def test_stable_half_sampler_matches_levy_stable():
 
 def test_stable_two_is_gaussian_variance_two():
     # [DERIVED] index 2 with unit scale is N(0, 2).
-    xs = sample(symmetric_stable(2.0), 400_000, seed=17)[:, 0]
+    xs = _sample(symmetric_stable(2.0), 400_000, seed=17)[:, 0]
     assert xs.var() == pytest.approx(2.0, abs=0.05)
     assert abs(xs.mean()) < 0.01
 
 
 def test_stable_one_is_cauchy():
     # [DERIVED] index 1 is standard Cauchy: P(|X| > 1) = 1/2.
-    xs = sample(symmetric_stable(1.0), 400_000, seed=19)[:, 0]
+    xs = _sample(symmetric_stable(1.0), 400_000, seed=19)[:, 0]
     assert _empirical_tail(xs, 1.0) == pytest.approx(0.5, abs=0.01)
 
 
@@ -257,20 +265,7 @@ def test_scaled_and_thinned_survival():
     base = pareto_tail(2.0)
     surv = analytic_survival(scaled_source(base, 3.0))
     assert surv(6.0) == pytest.approx((6.0 / 3.0) ** -2, abs=1e-15)
-    surv = analytic_survival(thin(base, 0.5))
+    surv = analytic_survival(bernoulli_thinned(base, 0.5))
     assert surv(2.0) == pytest.approx(0.5 * 0.25, abs=1e-15)
     assert analytic_survival(gaussian(np.eye(2))) is None
-
-
-def test_thin_finite_exact():
-    law = thin(FiniteSupportDist.rademacher(), 0.25)
-    masses = dict(law.atoms)
-    assert masses[(0.0,)] == pytest.approx(0.75, abs=1e-15)
-    assert masses[(1.0,)] == pytest.approx(0.125, abs=1e-15)
-    assert masses[(-1.0,)] == pytest.approx(0.125, abs=1e-15)
-
-
-def test_thin_keep_one_is_identity():
-    law = FiniteSupportDist.rademacher()
-    assert thin(law, 1.0) is law
 

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import domlab.dominance as dominance
-from domlab import (PRODUCT_SUPPORT_CAP, DominationQuery, Estimator, FiniteSupportDist,
-                    LpNorm, ParameterError, PreconditionError, ProductLaw, SignInstance,
-                    TailEstimate, WBParams, absolute_value, bernoulli_thinned,
-                    check_domination, check_wb, euclidean, exact_capable, gaussian,
-                    pareto_tail, proxy_bound_check, proxy_exact, proxy_mc,
-                    random_norm_family, sample_sum, scale_norm, sign_mean_exact,
-                    signed_mean_over_outcomes, tail_probability, tail_table,
-                    tensorisation_experiment)
-from domlab.rng import CHUNK
+from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimator,
+                    FiniteSupportDist, LpNorm, ParameterError, PreconditionError,
+                    ProductLaw, SignInstance, TailEstimate, WBParams, absolute_value,
+                    bernoulli_thinned, check_domination, check_wb, euclidean,
+                    exact_capable, gaussian, pareto_tail, proxy_bound_check,
+                    proxy_exact, proxy_mc, random_norm_family, scale_norm,
+                    sign_mean_exact, signed_mean_over_outcomes, tail_probability,
+                    tail_table, tensorisation_experiment)
+from domlab.distributions import sample_sum_chunk
+from domlab.rng import CHUNK, map_chunks
 
 EXACT = Estimator("exact")
 
@@ -114,7 +115,8 @@ def test_tail_table_mc_cells_are_counts_on_one_batch():
     thresholds = [0.5, 1.0, 2.5]
     est = Estimator("mc", budget=CHUNK + 4_000, confidence=0.95)
     table = tail_table(law, norms, thresholds, est, seed=8, stream=(7,), threads=2)
-    samples = sample_sum(law, est.budget, 8, stream=(7,))
+    samples = np.concatenate(map_chunks(
+        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 8, (7,)), est.budget))
     for norm, row in zip(norms, table):
         vals = norm.evaluate(samples)
         assert row == [TailEstimate.from_counts(int(np.count_nonzero(vals > t)),
@@ -308,26 +310,23 @@ def test_proxy_mc_matches_exact():
     law = ProductLaw((RAD,) * 3)
     mc = proxy_mc(law, absolute_value(), outer_budget=20_000, seed=6)
     assert mc.value == pytest.approx(0.5, abs=0.005)
-    assert mc.inner == "exact"
 
 
-def test_proxy_mc_rejects_a_bad_inner_budget():
-    law = ProductLaw((RAD,) * 23)  # past the sign cap: the inner mean is MC
-    for bad in (-3, 0):
-        with pytest.raises(ParameterError, match="inner budget"):
-            proxy_mc(law, absolute_value(), outer_budget=10, seed=1, inner_budget=bad)
-    mc = proxy_mc(law, absolute_value(), outer_budget=10, seed=1, inner_budget=64)
-    assert mc.value == 1.0 and mc.inner == "mc(64)"
+def test_proxy_mc_past_the_sign_cap_raises_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("proxy_mc drew outcomes past the sign cap")
+    monkeypatch.setattr(dominance, "_draw_chunk", no_draws)
+    with pytest.raises(CapacityError, match="23 summands exceed"):
+        proxy_mc(ProductLaw((RAD,) * 23), absolute_value(), outer_budget=10, seed=1)
 
 
 def test_proxy_mc_is_thread_free():
-    # Both inner branches, and an outer budget with a partial last chunk.
-    for law, inner in ((ProductLaw((HALF, RAD, HALF)), "exact"),
-                       (ProductLaw((FiniteSupportDist.rademacher(0.1),) * 23), "mc(8)")):
-        runs = [proxy_mc(law, absolute_value(), outer_budget=CHUNK + 77, seed=4,
-                         inner_budget=8, threads=threads) for threads in (1, 3)]
-        assert runs[0] == runs[1]
-        assert runs[0].inner == inner and 0.0 < runs[0].value < 1.0
+    # An outer budget with a partial last chunk.
+    law = ProductLaw((HALF, RAD, HALF))
+    runs = [proxy_mc(law, absolute_value(), outer_budget=CHUNK + 77, seed=4,
+                     threads=threads) for threads in (1, 3)]
+    assert runs[0] == runs[1]
+    assert 0.0 < runs[0].value < 1.0
 
 
 def test_proxy_bounds_random_laws():

@@ -2,20 +2,17 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from domlab import (EXACT, CapacityError, EllipsoidNorm, Estimator,
-                    FiniteSupportDist, LpNorm, ParameterError, PolytopeGauge,
-                    ProductLaw, SignInstance, WeightedLpNorm, absolute_value,
-                    euclidean, gaussian, pareto_tail, scale_norm, sign_mean_exact,
-                    sign_tail_exact, sign_tail_mc, signed_mean_over_outcomes,
-                    verify_L1L2, verify_PZ, verify_contraction, verify_kahane,
-                    verify_sum_inequalities)
+from domlab import (CapacityError, EllipsoidNorm, FiniteSupportDist, LpNorm,
+                    ParameterError, PolytopeGauge, ProductLaw, SignInstance,
+                    WeightedLpNorm, absolute_value, euclidean, gaussian, scale_norm,
+                    sign_mean_exact, sign_tail_exact, sign_tail_mc,
+                    signed_mean_over_outcomes, verify_L1L2, verify_PZ,
+                    verify_contraction, verify_kahane, verify_sum_inequalities)
 from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _sign_norms
-from domlab.rng import CHUNK
 
 
 def _brute_tail(vectors, norm, t):
@@ -358,59 +355,7 @@ def test_sum_inequalities_skip_when_rhs_infinite():
     assert reports["summand_tails"].note == "skipped"
 
 
-def test_sum_inequalities_mc_path():
+def test_sum_inequalities_need_finite_components():
     law = ProductLaw((gaussian([[1.0]]),) * 3)
-    reports = verify_sum_inequalities(law, absolute_value(),
-                                      {"s": 1.0, "t": 1.0, "u": 1.0},
-                                      estimator=Estimator("mc", budget=100_000),
-                                      seed=5)
-    for name, rep in reports.items():
-        assert rep.method == "mc"
-        assert rep.holds or rep.note == "inconclusive", name
-    with pytest.raises(ParameterError, match="estimator"):
-        verify_sum_inequalities(law, absolute_value(),
-                                {"s": 1.0, "t": 1.0, "u": 1.0})
-
-
-def test_sum_inequalities_follow_the_estimator_kind():
-    levels = {"s": 1.0, "t": 1.0, "u": 1.0}
-    law = ProductLaw((FiniteSupportDist.rademacher(),) * 3)
-    exact = verify_sum_inequalities(law, absolute_value(), levels, estimator=EXACT)
-    default = verify_sum_inequalities(law, absolute_value(), levels)
-    assert all(rep.method == "exact" and rep.samples == 0 for rep in exact.values())
-    assert {k: r.to_json() for k, r in exact.items()} == \
-        {k: r.to_json() for k, r in default.items()}
-    gauss = ProductLaw((gaussian([[1.0]]),) * 3)
-    for est in (EXACT, Estimator("exact", budget=1000)):
-        with pytest.raises(ParameterError, match="no exact tail path"):
-            verify_sum_inequalities(gauss, absolute_value(), levels, estimator=est)
-
-
-def test_sum_inequalities_mc_memory_is_bounded_and_unchanged():
-    # Outcome tuples are drawn and counted one CHUNK at a time: a 16x larger
-    # budget must not raise the traced peak.  The draws are those of
-    # sample_outcomes(law, budget, seed), so the integer counts, and with
-    # them the reports, are pinned to the values of the whole-batch code.
-    law = ProductLaw((pareto_tail(2.0),) * 3)
-    levels = {"s": 2.0, "t": 3.0, "u": 4.0}
-
-    def run(budget):
-        return verify_sum_inequalities(law, absolute_value(), levels,
-                                       estimator=Estimator("mc", budget=budget), seed=2)
-
-    def peak(budget):
-        tracemalloc.start()
-        try:
-            run(budget)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(64 * CHUNK) <= 2 * peak(4 * CHUNK)
-    reports = run(4 * CHUNK + 123)
-    assert {name: (rep.lhs, rep.rhs, rep.verdict, rep.samples)
-            for name, rep in reports.items()} == {
-        "levy": (0.5317138641155769, 0.8383365044020026, "holds", 262267),
-        "max_summand": (0.2971551891774413, 0.8383365044020026, "holds", 262267),
-        "hoffmann_jorgensen": (0.053182443845394195, 0.8945297760613833, "holds", 262267),
-        "summand_tails": (0.3328020681214182, 0.4227891913005268, "holds", 262267)}
+    with pytest.raises(ParameterError, match="finite-support"):
+        verify_sum_inequalities(law, absolute_value(), {"s": 1.0, "t": 1.0, "u": 1.0})

@@ -50,13 +50,11 @@ RULE_TABLE = [
 @pytest.mark.parametrize("lhs,rhs,factor,expected", RULE_TABLE)
 def test_one_verdict_rule(lhs, rhs, factor, expected):
     assert compare_tails(lhs, rhs, factor) == expected
-    rep = SlackReport.from_estimates("claim", lhs, factor * rhs, samples=7)
-    assert rep.verdict == expected
-    assert rep.holds == (expected != "violated")
     if lhs.exact and rhs.exact:
-        assert (rep.method, rep.samples, rep.note) == ("exact", 0, "")
-    else:
-        assert (rep.method, rep.samples, rep.note) == ("mc", 7, expected)
+        rep = SlackReport.from_exact("claim", lhs.value, factor * rhs.value)
+        assert rep.verdict == expected
+        assert rep.holds == (expected != "violated")
+        assert (rep.method, rep.note) == ("exact", "")
 
 
 def test_check_domination_records_follow_the_rule():
