@@ -59,7 +59,7 @@ def _json_default(obj):
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
         fh.write("\n")
 
 

@@ -21,9 +21,9 @@ import numpy as np
 from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
                             check_dimension, gaussian, pareto_tail, sample_sum_chunk,
                             scaled_source, sum_of, symmetric_stable)
-from .dominance import (DominationQuery, check_domination, exact_capable,
-                        tail_table, tensorisation_experiment, tensorisation_query)
-from .errors import ParameterError, _check_spec, _spec_int, _spec_tag
+from .dominance import (DominationQuery, check_domination, tail_method, tail_table,
+                        tensorisation_experiment, tensorisation_query)
+from .errors import ParameterError, _check_count, _check_spec, _spec_tag
 from .geometry import (euclidean, norm_family, norm_from_spec, norm_to_spec,
                        random_norm_family)
 from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
@@ -55,9 +55,8 @@ _SOURCE_KEYS = {  # family -> its (required, optional) keys besides "family"
 def source_from_spec(spec: dict, context: str = "source"):
     fam = _spec_tag(spec, "family", _SOURCE_KEYS, context)
     if fam == "finite":
-        atoms = tuple((tuple(float(x) for x in vec), float(p))
-                      for vec, p in spec["atoms"])
-        return FiniteSupportDist(dimension=len(atoms[0][0]), atoms=atoms)
+        return FiniteSupportDist.from_pairs([vec for vec, _ in spec["atoms"]],
+                                            [float(p) for _, p in spec["atoms"]])
     if fam == "gaussian":
         return gaussian(spec["covariance"])
     if fam == "symmetric_stable":
@@ -80,10 +79,10 @@ def source_from_spec(spec: dict, context: str = "source"):
 def norms_from_spec(spec, context: str = "norms"):
     if isinstance(spec, dict) and "random" in spec:
         _check_spec(spec, ("random",), (), context)
-        keys = ("seed", "dimension", "size")
-        _check_spec(spec["random"], keys, (), context + ".random")
-        return random_norm_family(*(_spec_int(spec["random"], k, context + ".random")
-                                    for k in keys))
+        minimums = {"seed": 0, "dimension": 1, "size": 1}
+        _check_spec(spec["random"], tuple(minimums), (), context + ".random")
+        return random_norm_family(*(_check_count(spec["random"][k], f"{context}.random: {k}",
+                                                 minimum) for k, minimum in minimums.items()))
     if isinstance(spec, dict) and "list" in spec:
         _check_spec(spec, ("list",), (), context)
         return [norm_from_spec(s, f"{context}.list[{i}]")
@@ -114,6 +113,7 @@ def _prepare_tail(raw):
     law = source_from_spec(raw["source"])
     norms = norm_family(norms_from_spec(raw["norms"]), law.dimension)
     est = estimator_from_spec(raw["estimator"])
+    method = tail_method(law, est)
     thresholds = [float(t) for t in raw["thresholds"]]
     if not thresholds or not all(map(math.isfinite, thresholds)):
         raise ParameterError("config[tail]: thresholds must be a nonempty list of "
@@ -131,7 +131,7 @@ def _prepare_tail(raw):
         report = {"kind": "tail", "cells": cells}
         tables = {"tails.csv": (("norm_index", "threshold", "value", "lo", "hi"),
                                 csv_rows)}
-        if raw.get("dump_samples") and est.kind == "mc" and not exact_capable(law):
+        if raw.get("dump_samples") and method == "mc":
             report["samples_file"] = "samples.csv"
             tables["samples.csv"] = (None, _sample_chunks(law, est.budget, raw["seed"]))
         return report, tables, []
@@ -191,6 +191,7 @@ def _prepare_wb(raw):
     norms = norm_family(norms_from_spec(raw["norms"]), law.dimension)
     grid = wb_lambda_grid(raw["lambda_grid"])
     est = estimator_from_spec(raw["estimator"])
+    tail_method(law, est)
 
     def run(threads):
         rep = check_wb(law, params, norms, grid, est, seed=raw["seed"], threads=threads)
@@ -205,7 +206,7 @@ def _prepare_wb_sum(raw):
         comps = [source_from_spec(c, f"components[{i}]")
                  for i, c in enumerate(raw["components"])]
     elif "iid" in raw and "n" in raw:
-        n = _spec_int(raw, "n", "config[wb-sum]")
+        n = _check_count(raw["n"], "config[wb-sum]: n", 0)  # ProductLaw rejects 0
         comps = [source_from_spec(raw["iid"], "iid")] * n
     else:
         raise ParameterError("config[wb-sum]: need components or iid + n")
@@ -215,6 +216,7 @@ def _prepare_wb_sum(raw):
     norms = norm_family(norms_from_spec(raw["norms"]), law.dimension)
     grid = wb_lambda_grid(raw["lambda_grid"])
     est = estimator_from_spec(raw["estimator"])
+    tail_method(law, est)  # the sum has an exact path only if every component does
 
     def run(threads):
         rep = wb_sum_experiment(law.components, params, norms, grid, est,
@@ -278,13 +280,10 @@ def _random_finite_component(rng, d, pairs):
 
 
 def _prepare_inequality_suite(raw):
-    instances, max_n, d, product_laws = (
-        _spec_int(raw, k, "config[inequality-suite]")
-        for k in ("instances", "max_n", "dimension", "product_laws"))
-    if instances < 1 or max_n < 2 or product_laws < 0:
-        raise ParameterError("config[inequality-suite]: need instances >= 1, "
-                             "max_n >= 2 and product_laws >= 0")
-    check_dimension(d)
+    instances, max_n, product_laws = (
+        _check_count(raw[k], f"config[inequality-suite]: {k}", minimum)
+        for k, minimum in (("instances", 1), ("max_n", 2), ("product_laws", 0)))
+    d = check_dimension(raw["dimension"])
     norm = euclidean(d)
 
     def run(threads):
@@ -460,7 +459,7 @@ def validate_config(raw: dict) -> Callable:
     Returns the kind's run: run(threads) -> (report, tables, verdicts).
     """
     kind = _spec_tag(raw, "kind", _CONFIG_KEYS, "config")
-    _spec_int(raw, "seed", "config")  # no entropy defaults
+    _check_count(raw["seed"], "config: seed", 0)  # no entropy defaults
     return EXPERIMENTS[kind].prepare(raw)
 
 

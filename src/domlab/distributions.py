@@ -34,18 +34,17 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import erfc
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, _check_count, _param_rows
 from .rng import seed_sequence
+from .stats import EXACT_SLACK_TOL
 
 DIMENSION_CAP = 16
 PRODUCT_SUPPORT_CAP = 10**6
 
-_PROB_TOL = 1e-12
-
 
 def check_dimension(d: int) -> int:
-    """d, checked to lie in [1, DIMENSION_CAP]."""
-    if not (1 <= d <= DIMENSION_CAP):
+    """d, checked to be an integer in [1, DIMENSION_CAP]."""
+    if _check_count(d, "dimension", 1) > DIMENSION_CAP:
         raise ParameterError(f"dimension must be in [1, {DIMENSION_CAP}], got {d}")
     return d
 
@@ -64,32 +63,28 @@ class FiniteSupportDist:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        if not self.atoms:
-            raise ParameterError("finite-support law needs at least one atom")
+        rows = _param_rows([vec for vec, _ in self.atoms], "atom vectors")
+        if rows.shape[1] != self.dimension:
+            raise ParameterError("atom dimension mismatch")
         seen = {}
         total = 0.0
-        for vec, p in self.atoms:
-            if len(vec) != self.dimension:
-                raise ParameterError("atom dimension mismatch")
+        for key, (_, p) in zip(map(tuple, rows.tolist()), self.atoms):
             if not (0.0 < p <= 1.0):
                 raise ParameterError(f"atom probability {p} outside (0, 1]")
-            key = tuple(float(x) for x in vec)
             if key in seen:
                 raise ParameterError(f"duplicate atom location {key}")
             seen[key] = p
             total += p
-        if abs(total - 1.0) > _PROB_TOL:
+        if abs(total - 1.0) > EXACT_SLACK_TOL:
             raise ParameterError(f"atom probabilities sum to {total}, not 1")
         for key, p in seen.items():
-            if any(x != 0.0 for x in key):
-                mirror = tuple(-x for x in key)
-                q = seen.get(mirror)
-                if q is None or abs(q - p) > _PROB_TOL:
-                    raise ParameterError(f"missing or unbalanced mirror atom for {key}")
+            q = seen.get(tuple(-x for x in key))  # -0.0 == 0.0: zero mirrors itself
+            if q is None or abs(q - p) > EXACT_SLACK_TOL:
+                raise ParameterError(f"missing or unbalanced mirror atom for {key}")
 
     @staticmethod
     def from_pairs(vectors, probs) -> "FiniteSupportDist":
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+        vectors = _param_rows(vectors, "atom vectors")
         atoms = tuple((tuple(v), float(p)) for v, p in zip(vectors, probs))
         return FiniteSupportDist(dimension=vectors.shape[1], atoms=atoms)
 
@@ -137,15 +132,12 @@ class SamplerSource:
 
 def gaussian(covariance) -> SamplerSource:
     """Centered gaussian with the given symmetric PSD covariance matrix."""
-    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-    d = cov.shape[0]
-    if cov.shape != (d, d) or not np.allclose(cov, cov.T, atol=1e-10):
-        raise ParameterError("covariance must be a symmetric square matrix")
+    cov = _param_rows(covariance, "covariance", symmetric=True)
     w, v = np.linalg.eigh(cov)
     if w.min() < -1e-10 * max(1.0, w.max()):
         raise ParameterError("covariance must be positive semidefinite")
     factor = v * np.sqrt(np.clip(w, 0.0, None))  # X = factor @ Z
-    return SamplerSource(dimension=d, family="gaussian",
+    return SamplerSource(dimension=len(cov), family="gaussian",
                          params={"covariance": cov, "factor": factor})
 
 
@@ -195,12 +187,8 @@ def scaled_source(inner: Source, factor: float) -> SamplerSource:
 def sum_of(parts: Sequence[Source]) -> SamplerSource:
     """Sum of independent sources of equal dimension."""
     parts = tuple(parts)
-    if not parts:
-        raise ParameterError("sum_of needs at least one part")
-    d = parts[0].dimension
-    if any(p.dimension != d for p in parts):
-        raise ParameterError("sum_of parts must share dimension")
-    return SamplerSource(dimension=d, family="sum_of", params={"parts": parts})
+    return SamplerSource(dimension=ProductLaw(parts).dimension, family="sum_of",
+                         params={"parts": parts})
 
 
 @dataclass(frozen=True)
@@ -211,7 +199,7 @@ class ProductLaw:
 
     def __post_init__(self):
         if not self.components:
-            raise ParameterError("product law needs at least one component")
+            raise ParameterError("a product law or sum needs at least one component")
         d = self.components[0].dimension
         if any(c.dimension != d for c in self.components):
             raise ParameterError("all components must share dimension")

@@ -25,24 +25,34 @@ import numpy as np
 from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
                             analytic_survival, enumerate_sign_classes,
                             enumerate_sum, sample_sum_chunk)
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, _check_count
 from .geometry import norm_family, norm_to_spec
 from .inequalities import _check_cap, signed_mean_over_outcomes
 from .rng import map_chunks
-from .stats import (EXACT, Estimator, SlackReport, TailEstimate, compare_tails,
-                    worst_verdict)
+from .stats import (EXACT, EXACT_SLACK_TOL, Estimator, SlackReport, TailEstimate,
+                    compare_tails, worst_verdict)
 
 # ---------------------------------------------------------------------------
 # tail probabilities
 
 
+def tail_method(law: Law, estimator: Estimator) -> str:
+    """How tail_table computes tails of law, decided here only: "enumeration" for
+    finite support, "closed-form" where analytic_survival exists, else "mc", which
+    raises ParameterError for an exact estimator."""
+    if isinstance(law, FiniteSupportDist) or (isinstance(law, ProductLaw)
+                                              and law.all_finite()):
+        return "enumeration"
+    if analytic_survival(law) is not None:
+        return "closed-form"
+    if estimator.kind != "mc":
+        raise ParameterError("law has no exact tail path; use an mc estimator")
+    return "mc"
+
+
 def exact_capable(law: Law) -> bool:
     """True when tail probabilities of ||X|| admit an exact path."""
-    if isinstance(law, FiniteSupportDist):
-        return True
-    if isinstance(law, ProductLaw):
-        return law.all_finite()
-    return analytic_survival(law) is not None
+    return tail_method(law, Estimator("mc")) != "mc"
 
 
 def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
@@ -50,7 +60,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     """P(||X|| > t) for every norm and threshold (sum law for a ProductLaw).
 
     Returns one row of TailEstimates per norm, one entry per threshold.
-    This is the one place that picks the method: a finite-support law is
+    tail_method picks the method: a finite-support law is
     enumerated once and summed exactly over its atoms; a scalar source
     with a closed-form survival function is read through each norm's
     scalar factor (every norm on R^1 is f * |x|); anything else is sampled
@@ -61,19 +71,18 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     """
     norms = norm_family(norms, law.dimension)
     thresholds = [float(t) for t in thresholds]
-    if isinstance(law, (FiniteSupportDist, ProductLaw)) and exact_capable(law):
+    method = tail_method(law, estimator)
+    if method == "enumeration":
         vectors, probs = enumerate_sum(law)
         vectors = np.asfortranarray(vectors)  # every norm reads it transposed, copy-free
         values = (norm.evaluate(vectors) for norm in norms)
         return [[TailEstimate.from_exact(float(probs[vals > t].sum()))
                  for t in thresholds] for vals in values]
-    survival = analytic_survival(law)
-    if survival is not None:
+    if method == "closed-form":
+        survival = analytic_survival(law)
         factors = [float(norm.evaluate(np.array([1.0]))) for norm in norms]
         return [[TailEstimate.from_exact(float(survival(t / f))) for t in thresholds]
                 for f in factors]
-    if estimator.kind != "mc":
-        raise ParameterError("law has no exact tail path; use an mc estimator")
 
     def count_chunk(j, lo, hi):
         xs = np.asfortranarray(sample_sum_chunk(law, j, hi - lo, seed, stream))
@@ -95,9 +104,9 @@ def tail_probability(law: Law, norm, threshold: float, estimator: Estimator,
 
 
 def check_domination_constants(kappa: float, lam: float):
-    """Raise unless kappa and lambda are >= 1, as every domination claim needs."""
-    if not (kappa >= 1.0 and lam >= 1.0):  # NaN fails too
-        raise ParameterError("kappa and lambda must be >= 1")
+    """Raise unless kappa and lambda are finite and >= 1, as domination needs."""
+    if not (1.0 <= kappa < math.inf and 1.0 <= lam < math.inf):  # NaN fails too
+        raise ParameterError("kappa and lambda must be >= 1 and finite")
 
 
 def _check_alpha(alpha: float):
@@ -119,6 +128,8 @@ class DominationQuery:
         if self.x.dimension != self.y.dimension:
             raise ParameterError("laws must share dimension")
         object.__setattr__(self, "norms", norm_family(self.norms, self.x.dimension))
+        tail_method(self.x, self.estimator)
+        tail_method(self.y, self.estimator)
 
 
 @dataclass(frozen=True)
@@ -188,7 +199,7 @@ class ProxyValue:
     outer_samples: int = 0
 
     def __post_init__(self):
-        if not (-1e-12 <= self.value <= 1.0 + 1e-12):
+        if not (-EXACT_SLACK_TOL <= self.value <= 1.0 + EXACT_SLACK_TOL):
             raise ParameterError(f"proxy value {self.value} outside [0, 1]")
 
 
@@ -210,8 +221,7 @@ def proxy_mc(law: ProductLaw, norm, outer_budget: int, seed: int,
     substreams, one rng.CHUNK of outcome tuples at a time, and the inner sign
     mean exact for each tuple.  More than SIGN_ENUMERATION_CAP summands raise
     CapacityError before anything is drawn; no result depends on ``threads``."""
-    if outer_budget < 1:
-        raise ParameterError("outer budget must be >= 1")
+    _check_count(outer_budget, "outer budget", 1)
     _check_cap(law.n)
 
     def moments(j, lo, hi):

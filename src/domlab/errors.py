@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the strict-key checks of specs."""
+"""Exception types shared across the package, the strict-key checks of specs,
+and the one reader of each kind of parameter: counts and rows of numbers."""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -30,12 +33,29 @@ def _spec_tag(spec, tag: str, keys: dict, context: str) -> str:
     return value
 
 
-def _spec_int(spec, key: str, context: str) -> int:
-    """spec[key], checked to be an integer; a bool or a float such as 2.5 raises."""
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{context}: {key} must be an integer, got {value!r}")
-    return value
+def _check_count(value, what: str, minimum: int) -> int:
+    """value as an int, checked to be an integer >= minimum; a bool or a float
+    such as 2.5 raises."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < minimum:
+        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _param_rows(rows, what: str, symmetric: bool = False) -> np.ndarray:
+    """rows as a read-only 2-d float array: nonempty, rectangular and finite, and
+    with symmetric=True a symmetric square matrix."""
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be equal-length rows of numbers") from None
+    if a.ndim != 2 or a.size == 0:
+        raise ParameterError(f"{what} must be a nonempty list of equal-length rows")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{what} entries must be finite")
+    if symmetric and (a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10)):
+        raise ParameterError(f"{what} must be a symmetric square matrix")
+    a.setflags(write=False)
+    return a
 
 
 class CapacityError(RuntimeError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _spec_int, _spec_tag
+from .errors import ParameterError, _check_count, _param_rows, _spec_tag
 from .rng import substream
 
 ELLIPSOID_CONDITION_CAP = 1e3
@@ -36,20 +36,6 @@ def _as_batch(x, d):
 
 def _ret(vals, single):
     return float(vals[0]) if single else vals
-
-
-def _param_rows(rows, what):
-    """rows as a read-only 2-d float array: nonempty, rectangular and finite."""
-    try:
-        a = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{what} must be equal-length rows of numbers") from None
-    if a.ndim != 2 or a.size == 0:
-        raise ParameterError(f"{what} must be a nonempty list of equal-length rows")
-    if not np.isfinite(a).all():
-        raise ParameterError(f"{what} entries must be finite")
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -74,8 +60,7 @@ class WeightedLpNorm:
     _w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ParameterError("weighted lp norm needs p >= 1")
+        LpNorm.__post_init__(self)  # p >= 1
         w = _param_rows([self.weights], "weight")
         if w.shape[1] != self.dimension or (w <= 0).any():
             raise ParameterError("weights must be positive, one per coordinate")
@@ -94,9 +79,7 @@ class EllipsoidNorm:
     _a: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _param_rows(self.matrix, "ellipsoid matrix")
-        if a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10):
-            raise ParameterError("ellipsoid matrix must be symmetric square")
+        a = _param_rows(self.matrix, "ellipsoid matrix", symmetric=True)
         if np.linalg.eigvalsh(a).min() <= 0:
             raise ParameterError("ellipsoid matrix must be positive definite")
         object.__setattr__(self, "_a", a)
@@ -222,12 +205,12 @@ _NORM_KEYS = {  # variant -> its (required, optional) keys besides "variant"
 
 def norm_from_spec(spec: dict, context: str = "norm"):
     variant = _spec_tag(spec, "variant", _NORM_KEYS, context)
-    if variant == "lp":
-        return LpNorm(dimension=_spec_int(spec, "dimension", context),
-                      p=_p_from_spec(spec["p"]))
-    if variant == "weighted_lp":
-        return WeightedLpNorm(dimension=_spec_int(spec, "dimension", context),
-                              p=_p_from_spec(spec["p"]),
+    if variant in ("lp", "weighted_lp"):
+        d = _check_count(spec["dimension"], f"{context}: dimension", 1)
+        p = _p_from_spec(spec["p"])
+        if variant == "lp":
+            return LpNorm(dimension=d, p=p)
+        return WeightedLpNorm(dimension=d, p=p,
                               weights=tuple(float(w) for w in spec["weights"]))
     if variant == "ellipsoid":
         return EllipsoidNorm(matrix=tuple(tuple(float(v) for v in r)
@@ -278,8 +261,7 @@ def random_norm_family(seed: int, d: int, size: int):
     polytope gauges with at most 4d unit directions, weighted lp norms and
     rescalings.
     """
-    if size < 1:
-        raise ParameterError("family size must be >= 1")
+    _check_count(size, "family size", 1)
     rng = substream(seed, 0)
     norms = [LpNorm(dimension=d, p=2.0), LpNorm(dimension=d, p=1.0),
              LpNorm(dimension=d, p=np.inf)][:size]

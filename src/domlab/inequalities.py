@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductLaw, _merge_atoms, _step_masses
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, _check_count, _param_rows
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
 
@@ -34,10 +34,7 @@ class SignInstance:
     norm: object
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        object.__setattr__(self, "vectors", v)
-        if v.shape[0] < 1:
-            raise ParameterError("need at least one vector")
+        object.__setattr__(self, "vectors", _param_rows(self.vectors, "sign instance vectors"))
 
     @property
     def n(self) -> int:
@@ -120,8 +117,7 @@ def sign_tail_exact(inst: SignInstance, t: float) -> float:
 def sign_tail_mc(inst: SignInstance, t: float, budget: int, seed: int,
                  confidence: float = DEFAULT_CONFIDENCE) -> TailEstimate:
     """Monte-Carlo estimate of the sign tail with a Clopper-Pearson interval."""
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
+    _check_count(budget, "budget", 1)
 
     def count_chunk(j, lo, hi):
         eps = substream(seed, 0, j).integers(0, 2, size=(hi - lo, inst.n)) * 2.0 - 1.0

@@ -23,24 +23,20 @@ from .distributions import (FiniteSupportDist, ProductLaw, enumerate_sum,
                             scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, DominationReport, check_domination,
                         check_domination_constants, tail_table)
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, _check_count, _param_rows
 from .geometry import absolute_value, norm_family
-from .stats import Estimator, SlackReport, compare_tails
+from .stats import EXACT_SLACK_TOL, Estimator, SlackReport, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
 
 DEFAULT_TOL = 1e-9
-# Birkhoff peeling: residual mass below this fraction of T's unit row mass is
-# float noise, and so is an entry below this fraction of its row's remaining mass.
-_MASS_TOL = 1e-12
+# Averaging chain: a coordinate gap below this (relative to max |b|) is closed.
+_CHAIN_TOL = 1e-13
 
 
 def weight_pair(a, b):
-    """a and b as float arrays, checked to be equal-length sequences."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ParameterError("a and b must be equal-length sequences")
-    return a, b
+    """a and b as the two rows of a read-only float array, checked to be nonempty,
+    finite and of equal length."""
+    return _param_rows([a, b], "weights a and b")
 
 
 def _majorisation_violation(a, b) -> Optional[int]:
@@ -63,7 +59,7 @@ def _require_majorised(a, b):
     bad = _majorisation_violation(a, b)
     if bad is not None:
         raise PreconditionError(f"a is not majorised by b: partial sum {bad} violates")
-    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return weight_pair(a, b)
 
 
 def is_majorised(a, b) -> bool:
@@ -81,10 +77,10 @@ class PermutationMixture:
 
     def __post_init__(self):
         w = sum(t[1] for t in self.terms)
-        if abs(w - 1.0) > 1e-12:
+        if abs(w - 1.0) > EXACT_SLACK_TOL:
             raise ParameterError(f"weights sum to {w}, not 1")
         if np.max(np.abs(self.reconstruct() - np.asarray(self.a))) > DEFAULT_TOL:
-            raise ParameterError("mixture does not reconstruct a within 1e-9")
+            raise ParameterError(f"mixture does not reconstruct a within {DEFAULT_TOL}")
 
     def reconstruct(self) -> np.ndarray:
         b = np.asarray(self.b, dtype=float)
@@ -110,10 +106,10 @@ def _t_transform_chain(a_sorted: np.ndarray, b_sorted: np.ndarray):
     steps = []
     for _ in range(n):
         diff = c - a_sorted
-        if np.max(np.abs(diff)) <= 1e-13 * max(1.0, np.max(np.abs(b_sorted))):
+        if np.max(np.abs(diff)) <= _CHAIN_TOL * max(1.0, np.max(np.abs(b_sorted))):
             break
-        j = int(np.nonzero(diff > 1e-13)[0][0])
-        ks = np.nonzero(diff[j + 1:] < -1e-13)[0]
+        j = int(np.nonzero(diff > _CHAIN_TOL)[0][0])
+        ks = np.nonzero(diff[j + 1:] < -_CHAIN_TOL)[0]
         if len(ks) == 0:
             raise ParameterError("majorisation chain failed; inputs not majorised")
         k = j + 1 + int(ks[0])
@@ -159,11 +155,13 @@ def decompose(a, b) -> PermutationMixture:
     n = len(a)
     residual = _doubly_stochastic_matrix(a, b)
     terms = []
+    # Residual mass below EXACT_SLACK_TOL of T's unit row mass is float noise,
+    # and so is an entry below that fraction of its row's remaining mass.
     for _ in range((n - 1) ** 2 + 1):
         mass = residual.sum(axis=1, keepdims=True)
-        if mass.max() <= _MASS_TOL:
+        if mass.max() <= EXACT_SLACK_TOL:
             break
-        support = residual > _MASS_TOL * mass
+        support = residual > EXACT_SLACK_TOL * mass
         cost = np.full((n, n), np.inf)
         cost[support] = -np.log(residual[support])
         try:
@@ -173,7 +171,7 @@ def decompose(a, b) -> PermutationMixture:
         w = float(residual[rows, cols].min())
         terms.append((tuple(int(c) for c in cols), w))
         residual[rows, cols] -= w
-    if residual.sum(axis=1).max() > _MASS_TOL:
+    if residual.sum(axis=1).max() > EXACT_SLACK_TOL:
         raise ParameterError("extraction did not exhaust the matrix in the term budget")
     total = sum(w for _, w in terms)
     terms = [(p, w / total) for p, w in terms]  # absorb float residual
@@ -266,8 +264,9 @@ class CounterexampleRow:
     def ratio(self) -> float:
         return self.lhs / self.rhs if self.rhs > 0 else float("inf")
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio}
+    def to_json(self) -> dict:  # an infinite ratio (rhs = 0) is written as null
+        return {"n": self.n, "lhs": self.lhs, "rhs": self.rhs,
+                "ratio": self.ratio if self.rhs > 0 else None}
 
 
 @dataclass(frozen=True)
@@ -295,11 +294,9 @@ def counterexample_grid(delta: float, n_grid: Sequence[int], kappa: float,
     if not (0.0 < delta < 1.0):
         raise ParameterError("delta must lie in (0, 1)")
     check_domination_constants(kappa, lam)
-    if len(n_grid) == 0 or any(isinstance(n, bool) or not hasattr(n, "__index__")
-                               or n < 1 for n in n_grid):
-        raise ParameterError("n_grid must be a nonempty list of positive integers, "
-                             f"got {list(n_grid)}")
-    return sorted(int(n) for n in n_grid)
+    if len(n_grid) == 0:
+        raise ParameterError("n_grid must be nonempty")
+    return sorted(_check_count(n, f"n_grid[{i}]", 1) for i, n in enumerate(n_grid))
 
 
 def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,

@@ -7,9 +7,14 @@ from typing import Optional
 
 from scipy.special import betaincinv
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_count
 
 DEFAULT_CONFIDENCE = 0.99
+
+
+def _check_confidence(confidence: float):
+    if not (0.0 < confidence < 1.0):
+        raise ParameterError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -23,11 +28,9 @@ class Estimator:
     def __post_init__(self):
         if self.kind not in ("exact", "mc"):
             raise ParameterError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "mc" and (isinstance(self.budget, bool)
-                                  or not hasattr(self.budget, "__index__") or self.budget < 1):
-            raise ParameterError("mc budget must be an integer >= 1")
-        if not (0.0 < self.confidence < 1.0):
-            raise ParameterError("confidence must lie in (0, 1)")
+        if self.kind == "mc":
+            _check_count(self.budget, "mc budget", 1)
+        _check_confidence(self.confidence)
 
 
 EXACT = Estimator(kind="exact")
@@ -37,8 +40,7 @@ def clopper_pearson(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE):
     """Two-sided exact binomial confidence interval for k successes in n trials."""
     if not (0 <= k <= n) or n < 1:
         raise ParameterError("need 0 <= k <= n, n >= 1")
-    if not (0.0 < confidence < 1.0):
-        raise ParameterError("confidence must lie in (0, 1)")
+    _check_confidence(confidence)
     a = (1.0 - confidence) / 2.0
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))
@@ -75,7 +77,8 @@ class TailEstimate:
         return out
 
 
-# Slack below this (relative) is treated as float noise, not a violation.
+# The package's one float-noise tolerance: a slack below this (relative) is
+# not a violation, and masses or values closer than this are equal.
 EXACT_SLACK_TOL = 1e-12
 
 
@@ -130,8 +133,11 @@ class SlackReport:
         return SlackReport(name=name, lhs=lhs, rhs=rhs, verdict=verdict)
 
     def to_json(self) -> dict:
-        out = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-               "holds": self.holds, "slack": self.slack, "method": self.method}
+        # a skipped report's sides are NaN, written as null
+        lhs, rhs, slack = ((self.lhs, self.rhs, self.slack) if self.verdict is not None
+                           else (None, None, None))
+        out = {"name": self.name, "lhs": lhs, "rhs": rhs,
+               "holds": self.holds, "slack": slack, "method": self.method}
         if self.note:
             out["note"] = self.note
         return out

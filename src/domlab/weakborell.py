@@ -10,12 +10,13 @@ inherited inequality and the scalar recursion behind it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .distributions import Law, ProductLaw
 from .dominance import _recheck_premises, tail_table
-from .errors import ParameterError
+from .errors import ParameterError, _check_count
 from .geometry import norm_to_spec
 from .stats import (EXACT_SLACK_TOL, Estimator, TailEstimate, compare_tails,
                     worst_verdict)
@@ -28,10 +29,10 @@ class WBParams:
     theta: float
 
     def __post_init__(self):
-        if not self.C >= 1.0:  # NaN fails too
-            raise ParameterError("C must be >= 1")
-        if not self.delta > 0.0:
-            raise ParameterError("delta must be positive")
+        if not 1.0 <= self.C < math.inf:  # NaN fails too
+            raise ParameterError("C must be >= 1 and finite")
+        if not 0.0 < self.delta < math.inf:
+            raise ParameterError("delta must be positive and finite")
         if not (0.0 < self.theta < 1.0):
             raise ParameterError("theta must lie in (0, 1)")
 
@@ -51,12 +52,12 @@ def wb_tensorize_constants(params: WBParams) -> WBParams:
 
 
 def wb_lambda_grid(lambda_grid: Sequence[float]) -> list:
-    """The lambda grid as floats, checked to be nonempty with every point >= 1."""
+    """The lambda grid as floats, checked to be nonempty, finite and >= 1."""
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
         raise ParameterError("lambda grid must be nonempty")
-    if not all(l >= 1.0 for l in lambda_grid):  # NaN fails too
-        raise ParameterError("all lambda grid points must be >= 1")
+    if not all(1.0 <= l < math.inf for l in lambda_grid):  # NaN fails too
+        raise ParameterError("all lambda grid points must be >= 1 and finite")
     return lambda_grid
 
 
@@ -147,8 +148,7 @@ def recursion_bound(p0: float, params: WBParams, K: int):
     """
     if not (0.0 < p0 < 1.0):
         raise ParameterError("p0 must lie in (0, 1)")
-    if K < 0:
-        raise ParameterError("K must be >= 0")
+    _check_count(K, "K", 0)
     tens = wb_tensorize_constants(params)
     premise_ok = p0 < min(1.0 / 3.0, tens.theta)
     c, delta = params.C, params.delta

@@ -10,9 +10,10 @@ import numpy as np
 
 import pytest
 
-from domlab import (Estimator, ParameterError, bernoulli_thinned, norm_from_spec,
-                    pareto_tail, scaled_source, sum_of, symmetric_stable, tail_table)
-from domlab.cli import CATALOG, _write_csv, main
+from domlab import (CapacityError, Estimator, ParameterError, PreconditionError,
+                    bernoulli_thinned, norm_from_spec, pareto_tail, scaled_source, sum_of,
+                    symmetric_stable, tail_table)
+from domlab.cli import CATALOG, _json_default, _write_csv, main
 from domlab.config import EXPERIMENTS, source_from_spec, validate_config
 from domlab.rng import CHUNK
 
@@ -169,6 +170,7 @@ def _example(kind, **edits):
 
 
 _L2 = {"variant": "lp", "dimension": 2, "p": 2}
+_STABLE = {"family": "symmetric_stable", "index": 1.0}
 
 
 @pytest.mark.parametrize("cfg, messages", [
@@ -189,9 +191,9 @@ _L2 = {"variant": "lp", "dimension": 2, "p": 2}
     (_example("tail", thresholds=["x"]), ["could not convert"]),
     (_example("tail", norms={"list": [_L2]}), ["norm dimension 2 != law dimension 1"]),
     (_example("counterexample", kappa=0.5), ["kappa and lambda must be >= 1"]),
-    (_example("counterexample", n_grid=[0]), ["positive integers"]),
-    (_example("inequality-suite", max_n=1), ["max_n >= 2"]),
-    (_example("inequality-suite", dimension=0), ["dimension must be in [1, 16]"]),
+    (_example("counterexample", n_grid=[0]), ["n_grid[0] must be an integer >= 1"]),
+    (_example("inequality-suite", max_n=1), ["max_n must be an integer >= 2"]),
+    (_example("inequality-suite", dimension=0), ["dimension must be an integer >= 1"]),
     (_example("schur", a=[1.0]), ["equal-length"]),
     (_example("schur", norm=_L2), ["norm dimension 2 != law dimension 1"]),
     (_example("wb", source={"family": "pareto_tail", "exponent": math.nan}),
@@ -209,6 +211,22 @@ _L2 = {"variant": "lp", "dimension": 2, "p": 2}
      ["config[inequality-suite]: instances must be an integer"]),
     (_example("domination", norms={"random": {"seed": 7.9, "dimension": 1, "size": 4}}),
      ["norms.random: seed must be an integer"]),
+    (_example("tail", source=_STABLE), ["no exact tail path"]),
+    (_example("domination", y=_STABLE), ["no exact tail path"]),
+    (_example("tensorize", pairs=[{"x": _STABLE, "y": _STABLE}]), ["no exact tail path"]),
+    (_example("wb", source=_STABLE), ["no exact tail path"]),
+    (_example("wb-sum", iid=_STABLE, estimator={"kind": "exact"}), ["no exact tail path"]),
+    (_example("tail", source={"family": "gaussian", "covariance": [[math.inf]]}),
+     ["covariance entries must be finite"]),
+    (_example("tail", source={"family": "finite",
+                              "atoms": [[[math.inf], 0.5], [[-math.inf], 0.5]]}),
+     ["atom vectors entries must be finite"]),
+    (_example("tail", source={"family": "finite", "atoms": []}),
+     ["atom vectors must be a nonempty list"]),
+    (_example("wb-sum", seed=-1), ["config: seed must be an integer >= 0"]),
+    (_example("tensorize", kappa=math.inf), ["kappa and lambda must be >= 1 and finite"]),
+    (_example("wb", C=math.inf), ["C must be >= 1 and finite"]),
+    (_example("wb", lambda_grid=[1, math.inf]), ["lambda grid points must be >= 1 and finite"]),
 ], ids=["tensorize-no-pairs", "tensorize-kappa", "wb-sum-n0", "wb-sum-iid-and-components",
         "domination-kappa", "domination-lambda", "domination-2d-y", "domination-2d-norms",
         "wb-empty-grid", "wb-grid-below-1", "wb-2d-norm", "tail-threshold-string",
@@ -216,18 +234,87 @@ _L2 = {"variant": "lp", "dimension": 2, "p": 2}
         "inequality-suite-dimension", "schur-short-a", "schur-2d-norm", "wb-nan-exponent",
         "tail-nan-threshold", "tail-inf-scaled-factor", "tail-nan-stable-scale",
         "wb-sum-fractional-n", "inequality-suite-fractional-instances",
-        "domination-fractional-norm-seed"])
+        "domination-fractional-norm-seed", "tail-stable-exact", "domination-stable-exact",
+        "tensorize-stable-exact", "wb-stable-exact", "wb-sum-stable-exact",
+        "tail-inf-covariance", "tail-inf-atoms", "tail-no-atoms", "wb-sum-negative-seed",
+        "tensorize-inf-kappa", "wb-inf-C", "wb-inf-grid-point"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # Each catalog example with one edit; each once passed validate and then
-    # failed at run, or ran on a wrong input: wb-sum silently dropped iid and
-    # n, NaN or infinite parameters gave meaningless cells, and fractional
-    # counts were truncated.
+    # failed at run, or ran on a wrong input, or crashed validate with a
+    # traceback: wb-sum silently dropped iid and n, NaN or infinite parameters
+    # gave meaningless cells or Infinity in report.json, fractional counts were
+    # truncated, exact estimators on laws with no exact path and negative seeds
+    # failed only at run, and an empty atom list or an infinite kappa raised
+    # IndexError or OverflowError.
     path = _write(tmp_path, cfg)
     assert main(["validate", path]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert line.startswith("error:") and all(m in line for m in messages), line
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+def _mutated_catalog_configs():
+    """Each catalog example with one node, anything but its kind, replaced by one
+    of ten values."""
+    def paths(node, path=()):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            yield path + (key,)
+            yield from paths(child, path + (key,))
+    for kind in EXPERIMENTS.values():
+        example = kind.example["config"]
+        for path in [p for p in paths(example) if p != ("kind",)]:
+            for value in (math.nan, math.inf, -1, 0, 0.5, True, "x", [], {}, None):
+                cfg = json.loads(json.dumps(example))
+                node = cfg
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                yield cfg
+
+
+def test_mutated_catalog_configs_fail_validate_cleanly_or_run():
+    # Once 16 of these raised IndexError from validate (an empty atom list), one
+    # OverflowError (tensorize kappa = Infinity), 15 infinite constants wrote
+    # Infinity into report.json and 3 negative seeds failed only at run.
+    configs = list(_mutated_catalog_configs())
+    assert len(configs) == 2110
+    escaped, validated = [], 0
+    for cfg in configs:
+        try:
+            run = validate_config(cfg)
+        except (ParameterError, ValueError, TypeError):
+            continue
+        except Exception as exc:  # any other type escapes
+            escaped.append((cfg, repr(exc)))
+            continue
+        validated += 1
+        try:
+            report, _, _ = run(1)
+            json.dumps(report, default=_json_default, allow_nan=False)
+        except (PreconditionError, CapacityError):
+            pass
+        except Exception as exc:
+            escaped.append((cfg, repr(exc)))
+    assert validated > 100 and not escaped, escaped
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_report_json_is_strict(tmp_path):
+    # rhs = 0 at n = 10^6 made "ratio" Infinity; it is null now, table.csv keeps inf.
+    cfg = {"kind": "counterexample", "seed": 1, "delta": 0.1, "n_grid": [1, 4, 16, 10**6],
+           "kappa": 100.0, "lambda": 1.0, "budget": 1000}
+    path = _write(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    report = json.loads((tmp_path / "o" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["rows"][-1]["rhs"] == 0.0 and report["rows"][-1]["ratio"] is None
+    assert (tmp_path / "o" / "table.csv").read_text().splitlines()[-1].endswith(",inf")
 
 
 def test_majorize_reports_a_pair_that_is_not_majorised(tmp_path):

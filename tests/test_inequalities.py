@@ -1,6 +1,7 @@
 """Sign-pattern enumeration against brute-force oracles; classical verifiers."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -353,6 +354,16 @@ def test_sum_inequalities_skip_when_rhs_infinite():
     reports = verify_sum_inequalities(law, absolute_value(),
                                       {"s": 0.5, "t": 0.5, "u": 0.5})
     assert reports["summand_tails"].note == "skipped"
+
+
+def test_skipped_report_writes_null_sides():
+    law = ProductLaw((FiniteSupportDist.rademacher(),) * 2)
+    reports = verify_sum_inequalities(law, absolute_value(),
+                                      {"s": 0.5, "t": 0.5, "u": 0.5})
+    out = reports["summand_tails"].to_json()
+    assert (out["lhs"], out["rhs"], out["slack"]) == (None, None, None)
+    json.dumps(out, allow_nan=False)
+    assert math.isnan(reports["summand_tails"].slack)  # slack.csv still writes nan
 
 
 def test_sum_inequalities_need_finite_components():

@@ -269,5 +269,5 @@ def test_counterexample_validation():
 
 @pytest.mark.parametrize("bad", [-1, 0, 2.5, True, "4"])
 def test_counterexample_n_grid_needs_positive_integers(bad):
-    with pytest.raises(ParameterError, match="positive integers"):
+    with pytest.raises(ParameterError, match=r"n_grid\[1\] must be an integer >= 1"):
         counterexample_experiment(0.7, [4, bad], kappa=10.0, lam=1.0, budget=100)
