@@ -160,8 +160,7 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ParameterError("--threads must be >= 1")
             return run_config(args.config, args.out, args.threads)
-    except (ParameterError, PreconditionError, CapacityError, OSError, ValueError,
-            KeyError, TypeError) as exc:
+    except (ParameterError, PreconditionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -12,7 +12,6 @@ adds only key-level rules and the counts that only configs have.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,13 +22,14 @@ from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
                             scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, check_domination, tail_method, tail_table,
                         tensorisation_experiment, tensorisation_query)
-from .errors import ParameterError, _check_count, _check_spec, _spec_tag
+from .errors import (ParameterError, _check_count, _check_list, _check_real, _check_spec,
+                     _in_spec, _spec_tag)
 from .geometry import (euclidean, norm_family, norm_from_spec, norm_to_spec,
                        random_norm_family)
 from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
                            verify_kahane, verify_sum_inequalities)
 from .majorisation import (_majorisation_violation, counterexample_experiment,
-                           counterexample_grid, decompose, schur_convexity_check,
+                           counterexample_inputs, decompose, schur_convexity_check,
                            weight_pair)
 from .rng import CHUNK, substream
 from .stats import DEFAULT_CONFIDENCE, Estimator
@@ -55,21 +55,23 @@ _SOURCE_KEYS = {  # family -> its (required, optional) keys besides "family"
 def source_from_spec(spec: dict, context: str = "source"):
     fam = _spec_tag(spec, "family", _SOURCE_KEYS, context)
     if fam == "finite":
-        return FiniteSupportDist.from_pairs([vec for vec, _ in spec["atoms"]],
-                                            [float(p) for _, p in spec["atoms"]])
+        atoms = _check_list(spec["atoms"], context + ".atoms")
+        if not all(isinstance(atom, (list, tuple)) and len(atom) == 2 for atom in atoms):
+            raise ParameterError(f"{context}.atoms must be [vector, probability] pairs")
+        return _in_spec(context, FiniteSupportDist.from_pairs, *zip(*atoms))
     if fam == "gaussian":
-        return gaussian(spec["covariance"])
+        return _in_spec(context, gaussian, spec["covariance"])
     if fam == "symmetric_stable":
-        return symmetric_stable(float(spec["index"]), float(spec.get("scale", 1.0)))
+        return _in_spec(context, symmetric_stable, spec["index"], spec.get("scale", 1.0))
     if fam == "pareto_tail":
-        return pareto_tail(float(spec["exponent"]))
+        return _in_spec(context, pareto_tail, spec["exponent"])
     if fam == "sum_of":
-        return sum_of([source_from_spec(p, f"{context}.parts[{i}]")
-                       for i, p in enumerate(spec["parts"])])
+        return _in_spec(context, sum_of, [source_from_spec(p, f"{context}.parts[{i}]")
+                                          for i, p in enumerate(spec["parts"])])
     inner = source_from_spec(spec["inner"], context + ".inner")
     if fam == "bernoulli_thinned":
-        return bernoulli_thinned(inner, float(spec["keep"]))
-    return scaled_source(inner, float(spec["factor"]))
+        return _in_spec(context, bernoulli_thinned, inner, spec["keep"])
+    return _in_spec(context, scaled_source, inner, spec["factor"])
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +88,14 @@ def norms_from_spec(spec, context: str = "norms"):
     if isinstance(spec, dict) and "list" in spec:
         _check_spec(spec, ("list",), (), context)
         return [norm_from_spec(s, f"{context}.list[{i}]")
-                for i, s in enumerate(spec["list"])]
+                for i, s in enumerate(_check_list(spec["list"], context + ".list"))]
     raise ParameterError(f"{context}: expected an object with 'random' or 'list'")
 
 
 def estimator_from_spec(spec, context: str = "estimator") -> Estimator:
     _check_spec(spec, ("kind",), ("budget", "confidence"), context)
-    return Estimator(kind=spec["kind"], budget=spec.get("budget", 10**6),
-                     confidence=float(spec.get("confidence", DEFAULT_CONFIDENCE)))
+    return _in_spec(context, Estimator, kind=spec["kind"], budget=spec.get("budget", 10**6),
+                    confidence=spec.get("confidence", DEFAULT_CONFIDENCE))
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +116,8 @@ def _prepare_tail(raw):
     norms = norm_family(norms_from_spec(raw["norms"]), law.dimension)
     est = estimator_from_spec(raw["estimator"])
     method = tail_method(law, est)
-    thresholds = [float(t) for t in raw["thresholds"]]
-    if not thresholds or not all(map(math.isfinite, thresholds)):
-        raise ParameterError("config[tail]: thresholds must be a nonempty list of "
-                             "finite numbers")
+    thresholds = [_check_real(t, f"thresholds[{i}]")
+                  for i, t in enumerate(_check_list(raw["thresholds"], "thresholds"))]
 
     def run(threads):
         table = tail_table(law, norms, thresholds, est, raw["seed"], (0,), threads)
@@ -146,7 +146,7 @@ def _domination_result(rep, kind):
 def _prepare_domination(raw):
     query = DominationQuery(x=source_from_spec(raw["x"], "x"),
                             y=source_from_spec(raw["y"], "y"),
-                            kappa=float(raw["kappa"]), lam=float(raw["lambda"]),
+                            kappa=raw["kappa"], lam=raw["lambda"],
                             norms=norms_from_spec(raw["norms"]),
                             estimator=estimator_from_spec(raw["estimator"]))
 
@@ -158,26 +158,24 @@ def _prepare_domination(raw):
 
 def _prepare_tensorize(raw):
     pairs = []
-    for i, pair in enumerate(raw["pairs"]):
+    for i, pair in enumerate(_check_list(raw["pairs"], "pairs")):
         _check_spec(pair, ("x", "y"), (), f"pairs[{i}]")
         pairs.append((source_from_spec(pair["x"], f"pairs[{i}].x"),
                       source_from_spec(pair["y"], f"pairs[{i}].y")))
-    kappa, lam, alpha = float(raw["kappa"]), float(raw["lambda"]), float(raw["alpha"])
     est = estimator_from_spec(raw["estimator"])
     # every check the run makes before its premise re-check
-    norms = tensorisation_query(pairs, kappa, lam, alpha, norms_from_spec(raw["norms"]),
-                                est).norms
+    constants = raw["kappa"], raw["lambda"], raw["alpha"]
+    norms = tensorisation_query(pairs, *constants, norms_from_spec(raw["norms"]), est).norms
 
     def run(threads):
-        rep = tensorisation_experiment(pairs, kappa, lam, alpha, norms, est,
-                                       seed=raw["seed"], threads=threads)
+        rep = tensorisation_experiment(pairs, *constants, norms, est, seed=raw["seed"],
+                                       threads=threads)
         return _domination_result(rep, "tensorize")
     return run
 
 
 def _wb_params(raw):
-    return WBParams(C=float(raw["C"]), delta=float(raw["delta"]),
-                    theta=float(raw["theta"]))
+    return WBParams(C=raw["C"], delta=raw["delta"], theta=raw["theta"])
 
 
 def _wb_result(rep, **fields):
@@ -204,7 +202,7 @@ def _prepare_wb_sum(raw):
         if "iid" in raw or "n" in raw:
             raise ParameterError("config[wb-sum]: give components or iid + n, not both")
         comps = [source_from_spec(c, f"components[{i}]")
-                 for i, c in enumerate(raw["components"])]
+                 for i, c in enumerate(_check_list(raw["components"], "components"))]
     elif "iid" in raw and "n" in raw:
         n = _check_count(raw["n"], "config[wb-sum]: n", 0)  # ProductLaw rejects 0
         comps = [source_from_spec(raw["iid"], "iid")] * n
@@ -256,13 +254,12 @@ def _prepare_schur(raw):
 
 
 def _prepare_counterexample(raw):
-    delta, kappa, lam = float(raw["delta"]), float(raw["kappa"]), float(raw["lambda"])
-    grid = counterexample_grid(delta, raw["n_grid"], kappa, lam)
+    inputs = raw["delta"], raw["n_grid"], raw["kappa"], raw["lambda"]
+    counterexample_inputs(*inputs)
     est = Estimator("mc", budget=raw.get("budget", 10**6))
 
     def run(threads):
-        table = counterexample_experiment(delta, grid, kappa, lam, budget=est.budget,
-                                          seed=raw["seed"])
+        table = counterexample_experiment(*inputs, budget=est.budget, seed=raw["seed"])
         report = dict(table.to_json(), kind="counterexample")
         tables = {"table.csv": (("n", "lhs", "rhs", "ratio"), table.csv_rows())}
         # Finding the witness is the expected outcome; it still exits as a
@@ -471,4 +468,6 @@ def load_config(path: str):
         raw = json.loads(raw_bytes)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too many digits
+        raise ParameterError(f"config {path}: not a JSON text: {exc}") from None
     return raw_bytes, raw, validate_config(raw)

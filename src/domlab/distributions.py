@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import erfc
 
-from .errors import CapacityError, ParameterError, _check_count, _param_rows
+from .errors import CapacityError, ParameterError, _check_count, _check_real, _param_rows
 from .rng import seed_sequence
 from .stats import EXACT_SLACK_TOL
 
@@ -67,14 +67,12 @@ class FiniteSupportDist:
         if rows.shape[1] != self.dimension:
             raise ParameterError("atom dimension mismatch")
         seen = {}
-        total = 0.0
-        for key, (_, p) in zip(map(tuple, rows.tolist()), self.atoms):
-            if not (0.0 < p <= 1.0):
-                raise ParameterError(f"atom probability {p} outside (0, 1]")
+        for i, (key, (_, p)) in enumerate(zip(map(tuple, rows.tolist()), self.atoms)):
             if key in seen:
                 raise ParameterError(f"duplicate atom location {key}")
-            seen[key] = p
-            total += p
+            seen[key] = _check_real(p, f"atom {i} probability", "(0, 1]")
+        object.__setattr__(self, "atoms", tuple(seen.items()))
+        total = sum(seen.values())
         if abs(total - 1.0) > EXACT_SLACK_TOL:
             raise ParameterError(f"atom probabilities sum to {total}, not 1")
         for key, p in seen.items():
@@ -85,7 +83,7 @@ class FiniteSupportDist:
     @staticmethod
     def from_pairs(vectors, probs) -> "FiniteSupportDist":
         vectors = _param_rows(vectors, "atom vectors")
-        atoms = tuple((tuple(v), float(p)) for v, p in zip(vectors, probs))
+        atoms = tuple(zip(map(tuple, vectors), probs))
         return FiniteSupportDist(dimension=vectors.shape[1], atoms=atoms)
 
     @staticmethod
@@ -133,6 +131,7 @@ class SamplerSource:
 def gaussian(covariance) -> SamplerSource:
     """Centered gaussian with the given symmetric PSD covariance matrix."""
     cov = _param_rows(covariance, "covariance", symmetric=True)
+    check_dimension(len(cov))
     w, v = np.linalg.eigh(cov)
     if w.min() < -1e-10 * max(1.0, w.max()):
         raise ParameterError("covariance must be positive semidefinite")
@@ -149,20 +148,15 @@ def symmetric_stable(index: float, scale: float = 1.0) -> SamplerSource:
     ``levy_stable(index, 0)``).  No closed-form survival is offered: tails
     are Monte Carlo estimates with intervals.
     """
-    if not (0.0 < index <= 2.0):
-        raise ParameterError(f"stability index must lie in (0, 2], got {index}")
-    if not (0.0 < scale < math.inf):  # NaN fails too
-        raise ParameterError("scale must be positive and finite")
     return SamplerSource(dimension=1, family="symmetric_stable",
-                         params={"index": float(index), "scale": float(scale)})
+                         params={"index": _check_real(index, "stability index", "(0, 2]"),
+                                 "scale": _check_real(scale, "scale", "(0, inf)")})
 
 
 def pareto_tail(exponent: float) -> SamplerSource:
     """Scalar symmetric source with P(|X| > t) = min(1, t^-exponent)."""
-    if not (0.0 < exponent < math.inf):  # NaN fails too
-        raise ParameterError("tail exponent must be positive and finite")
     return SamplerSource(dimension=1, family="pareto_tail",
-                         params={"exponent": float(exponent)})
+                         params={"exponent": _check_real(exponent, "tail exponent", "(0, inf)")})
 
 
 Source = Union[FiniteSupportDist, SamplerSource]
@@ -170,18 +164,18 @@ Source = Union[FiniteSupportDist, SamplerSource]
 
 def bernoulli_thinned(inner: Source, keep: float) -> SamplerSource:
     """Source delta * X with delta ~ Bernoulli(keep) independent of X."""
-    if not (0.0 < keep <= 1.0):
-        raise ParameterError(f"keep-probability must lie in (0, 1], got {keep}")
     return SamplerSource(dimension=inner.dimension, family="bernoulli_thinned",
-                         params={"inner": inner, "keep": float(keep)})
+                         params={"inner": inner,
+                                 "keep": _check_real(keep, "keep-probability", "(0, 1]")})
 
 
 def scaled_source(inner: Source, factor: float) -> SamplerSource:
     """Source factor * X."""
-    if factor == 0.0 or not math.isfinite(factor):
-        raise ParameterError("scale factor must be nonzero and finite")
+    factor = _check_real(factor, "scale factor")
+    if factor == 0.0:
+        raise ParameterError("scale factor must be nonzero")
     return SamplerSource(dimension=inner.dimension, family="scaled",
-                         params={"inner": inner, "factor": float(factor)})
+                         params={"inner": inner, "factor": factor})
 
 
 def sum_of(parts: Sequence[Source]) -> SamplerSource:
@@ -289,8 +283,7 @@ def _fold_signs(dist: FiniteSupportDist):
     """One representative per +/- pair of atoms carrying the pair's mass, and
     the zero atom, as (vectors, probs)."""
     index, vectors, masses = {}, [], []
-    for vec, p in dist.atoms:
-        key = tuple(float(x) for x in vec)
+    for key, p in dist.atoms:
         i = index.get(tuple(-x for x in key))
         if i is None:
             index[key] = len(masses)

@@ -25,7 +25,7 @@ import numpy as np
 from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
                             analytic_survival, enumerate_sign_classes,
                             enumerate_sum, sample_sum_chunk)
-from .errors import ParameterError, PreconditionError, _check_count
+from .errors import ParameterError, PreconditionError, _check_count, _check_real
 from .geometry import norm_family, norm_to_spec
 from .inequalities import _check_cap, signed_mean_over_outcomes
 from .rng import map_chunks
@@ -70,7 +70,7 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     same values.  ``threads`` runs chunks in parallel; no result depends on it.
     """
     norms = norm_family(norms, law.dimension)
-    thresholds = [float(t) for t in thresholds]
+    thresholds = [_check_real(t, "threshold") for t in thresholds]
     method = tail_method(law, estimator)
     if method == "enumeration":
         vectors, probs = enumerate_sum(law)
@@ -103,17 +103,6 @@ def tail_probability(law: Law, norm, threshold: float, estimator: Estimator,
 # queries and reports
 
 
-def check_domination_constants(kappa: float, lam: float):
-    """Raise unless kappa and lambda are finite and >= 1, as domination needs."""
-    if not (1.0 <= kappa < math.inf and 1.0 <= lam < math.inf):  # NaN fails too
-        raise ParameterError("kappa and lambda must be >= 1 and finite")
-
-
-def _check_alpha(alpha: float):
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError("alpha must lie in (0, 1]")
-
-
 @dataclass(frozen=True)
 class DominationQuery:
     x: Law
@@ -124,7 +113,8 @@ class DominationQuery:
     estimator: Estimator
 
     def __post_init__(self):
-        check_domination_constants(self.kappa, self.lam)
+        object.__setattr__(self, "kappa", _check_real(self.kappa, "kappa", "[1, inf)"))
+        object.__setattr__(self, "lam", _check_real(self.lam, "lambda", "[1, inf)"))
         if self.x.dimension != self.y.dimension:
             raise ParameterError("laws must share dimension")
         object.__setattr__(self, "norms", norm_family(self.norms, self.x.dimension))
@@ -241,7 +231,7 @@ def proxy_bound_check(law: ProductLaw, norm, alpha: float):
 
     Returns (lower, upper) SlackReports.
     """
-    _check_alpha(alpha)
+    alpha = _check_real(alpha, "alpha", "(0, 1]")
     (p_above, p_one), = tail_table(law, [norm], [1.0 + alpha, 1.0], EXACT)
     prox = proxy_exact(law, norm).value
     lower = SlackReport.from_exact("proxy_lower", alpha * p_above.value, prox)
@@ -274,13 +264,12 @@ def tensorisation_query(pairs, kappa: float, lam: float, alpha: float, norms,
                         estimator: Estimator) -> DominationQuery:
     """Query for the sums of (kappa, lambda)-dominated pairs (premise unchecked)
     at (16/alpha * ceil(kappa), (1+alpha) ceil(kappa) lambda)."""
-    check_domination_constants(kappa, lam)
-    _check_alpha(alpha)
-    kap_c = math.ceil(kappa)
-    return DominationQuery(x=ProductLaw(tuple(x for x, _ in pairs)),
+    sums = DominationQuery(x=ProductLaw(tuple(x for x, _ in pairs)),
                            y=ProductLaw(tuple(y for _, y in pairs)),
-                           kappa=16.0 / alpha * kap_c, lam=(1.0 + alpha) * kap_c * lam,
-                           norms=norms, estimator=estimator)
+                           kappa=kappa, lam=lam, norms=norms, estimator=estimator)
+    alpha = _check_real(alpha, "alpha", "(0, 1]")
+    kap_c = math.ceil(sums.kappa)
+    return replace(sums, kappa=16.0 / alpha * kap_c, lam=(1.0 + alpha) * kap_c * sums.lam)
 
 
 def tensorisation_experiment(pairs, kappa: float, lam: float, alpha: float,
@@ -292,13 +281,14 @@ def tensorisation_experiment(pairs, kappa: float, lam: float, alpha: float,
     over the norm family (a violated norm raises, naming the pair); the
     sums are then checked over the same family.
     """
+    alpha = _check_real(alpha, "alpha", "(0, 1]")
     query = tensorisation_query(pairs, kappa, lam, alpha, norms, estimator)
+    premise = replace(query, kappa=kappa, lam=lam)  # kappa and lambda read as floats
     _recheck_premises(
         pairs, lambda pair, pair_seed: check_domination(
-            replace(query, x=pair[0], y=pair[1], kappa=kappa, lam=lam),
-            seed=pair_seed, threads=threads),
-        seed, 1000, f"pair {{i}} fails its ({kappa},{lam})-domination premise: "
-                    "not dominated under norm {k}")
+            replace(premise, x=pair[0], y=pair[1]), seed=pair_seed, threads=threads),
+        seed, 1000, f"pair {{i}} fails its ({premise.kappa},{premise.lam})-domination "
+                    "premise: not dominated under norm {k}")
     rep = check_domination(query, seed=seed, threads=threads)
     return replace(rep, meta=dict(rep.meta, experiment="tensorisation", alpha=alpha,
-                                  input_kappa=kappa, input_lambda=lam))
+                                  input_kappa=premise.kappa, input_lambda=premise.lam))

@@ -13,11 +13,13 @@ build large batches build them column-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _check_count, _param_rows, _spec_tag
+from .distributions import check_dimension
+from .errors import ParameterError, _check_count, _check_real, _in_spec, _param_rows, _spec_tag
 from .rng import substream
 
 ELLIPSOID_CONDITION_CAP = 1e3
@@ -44,8 +46,8 @@ class LpNorm:
     p: float  # in [1, inf]
 
     def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ParameterError("lp norm needs p >= 1")
+        if self.p != math.inf:
+            object.__setattr__(self, "p", _check_real(self.p, "lp exponent", "[1, inf)"))
 
     def evaluate(self, x):
         xt, single = _as_batch(x, self.dimension)
@@ -61,9 +63,10 @@ class WeightedLpNorm:
 
     def __post_init__(self):
         LpNorm.__post_init__(self)  # p >= 1
-        w = _param_rows([self.weights], "weight")
+        w = _param_rows([self.weights], "weights")
         if w.shape[1] != self.dimension or (w <= 0).any():
             raise ParameterError("weights must be positive, one per coordinate")
+        object.__setattr__(self, "weights", tuple(w[0].tolist()))
         object.__setattr__(self, "_w", w.T)
 
     def evaluate(self, x):
@@ -82,6 +85,7 @@ class EllipsoidNorm:
         a = _param_rows(self.matrix, "ellipsoid matrix", symmetric=True)
         if np.linalg.eigvalsh(a).min() <= 0:
             raise ParameterError("ellipsoid matrix must be positive definite")
+        object.__setattr__(self, "matrix", tuple(map(tuple, a.tolist())))
         object.__setattr__(self, "_a", a)
 
     @property
@@ -107,6 +111,7 @@ class PolytopeGauge:
         u = _param_rows(self.directions, "polytope gauge directions")
         if np.linalg.matrix_rank(u) < u.shape[1]:
             raise ParameterError("polytope gauge directions must span R^d")
+        object.__setattr__(self, "directions", tuple(map(tuple, u.tolist())))
         object.__setattr__(self, "_u", u)
 
     @property
@@ -126,8 +131,7 @@ class ScaledNorm:
     factor: float
 
     def __post_init__(self):
-        if not (0.0 < self.factor < np.inf):
-            raise ParameterError("scale factor must be positive and finite")
+        object.__setattr__(self, "factor", _check_real(self.factor, "scale factor", "(0, inf)"))
 
     @property
     def dimension(self):
@@ -139,7 +143,7 @@ class ScaledNorm:
 
 def scale_norm(norm, factor: float):
     """scaled(N, c): evaluates to c * N(x); the unit ball shrinks by 1/c."""
-    return ScaledNorm(inner=norm, factor=float(factor))
+    return ScaledNorm(inner=norm, factor=factor)
 
 
 def euclidean(d: int) -> LpNorm:
@@ -184,16 +188,6 @@ def norm_to_spec(norm) -> dict:
     raise ParameterError(f"unknown norm type {type(norm).__name__}")
 
 
-def _p_from_spec(p) -> float:
-    """The exponent of an lp spec: a number, or "inf" or null for the max norm."""
-    if p in ("inf", None):
-        return np.inf
-    try:
-        return float(p)
-    except (TypeError, ValueError):
-        raise ParameterError(f"lp exponent must be a number, \"inf\" or null, got {p!r}") from None
-
-
 _NORM_KEYS = {  # variant -> its (required, optional) keys besides "variant"
     "lp": (("dimension", "p"), ()),
     "weighted_lp": (("dimension", "p", "weights"), ()),
@@ -207,19 +201,16 @@ def norm_from_spec(spec: dict, context: str = "norm"):
     variant = _spec_tag(spec, "variant", _NORM_KEYS, context)
     if variant in ("lp", "weighted_lp"):
         d = _check_count(spec["dimension"], f"{context}: dimension", 1)
-        p = _p_from_spec(spec["p"])
+        p = math.inf if spec["p"] in ("inf", None) else spec["p"]  # the max norm
         if variant == "lp":
-            return LpNorm(dimension=d, p=p)
-        return WeightedLpNorm(dimension=d, p=p,
-                              weights=tuple(float(w) for w in spec["weights"]))
+            return _in_spec(context, LpNorm, dimension=d, p=p)
+        return _in_spec(context, WeightedLpNorm, dimension=d, p=p, weights=spec["weights"])
     if variant == "ellipsoid":
-        return EllipsoidNorm(matrix=tuple(tuple(float(v) for v in r)
-                                          for r in spec["matrix"]))
+        return _in_spec(context, EllipsoidNorm, matrix=spec["matrix"])
     if variant == "polytope_gauge":
-        return PolytopeGauge(directions=tuple(tuple(float(v) for v in r)
-                                              for r in spec["directions"]))
-    return ScaledNorm(inner=norm_from_spec(spec["inner"], context + ".inner"),
-                      factor=float(spec["factor"]))
+        return _in_spec(context, PolytopeGauge, directions=spec["directions"])
+    return _in_spec(context, ScaledNorm, inner=norm_from_spec(spec["inner"], context + ".inner"),
+                    factor=spec["factor"])
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +253,7 @@ def random_norm_family(seed: int, d: int, size: int):
     rescalings.
     """
     _check_count(size, "family size", 1)
+    check_dimension(d)
     rng = substream(seed, 0)
     norms = [LpNorm(dimension=d, p=2.0), LpNorm(dimension=d, p=1.0),
              LpNorm(dimension=d, p=np.inf)][:size]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductLaw, _merge_atoms, _step_masses
-from .errors import CapacityError, ParameterError, _check_count, _param_rows
+from .errors import CapacityError, ParameterError, _check_count, _check_real, _param_rows
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
 
@@ -156,8 +156,7 @@ def signed_mean_over_outcomes(outcomes: np.ndarray, norm) -> np.ndarray:
 
 def verify_kahane(inst: SignInstance, s: float, t: float) -> SlackReport:
     """P(||S|| > s+t) <= 4 P(||S|| > s) P(||S|| > t) for random signs, exact."""
-    if s <= 0 or t <= 0:
-        raise ParameterError("levels s, t must be positive")
+    s, t = _check_real(s, "level s", "(0, inf)"), _check_real(t, "level t", "(0, inf)")
     vals = _sign_norms(inst)
     lhs = _tail(vals, s + t)
     rhs = 4.0 * _tail(vals, s) * _tail(vals, t)
@@ -178,8 +177,7 @@ def verify_PZ(inst: SignInstance, theta: float) -> SlackReport:
     Reported with the guaranteed lower bound on the lhs side so that
     holds <=> lhs <= rhs, matching every other report.
     """
-    if not (0.0 < theta < 1.0):
-        raise ParameterError("theta must lie in (0, 1)")
+    theta = _check_real(theta, "theta", "(0, 1)")
     vals = _sign_norms(inst)
     tail = _tail(vals, theta * _mean(vals, "identity"))
     bound = 0.5 * (1.0 - theta) ** 2
@@ -246,7 +244,7 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict) -> dict:
     """
     if not law.all_finite():
         raise ParameterError("sum inequalities need finite-support components")
-    s, t, u = float(levels["s"]), float(levels["t"]), float(levels["u"])
+    s, t, u = (_check_real(levels[k], f"level {k}") for k in "stu")
     events, q = _exact_sum_events(law, norm, s, t, u)
     p_sstar_t, p_slast_t, p_xstar, p_xstar_s, p_sstar_stu, p_slast_u, x_tails = events
     reports = {

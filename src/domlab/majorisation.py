@@ -21,9 +21,9 @@ import numpy as np
 
 from .distributions import (FiniteSupportDist, ProductLaw, enumerate_sum,
                             scaled_source, sum_of, symmetric_stable)
-from .dominance import (DominationQuery, DominationReport, check_domination,
-                        check_domination_constants, tail_table)
-from .errors import ParameterError, PreconditionError, _check_count, _param_rows
+from .dominance import DominationQuery, DominationReport, check_domination, tail_table
+from .errors import (ParameterError, PreconditionError, _check_count, _check_list,
+                     _check_real, _param_rows)
 from .geometry import absolute_value, norm_family
 from .stats import EXACT_SLACK_TOL, Estimator, SlackReport, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
@@ -36,7 +36,7 @@ _CHAIN_TOL = 1e-13
 def weight_pair(a, b):
     """a and b as the two rows of a read-only float array, checked to be nonempty,
     finite and of equal length."""
-    return _param_rows([a, b], "weights a and b")
+    return _param_rows([a, b], "[a, b]")
 
 
 def _majorisation_violation(a, b) -> Optional[int]:
@@ -213,10 +213,10 @@ def weighted_domination_constants(params: WBParams) -> dict:
     if params.delta <= 1.0:
         raise ParameterError("weighted domination requires delta > 1; "
                              "for delta < 1 run counterexample_experiment")
+    tens = wb_tensorize_constants(params)  # raises where 9^delta overflows
     nine = 9.0 ** params.delta
     direct = max(2.0 / params.theta, 96.0 * params.C * nine,
                  12.0 * params.C * nine / (params.delta - 1.0))
-    tens = wb_tensorize_constants(params)
     derived = max(1.0 / tens.theta, tens.C / (params.delta - 1.0))
     return {"kappa": direct, "kappa_direct": direct, "kappa_derived": derived,
             "lambda": 2.0}
@@ -288,15 +288,18 @@ class CounterexampleTable:
         return [(r.n, r.lhs, r.rhs, r.ratio) for r in self.rows]
 
 
-def counterexample_grid(delta: float, n_grid: Sequence[int], kappa: float,
-                        lam: float) -> list:
-    """The sorted n grid of counterexample_experiment, once its constants are checked."""
-    if not (0.0 < delta < 1.0):
-        raise ParameterError("delta must lie in (0, 1)")
-    check_domination_constants(kappa, lam)
-    if len(n_grid) == 0:
-        raise ParameterError("n_grid must be nonempty")
-    return sorted(_check_count(n, f"n_grid[{i}]", 1) for i, n in enumerate(n_grid))
+def counterexample_inputs(delta: float, n_grid: Sequence[int], kappa: float,
+                          lam: float):
+    """(delta, sorted n grid, kappa, lambda, tail thresholds [1, n^(1/delta - 1) / lambda
+    for each n]) of counterexample_experiment, each read and checked."""
+    delta, lam = _check_real(delta, "delta", "(0, 1)"), _check_real(lam, "lambda", "[1, inf)")
+    ns = sorted(_check_count(n, f"n_grid[{i}]", 1)
+                for i, n in enumerate(_check_list(n_grid, "n_grid")))
+    try:
+        thresholds = [1.0, *(n ** (1.0 / delta - 1.0) / lam for n in ns)]
+    except OverflowError:
+        raise ParameterError(f"n_grid: n^(1/delta - 1) overflows at delta = {delta}") from None
+    return delta, ns, _check_real(kappa, "kappa", "[1, inf)"), lam, thresholds
 
 
 def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
@@ -313,11 +316,9 @@ def counterexample_experiment(delta: float, n_grid: Sequence[int], kappa: float,
     Clopper-Pearson intervals (at DEFAULT_CONFIDENCE) to separate, not just
     the point estimates.
     """
-    ns = counterexample_grid(delta, n_grid, kappa, lam)
-    (lhs, *rhs_tails), = tail_table(
-        symmetric_stable(delta), [absolute_value()],
-        [1.0, *(n ** (1.0 / delta - 1.0) / lam for n in ns)],
-        Estimator("mc", budget=budget), seed)
+    delta, ns, kappa, lam, thresholds = counterexample_inputs(delta, n_grid, kappa, lam)
+    (lhs, *rhs_tails), = tail_table(symmetric_stable(delta), [absolute_value()], thresholds,
+                                    Estimator("mc", budget=budget), seed)
     rows = []
     witness = None
     for n, rhs in zip(ns, rhs_tails):

@@ -7,14 +7,9 @@ from typing import Optional
 
 from scipy.special import betaincinv
 
-from .errors import ParameterError, _check_count
+from .errors import ParameterError, _check_count, _check_real
 
 DEFAULT_CONFIDENCE = 0.99
-
-
-def _check_confidence(confidence: float):
-    if not (0.0 < confidence < 1.0):
-        raise ParameterError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -28,9 +23,8 @@ class Estimator:
     def __post_init__(self):
         if self.kind not in ("exact", "mc"):
             raise ParameterError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "mc":
-            _check_count(self.budget, "mc budget", 1)
-        _check_confidence(self.confidence)
+        _check_count(self.budget, "mc budget", 1)  # for every kind: none passes unread
+        object.__setattr__(self, "confidence", _check_real(self.confidence, "confidence", "(0, 1)"))
 
 
 EXACT = Estimator(kind="exact")
@@ -40,8 +34,7 @@ def clopper_pearson(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE):
     """Two-sided exact binomial confidence interval for k successes in n trials."""
     if not (0 <= k <= n) or n < 1:
         raise ParameterError("need 0 <= k <= n, n >= 1")
-    _check_confidence(confidence)
-    a = (1.0 - confidence) / 2.0
+    a = (1.0 - _check_real(confidence, "confidence", "(0, 1)")) / 2.0
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))
     return lo, hi

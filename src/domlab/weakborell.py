@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .distributions import Law, ProductLaw
 from .dominance import _recheck_premises, tail_table
-from .errors import ParameterError, _check_count
+from .errors import ParameterError, _check_count, _check_list, _check_real
 from .geometry import norm_to_spec
 from .stats import (EXACT_SLACK_TOL, Estimator, TailEstimate, compare_tails,
                     worst_verdict)
@@ -29,12 +29,8 @@ class WBParams:
     theta: float
 
     def __post_init__(self):
-        if not 1.0 <= self.C < math.inf:  # NaN fails too
-            raise ParameterError("C must be >= 1 and finite")
-        if not 0.0 < self.delta < math.inf:
-            raise ParameterError("delta must be positive and finite")
-        if not (0.0 < self.theta < 1.0):
-            raise ParameterError("theta must lie in (0, 1)")
+        for name, interval in (("C", "[1, inf)"), ("delta", "(0, inf)"), ("theta", "(0, 1)")):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, interval))
 
     def to_json(self) -> dict:
         return {"C": self.C, "delta": self.delta, "theta": self.theta}
@@ -44,21 +40,20 @@ def wb_tensorize_constants(params: WBParams) -> WBParams:
     """Constants inherited by a sum of independent components.
 
     C' = 12 * 9^delta * C;  theta' = min{theta / 2, (96 C 9^delta)^-1}.
+    A delta for which 96 C 9^delta is not a finite float raises.
     """
-    nine = 9.0 ** params.delta
+    nine = 9.0 ** min(params.delta, 323.0)  # 9^323 is finite, 96 * 9^323 is not
+    if not math.isfinite(96.0 * params.C * nine):
+        raise ParameterError(f"delta = {params.delta} is too large: 96 C 9^delta overflows")
     c_out = 12.0 * nine * params.C
     theta_out = min(params.theta / 2.0, 1.0 / (96.0 * params.C * nine))
     return WBParams(C=c_out, delta=params.delta, theta=theta_out)
 
 
 def wb_lambda_grid(lambda_grid: Sequence[float]) -> list:
-    """The lambda grid as floats, checked to be nonempty, finite and >= 1."""
-    lambda_grid = [float(l) for l in lambda_grid]
-    if not lambda_grid:
-        raise ParameterError("lambda grid must be nonempty")
-    if not all(1.0 <= l < math.inf for l in lambda_grid):  # NaN fails too
-        raise ParameterError("all lambda grid points must be >= 1 and finite")
-    return lambda_grid
+    """The lambda grid as a nonempty list of finite floats >= 1."""
+    return [_check_real(l, f"lambda_grid[{i}]", "[1, inf)")
+            for i, l in enumerate(_check_list(lambda_grid, "lambda_grid"))]
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,7 @@ def recursion_bound(p0: float, params: WBParams, K: int):
     stays below the closed form.  The premise flag records whether
     p0 < min{1/3, theta'}, which the induction needs.
     """
-    if not (0.0 < p0 < 1.0):
-        raise ParameterError("p0 must lie in (0, 1)")
+    p0 = _check_real(p0, "p0", "(0, 1)")
     _check_count(K, "K", 0)
     tens = wb_tensorize_constants(params)
     premise_ok = p0 < min(1.0 / 3.0, tens.theta)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,12 +74,29 @@ def test_seed_is_required_and_integer():
     with pytest.raises(ParameterError, match="integer"):
         validate_config(dict(TAIL_CFG, seed=True))
     for budget in (True, 2.9):
-        with pytest.raises(ParameterError, match="budget must be an integer"):
-            validate_config(dict(TAIL_CFG, estimator={"kind": "mc", "budget": budget}))
+        for kind in ("mc", "exact"):  # an exact estimator's budget once went unread
+            with pytest.raises(ParameterError, match="budget must be an integer"):
+                validate_config(dict(TAIL_CFG, estimator={"kind": kind, "budget": budget}))
         with pytest.raises(ParameterError, match="budget must be an integer"):
             validate_config({"kind": "counterexample", "seed": 1, "delta": 0.7,
                              "n_grid": [2], "kappa": 2.0, "lambda": 1.0,
                              "budget": budget})
+
+
+def test_real_reader_takes_real_scalars_only():
+    from domlab.errors import _check_list, _check_real
+
+    for value in (2, 2.0, np.float64(2.0), np.int64(2), np.float32(2.0)):
+        got = _check_real(value, "x", "(0, 2]")
+        assert got == 2.0 and type(got) is float
+    for value in (True, np.bool_(True), "2", None, [2.0], {}, math.nan, -math.inf,
+                  10**400, 0, 2.5):
+        with pytest.raises(ParameterError, match=re.escape("x must be a finite number in (0, 2]")):
+            _check_real(value, "x", "(0, 2]")
+    assert _check_list((1, 2), "xs") == [1, 2]
+    for value in ("ab", {"a": 1}, 3, None, [], np.array([]), np.array(1.0)):
+        with pytest.raises(ParameterError, match="xs must be a nonempty list"):
+            _check_list(value, "xs")
 
 
 def test_unknown_kind_rejected():
@@ -95,13 +113,15 @@ def test_bad_constants_rejected_through_constructors():
     with pytest.raises(ParameterError, match="C"):
         validate_config(cfg)
     # A NaN constant (JSON NaN) fails every range check instead of passing it.
-    for key, message in (("C", "C must be >= 1"), ("delta", "delta must be positive"),
-                         ("lambda_grid", "lambda grid points must be >= 1")):
+    for key, message in (("C", "C must be a finite number in [1, inf)"),
+                         ("delta", "delta must be a finite number in (0, inf)"),
+                         ("lambda_grid", "lambda_grid[0] must be a finite number in [1, inf)")):
         value = [float("nan")] if key == "lambda_grid" else float("nan")
-        with pytest.raises(ParameterError, match=message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
             validate_config(dict(cfg, **{"C": 1.0, key: value}))
     for key in ("kappa", "lambda"):
-        with pytest.raises(ParameterError, match="kappa and lambda must be >= 1"):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{key} must be a finite number in [1, inf)")):
             validate_config(dict(EXPERIMENTS["domination"].example["config"],
                                  **{key: float("nan")}))
 
@@ -171,41 +191,42 @@ def _example(kind, **edits):
 
 _L2 = {"variant": "lp", "dimension": 2, "p": 2}
 _STABLE = {"family": "symmetric_stable", "index": 1.0}
+_RADEMACHER = {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}
 
 
 @pytest.mark.parametrize("cfg, messages", [
-    (_example("tensorize", pairs=[]), ["at least one component"]),
-    (_example("tensorize", kappa=0.5), ["kappa and lambda must be >= 1"]),
+    (_example("tensorize", pairs=[]), ["pairs must be a nonempty list"]),
+    (_example("tensorize", kappa=0.5), ["kappa must be a finite number in [1, inf)"]),
     (_example("wb-sum", n=0), ["at least one component"]),
     (_example("wb-sum", components=[{"family": "pareto_tail", "exponent": 3.0}]),
      ["components", "iid + n", "not both"]),
-    (_example("domination", kappa=0.5), ["kappa and lambda must be >= 1"]),
-    (_example("domination", **{"lambda": 0.5}), ["kappa and lambda must be >= 1"]),
+    (_example("domination", kappa=0.5), ["kappa must be a finite number in [1, inf)"]),
+    (_example("domination", **{"lambda": 0.5}), ["lambda must be a finite number in [1, inf)"]),
     (_example("domination", y={"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]}),
      ["laws must share dimension"]),
     (_example("domination", norms={"random": {"seed": 7, "dimension": 2, "size": 4}}),
      ["norm dimension 2 != law dimension 1"]),
-    (_example("wb", lambda_grid=[]), ["lambda grid must be nonempty"]),
-    (_example("wb", lambda_grid=[0.5]), ["lambda grid points must be >= 1"]),
+    (_example("wb", lambda_grid=[]), ["lambda_grid must be a nonempty list"]),
+    (_example("wb", lambda_grid=[0.5]), ["lambda_grid[0] must be a finite number in [1, inf)"]),
     (_example("wb", norms={"list": [_L2]}), ["norm dimension 2 != law dimension 1"]),
-    (_example("tail", thresholds=["x"]), ["could not convert"]),
+    (_example("tail", thresholds=["x"]), ["thresholds[0] must be a finite number, got 'x'"]),
     (_example("tail", norms={"list": [_L2]}), ["norm dimension 2 != law dimension 1"]),
-    (_example("counterexample", kappa=0.5), ["kappa and lambda must be >= 1"]),
+    (_example("counterexample", kappa=0.5), ["kappa must be a finite number in [1, inf)"]),
     (_example("counterexample", n_grid=[0]), ["n_grid[0] must be an integer >= 1"]),
     (_example("inequality-suite", max_n=1), ["max_n must be an integer >= 2"]),
     (_example("inequality-suite", dimension=0), ["dimension must be an integer >= 1"]),
     (_example("schur", a=[1.0]), ["equal-length"]),
     (_example("schur", norm=_L2), ["norm dimension 2 != law dimension 1"]),
     (_example("wb", source={"family": "pareto_tail", "exponent": math.nan}),
-     ["tail exponent must be positive and finite"]),
-    (_example("tail", thresholds=[0.5, math.nan]), ["thresholds", "finite numbers"]),
+     ["tail exponent must be a finite number in (0, inf)"]),
+    (_example("tail", thresholds=[0.5, math.nan]), ["thresholds[1] must be a finite number"]),
     (_example("tail", source={"family": "scaled", "factor": math.inf,
                               "inner": {"family": "pareto_tail", "exponent": 2.0}}),
-     ["scale factor must be nonzero and finite"]),
+     ["scale factor must be a finite number, got inf"]),
     (_example("tail", source={"family": "symmetric_stable", "index": 1.0,
                               "scale": math.nan},
               estimator={"kind": "mc", "budget": 1000}),
-     ["scale must be positive and finite"]),
+     ["scale must be a finite number in (0, inf)"]),
     (_example("wb-sum", n=2.5), ["config[wb-sum]: n must be an integer"]),
     (_example("inequality-suite", instances=1.9),
      ["config[inequality-suite]: instances must be an integer"]),
@@ -217,16 +238,41 @@ _STABLE = {"family": "symmetric_stable", "index": 1.0}
     (_example("wb", source=_STABLE), ["no exact tail path"]),
     (_example("wb-sum", iid=_STABLE, estimator={"kind": "exact"}), ["no exact tail path"]),
     (_example("tail", source={"family": "gaussian", "covariance": [[math.inf]]}),
-     ["covariance entries must be finite"]),
+     ["covariance[0][0] must be a finite number"]),
     (_example("tail", source={"family": "finite",
                               "atoms": [[[math.inf], 0.5], [[-math.inf], 0.5]]}),
-     ["atom vectors entries must be finite"]),
+     ["atom vectors[0][0] must be a finite number"]),
     (_example("tail", source={"family": "finite", "atoms": []}),
-     ["atom vectors must be a nonempty list"]),
+     ["source.atoms must be a nonempty list"]),
     (_example("wb-sum", seed=-1), ["config: seed must be an integer >= 0"]),
-    (_example("tensorize", kappa=math.inf), ["kappa and lambda must be >= 1 and finite"]),
-    (_example("wb", C=math.inf), ["C must be >= 1 and finite"]),
-    (_example("wb", lambda_grid=[1, math.inf]), ["lambda grid points must be >= 1 and finite"]),
+    (_example("tensorize", kappa=math.inf), ["kappa must be a finite number in [1, inf), got inf"]),
+    (_example("wb", C=math.inf), ["C must be a finite number in [1, inf), got inf"]),
+    (_example("wb", lambda_grid=[1, math.inf]),
+     ["lambda_grid[1] must be a finite number in [1, inf), got inf"]),
+    (_example("domination", kappa=[1]), ["kappa must be a finite number", "got [1]"]),
+    (_example("domination", kappa="3"), ["kappa must be a finite number", "got '3'"]),
+    (_example("tail", thresholds=[True]), ["thresholds[0] must be a finite number, got True"]),
+    (_example("wb-sum", delta=400), ["delta = 400.0 is too large", "overflows"]),
+    (_example("tail", source={"family": "gaussian", "covariance": np.eye(20).tolist()},
+              norms={"list": [{"variant": "lp", "dimension": 20, "p": 2}]},
+              estimator={"kind": "mc", "budget": 1000}),
+     ["source: dimension must be in [1, 16], got 20"]),
+    (_example("tail", norms={"list": 2}), ["norms.list must be a nonempty list, got 2"]),
+    (_example("tail", source={"family": "finite", "atoms": [[[1.0], 0.5, 0.5]]}),
+     ["source.atoms must be [vector, probability] pairs"]),
+    (_example("counterexample", delta=0.001, n_grid=[1, 4096]),
+     ["n_grid: n^(1/delta - 1) overflows at delta = 0.001"]),
+    (_example("domination", y={"family": "finite", "atoms": [[[1.0], True], [[-1.0], 0.5]]}),
+     ["y: atom 0 probability must be a finite number in (0, 1], got True"]),
+    (_example("tensorize", pairs=[_example("tensorize")["pairs"][0],
+                                  {"x": {"family": "scaled", "factor": 0, "inner": _RADEMACHER},
+                                   "y": _RADEMACHER}]),
+     ["pairs[1].x: scale factor must be"]),
+    (_example("tail", norms={"list": [{"variant": "scaled", "factor": 2,
+                                       "inner": {"variant": "lp", "dimension": 1, "p": 0.5}}]}),
+     ["norms.list[0].inner: lp exponent must be"]),
+    (_example("tail", estimator={"kind": "mc", "budget": 1000, "confidence": 1.5}),
+     ["estimator: confidence must be"]),
 ], ids=["tensorize-no-pairs", "tensorize-kappa", "wb-sum-n0", "wb-sum-iid-and-components",
         "domination-kappa", "domination-lambda", "domination-2d-y", "domination-2d-norms",
         "wb-empty-grid", "wb-grid-below-1", "wb-2d-norm", "tail-threshold-string",
@@ -237,7 +283,12 @@ _STABLE = {"family": "symmetric_stable", "index": 1.0}
         "domination-fractional-norm-seed", "tail-stable-exact", "domination-stable-exact",
         "tensorize-stable-exact", "wb-stable-exact", "wb-sum-stable-exact",
         "tail-inf-covariance", "tail-inf-atoms", "tail-no-atoms", "wb-sum-negative-seed",
-        "tensorize-inf-kappa", "wb-inf-C", "wb-inf-grid-point"])
+        "tensorize-inf-kappa", "wb-inf-C", "wb-inf-grid-point", "domination-kappa-list",
+        "domination-kappa-string", "tail-threshold-bool", "wb-sum-huge-delta",
+        "tail-20d-gaussian", "tail-norm-list-number", "tail-atom-triple",
+        "counterexample-overflowing-n", "domination-bool-probability-in-y",
+        "tensorize-zero-factor-in-pair-1", "tail-p-below-1-in-inner-norm",
+        "tail-estimator-confidence"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # Each catalog example with one edit; each once passed validate and then
     # failed at run, or ran on a wrong input, or crashed validate with a
@@ -245,7 +296,11 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # gave meaningless cells or Infinity in report.json, fractional counts were
     # truncated, exact estimators on laws with no exact path and negative seeds
     # failed only at run, and an empty atom list or an infinite kappa raised
-    # IndexError or OverflowError.
+    # IndexError or OverflowError.  A bool or a numeric string read as a number
+    # (kappa "3", threshold true), a 20-d Gaussian passed the d <= 16 cap, a
+    # list where a number belongs printed Python's own error naming no key,
+    # delta = 400 overflowed 9^delta with a traceback, and so did 4096^999 at run;
+    # an error inside a source, norm or estimator named no spec path.
     path = _write(tmp_path, cfg)
     assert main(["validate", path]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
@@ -255,8 +310,8 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
 
 
 def _mutated_catalog_configs():
-    """Each catalog example with one node, anything but its kind, replaced by one
-    of ten values."""
+    """(node, value, config): each catalog example with one node, anything but its
+    kind, replaced by one of eleven values."""
     def paths(node, path=()):
         items = (node.items() if isinstance(node, dict)
                  else enumerate(node) if isinstance(node, list) else ())
@@ -266,31 +321,36 @@ def _mutated_catalog_configs():
     for kind in EXPERIMENTS.values():
         example = kind.example["config"]
         for path in [p for p in paths(example) if p != ("kind",)]:
-            for value in (math.nan, math.inf, -1, 0, 0.5, True, "x", [], {}, None):
+            for value in (math.nan, math.inf, -1, 0, 0.5, True, "x", "2", [], {}, None):
                 cfg = json.loads(json.dumps(example))
                 node = cfg
                 for key in path[:-1]:
                     node = node[key]
-                node[path[-1]] = value
-                yield cfg
+                original, node[path[-1]] = node[path[-1]], value
+                yield original, value, cfg
 
 
 def test_mutated_catalog_configs_fail_validate_cleanly_or_run():
     # Once 16 of these raised IndexError from validate (an empty atom list), one
     # OverflowError (tensorize kappa = Infinity), 15 infinite constants wrote
-    # Infinity into report.json and 3 negative seeds failed only at run.
+    # Infinity into report.json and 3 negative seeds failed only at run; 463
+    # rejections were a plain TypeError or ValueError naming no key, and 43
+    # numbers of the catalog validated with true, or "1.0", in their place.
     configs = list(_mutated_catalog_configs())
-    assert len(configs) == 2110
+    assert len(configs) == 2321
     escaped, validated = [], 0
-    for cfg in configs:
+    for original, value, cfg in configs:
         try:
             run = validate_config(cfg)
-        except (ParameterError, ValueError, TypeError):
+        except ParameterError:
             continue
         except Exception as exc:  # any other type escapes
             escaped.append((cfg, repr(exc)))
             continue
         validated += 1
+        is_number = isinstance(original, (int, float)) and not isinstance(original, bool)
+        if is_number and (value is True or value == "2"):
+            escaped.append((cfg, "a bool or a numeric string read as a number"))
         try:
             report, _, _ = run(1)
             json.dumps(report, default=_json_default, allow_nan=False)
@@ -298,7 +358,34 @@ def test_mutated_catalog_configs_fail_validate_cleanly_or_run():
             pass
         except Exception as exc:
             escaped.append((cfg, repr(exc)))
-    assert validated > 100 and not escaped, escaped
+    assert validated == 87 and not escaped, escaped
+
+
+def test_integer_constants_report_the_same_bytes_as_floats(tmp_path):
+    # A constant is stored as the float its reader returns, so "C": 1 reports 1.0.
+    for kind, edits in (("domination", {"kappa": 1, "lambda": 1}), ("wb", {"C": 1})):
+        as_ints = _round_trip(tmp_path, _example(kind, **edits), kind + "-int")
+        assert as_ints == _round_trip(tmp_path, _example(kind), kind + "-float")
+
+
+def test_wb_validates_and_runs_at_a_large_delta(tmp_path):
+    # wb never forms 9^delta, so only wb-sum rejects delta = 400.  A Pareto(2)
+    # tail decays like lambda^-2, far slower than lambda^-400: exit 2.
+    code, raw = _round_trip(tmp_path, _example("wb", delta=400), "wb")
+    report = json.loads(raw)
+    assert code == 2 and report["params"]["delta"] == 400.0
+    assert report["overall"] == "violated"
+
+
+def test_config_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    # Python's UnicodeDecodeError and RecursionError once escaped or named no file.
+    for name, text, message in (("latin1.json", b'{"kind": "tail", "comment": "\xff"}', "utf-8"),
+                                ("deep.json", b"[" * 10**5 + b"]" * 10**5, "recursion")):
+        (tmp_path / name).write_bytes(text)
+        assert main(["validate", str(tmp_path / name)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error:") and str(tmp_path / name) in line, line
+        assert message in line, line
 
 
 def _reject_constant(name):

@@ -1,5 +1,6 @@
 """Norm evaluators: axioms, serialization round-trips, random families."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -257,6 +258,33 @@ def test_family_deterministic():
     a = random_norm_family(seed=9, d=2, size=10)
     b = random_norm_family(seed=9, d=2, size=10)
     assert [norm_to_spec(n) for n in a] == [norm_to_spec(n) for n in b]
+
+
+def test_family_dimension_is_capped():
+    # A random ellipsoid draws a d x d matrix, so the cap is checked before any draw.
+    with pytest.raises(ParameterError, match="dimension must be in"):
+        random_norm_family(seed=1, d=17, size=4)
+
+
+def test_spec_numbers_are_stored_as_floats():
+    # Integer parameters are read as the floats a spec with 3.0 or [1.0, 2.0] gives.
+    lp = {"variant": "lp", "dimension": 2, "p": None}
+    pairs = [({"variant": "lp", "dimension": 2, "p": 3}, 3.0),
+             ({"variant": "weighted_lp", "dimension": 2, "p": 1, "weights": [1, 2]},
+              [1.0, 2.0]),
+             ({"variant": "ellipsoid", "matrix": [[2, 0], [0, 1]]}, [[2.0, 0.0], [0.0, 1.0]]),
+             ({"variant": "polytope_gauge", "directions": [[1, 0], [0, 1]]},
+              [[1.0, 0.0], [0.0, 1.0]]),
+             ({"variant": "scaled", "factor": 2, "inner": lp}, 2.0)]
+    for spec, floats in pairs:
+        key = [k for k in ("p", "weights", "matrix", "directions", "factor") if k in spec][-1]
+        got = json.dumps(norm_to_spec(norm_from_spec(spec)), sort_keys=True)
+        want = json.dumps(norm_to_spec(norm_from_spec(dict(spec, **{key: floats}))),
+                          sort_keys=True)
+        assert got == want
+    for bad in (True, "2", [2.0]):
+        with pytest.raises(ParameterError, match="lp exponent must be a finite number"):
+            norm_from_spec({"variant": "lp", "dimension": 2, "p": bad})
 
 
 def test_family_opens_with_l2_l1_linf():

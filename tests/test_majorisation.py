@@ -202,6 +202,12 @@ def test_weighted_domination_constants_needs_delta_above_one():
         weighted_domination_constants(WBParams(C=1.0, delta=0.5, theta=0.5))
 
 
+def test_weighted_domination_constants_reject_an_overflowing_delta():
+    # 9.0 ** 400 once raised OverflowError before the inherited constants were formed.
+    with pytest.raises(ParameterError, match="delta = 400.0 is too large"):
+        weighted_domination_constants(WBParams(C=1.0, delta=400.0, theta=0.5))
+
+
 def test_weighted_domination_no_violation():
     params = WBParams(C=1.0, delta=2.0, theta=0.5)
     a = np.array([0.5, 0.5])

@@ -35,6 +35,25 @@ def test_tensorized_constants_generic():
                                       rel=1e-15)
 
 
+def test_tensorized_constants_reject_a_delta_whose_9_to_delta_overflows():
+    # 9.0 ** 400 once raised OverflowError; the largest delta that fits stays valid.
+    params = WBParams(C=1.0, delta=400.0, theta=0.5)
+    for call in (lambda: wb_tensorize_constants(params),
+                 lambda: recursion_bound(0.1, params, 3)):
+        with pytest.raises(ParameterError, match="delta = 400.0 is too large"):
+            call()
+    assert wb_tensorize_constants(WBParams(C=1.0, delta=320.0, theta=0.5)).C < 1e308
+
+
+def test_constants_are_read_as_floats():
+    params = WBParams(C=1, delta=2, theta=0.5)
+    assert params.to_json() == {"C": 1.0, "delta": 2.0, "theta": 0.5}
+    assert all(type(v) is float for v in params.to_json().values())
+    for bad in (True, "2", [2.0], None, float("nan")):
+        with pytest.raises(ParameterError, match="delta must be a finite number"):
+            WBParams(C=1.0, delta=bad, theta=0.5)
+
+
 # ---------------------------------------------------------------------------
 # single-vector checks
 
