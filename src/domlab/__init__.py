@@ -15,9 +15,8 @@ from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDis
                             enumerate_sign_classes, enumerate_sum, gaussian,
                             pareto_tail, scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, DominationReport, NormRecord, ProxyValue,
-                        check_domination, exact_capable, proxy_bound_check,
-                        proxy_exact, proxy_mc, tail_probability, tail_table,
-                        tensorisation_experiment)
+                        check_domination, proxy_bound_check, proxy_exact, proxy_mc,
+                        tail_method, tail_table, tensorisation_experiment)
 from .errors import CapacityError, ParameterError, PreconditionError
 from .geometry import (ELLIPSOID_CONDITION_CAP, EllipsoidNorm, LpNorm,
                        PolytopeGauge, ScaledNorm, WeightedLpNorm, absolute_value,

@@ -259,7 +259,8 @@ def _prepare_counterexample(raw):
     est = Estimator("mc", budget=raw.get("budget", 10**6))
 
     def run(threads):
-        table = counterexample_experiment(*inputs, budget=est.budget, seed=raw["seed"])
+        table = counterexample_experiment(*inputs, budget=est.budget, seed=raw["seed"],
+                                          threads=threads)
         report = dict(table.to_json(), kind="counterexample")
         tables = {"table.csv": (("n", "lhs", "rhs", "ratio"), table.csv_rows())}
         # Finding the witness is the expected outcome; it still exits as a

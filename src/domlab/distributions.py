@@ -1,12 +1,19 @@
 """Symmetric random-vector sources in R^d.
 
-Two kinds of sources coexist:
+Three kinds of laws coexist:
 
 * :class:`FiniteSupportDist` -- exactly representable symmetric laws given
   by atom/probability pairs.  These feed the exact enumeration oracles.
 * :class:`SamplerSource` -- continuous families (gaussian, heavy-tailed
-  stable/pareto, thinned/scaled/summed combinations) sampled with
-  deterministic counter-based substreams.
+  stable/pareto, thinned and scaled sources) sampled with deterministic
+  counter-based substreams.
+* :class:`ProductLaw` -- independent laws X_1, ..., X_n, which stands for
+  their sum wherever one law is expected; sum_of builds one.
+
+A scaled finite law is finite again, so a sum of scaled finite laws is a
+product law of finite laws and is enumerated.  A product law nested in
+another law (a sum as one part of a sum, or the inner law of a scaled or
+thinned source) is sampled.
 
 Sources are sampled one rng.CHUNK-row chunk at a time (_draw_chunk,
 sample_sum_chunk); callers stream the chunks and hold at most one per
@@ -34,7 +41,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import erfc
 
-from .errors import CapacityError, ParameterError, _check_count, _check_real, _param_rows
+from .errors import (CapacityError, ParameterError, _check_count, _check_list, _check_real,
+                     _param_rows)
 from .rng import seed_sequence
 from .stats import EXACT_SLACK_TOL
 
@@ -60,6 +68,8 @@ class FiniteSupportDist:
 
     dimension: int
     atoms: tuple  # tuple of (tuple[float, ...], float)
+    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_dimension(self.dimension)
@@ -79,12 +89,16 @@ class FiniteSupportDist:
             q = seen.get(tuple(-x for x in key))  # -0.0 == 0.0: zero mirrors itself
             if q is None or abs(q - p) > EXACT_SLACK_TOL:
                 raise ParameterError(f"missing or unbalanced mirror atom for {key}")
+        probs = np.array(list(seen.values()))
+        probs.setflags(write=False)
+        object.__setattr__(self, "_vectors", rows)  # no duplicates: one row per atom
+        object.__setattr__(self, "_probs", probs)
 
     @staticmethod
     def from_pairs(vectors, probs) -> "FiniteSupportDist":
-        vectors = _param_rows(vectors, "atom vectors")
-        atoms = tuple(zip(map(tuple, vectors), probs))
-        return FiniteSupportDist(dimension=vectors.shape[1], atoms=atoms)
+        vectors = _check_list(vectors, "atom vectors")
+        return FiniteSupportDist(dimension=len(_check_list(vectors[0], "atom vectors[0]")),
+                                 atoms=tuple(zip(vectors, probs)))
 
     @staticmethod
     def rademacher(value: float = 1.0) -> "FiniteSupportDist":
@@ -104,10 +118,12 @@ class FiniteSupportDist:
         return FiniteSupportDist.from_pairs(vs, ps)
 
     def vectors(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms], dtype=float)
+        """The atom vectors, one read-only row per atom in the order of atoms."""
+        return self._vectors
 
     def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms], dtype=float)
+        """The atom probabilities, read-only, in the order of atoms."""
+        return self._probs
 
     @property
     def support_size(self) -> int:
@@ -119,8 +135,8 @@ class SamplerSource:
     """A symmetric continuous (or mixed) source, sampled on demand.
 
     ``family`` is one of gaussian, symmetric_stable, pareto_tail,
-    bernoulli_thinned, scaled, sum_of; ``params`` holds the family's
-    parameters.  Use the module-level constructors, which validate.
+    bernoulli_thinned, scaled; ``params`` holds the family's parameters.
+    Use the module-level constructors, which validate.
     """
 
     dimension: int
@@ -159,35 +175,33 @@ def pareto_tail(exponent: float) -> SamplerSource:
                          params={"exponent": _check_real(exponent, "tail exponent", "(0, inf)")})
 
 
-Source = Union[FiniteSupportDist, SamplerSource]
-
-
-def bernoulli_thinned(inner: Source, keep: float) -> SamplerSource:
+def bernoulli_thinned(inner: Law, keep: float) -> SamplerSource:
     """Source delta * X with delta ~ Bernoulli(keep) independent of X."""
     return SamplerSource(dimension=inner.dimension, family="bernoulli_thinned",
                          params={"inner": inner,
                                  "keep": _check_real(keep, "keep-probability", "(0, 1]")})
 
 
-def scaled_source(inner: Source, factor: float) -> SamplerSource:
-    """Source factor * X."""
+def scaled_source(inner: Law, factor: float) -> Law:
+    """Source factor * X; finite again when X is finite."""
     factor = _check_real(factor, "scale factor")
     if factor == 0.0:
         raise ParameterError("scale factor must be nonzero")
+    if isinstance(inner, FiniteSupportDist):
+        return FiniteSupportDist.from_pairs(factor * inner.vectors(), inner.probs())
     return SamplerSource(dimension=inner.dimension, family="scaled",
                          params={"inner": inner, "factor": factor})
 
 
-def sum_of(parts: Sequence[Source]) -> SamplerSource:
-    """Sum of independent sources of equal dimension."""
-    parts = tuple(parts)
-    return SamplerSource(dimension=ProductLaw(parts).dimension, family="sum_of",
-                         params={"parts": parts})
+def sum_of(parts: Sequence[Law]) -> ProductLaw:
+    """Sum of independent sources of equal dimension, as their product law."""
+    return ProductLaw(tuple(parts))
 
 
 @dataclass(frozen=True)
 class ProductLaw:
-    """Tuple (X_1, ..., X_n) of independent sources of equal dimension."""
+    """Tuple (X_1, ..., X_n) of independent laws of equal dimension; as one
+    law, such as a component of another product law, it is X_1 + ... + X_n."""
 
     components: tuple
 
@@ -217,9 +231,14 @@ Law = Union[FiniteSupportDist, SamplerSource, ProductLaw]
 # sampling
 
 
-def _draw(source: Source, n: int, ss: np.random.SeedSequence) -> np.ndarray:
-    """Draw n vectors from a single source, using ss for this node and
-    deterministic children of ss for nested sources."""
+def _draw(source: Law, n: int, ss: np.random.SeedSequence) -> np.ndarray:
+    """Draw n vectors from a single source, or the sum of a nested product law,
+    using ss for this node and deterministic children of ss for nested sources."""
+    if isinstance(source, ProductLaw):
+        out = np.zeros((n, source.dimension))
+        for part, child in zip(source.components, ss.spawn(source.n)):
+            out += _draw(part, n, child)
+        return out
     rng = np.random.Generator(np.random.Philox(ss))
     if isinstance(source, FiniteSupportDist):
         idx = rng.choice(source.support_size, size=n, p=source.probs())
@@ -251,12 +270,6 @@ def _draw(source: Source, n: int, ss: np.random.SeedSequence) -> np.ndarray:
     if fam == "scaled":
         child = ss.spawn(1)[0]
         return par["factor"] * _draw(par["inner"], n, child)
-    if fam == "sum_of":
-        children = ss.spawn(len(par["parts"]))
-        out = np.zeros((n, source.dimension))
-        for part, child in zip(par["parts"], children):
-            out += _draw(part, n, child)
-        return out
     raise ParameterError(f"unknown sampler family {fam!r}")
 
 

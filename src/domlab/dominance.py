@@ -50,11 +50,6 @@ def tail_method(law: Law, estimator: Estimator) -> str:
     return "mc"
 
 
-def exact_capable(law: Law) -> bool:
-    """True when tail probabilities of ||X|| admit an exact path."""
-    return tail_method(law, Estimator("mc")) != "mc"
-
-
 def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
                stream: tuple = (), threads: int = 1) -> list:
     """P(||X|| > t) for every norm and threshold (sum law for a ProductLaw).
@@ -91,12 +86,6 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)
     return [[TailEstimate.from_counts(int(k), estimator.budget, estimator.confidence)
              for k in row] for row in counts]
-
-
-def tail_probability(law: Law, norm, threshold: float, estimator: Estimator,
-                     seed: int = 0, stream: tuple = ()) -> TailEstimate:
-    """P(||X|| > threshold): the single cell of tail_table."""
-    return tail_table(law, [norm], [threshold], estimator, seed, stream)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -78,16 +78,6 @@ def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
         yield eps
 
 
-def _apply_transform(vals: np.ndarray, transform) -> np.ndarray:
-    if transform == "identity":
-        return vals
-    if transform == "square":
-        return vals * vals
-    if isinstance(transform, tuple) and transform[0] == "shifted_plus":
-        return np.maximum(vals - transform[1], 0.0)
-    raise ParameterError(f"unknown transform {transform!r}")
-
-
 def _sign_norms(inst: SignInstance) -> np.ndarray:
     """||sum eps_i v_i|| for each of the 2^(n-1) half-patterns, in block order."""
     _check_cap(inst.n)
@@ -101,11 +91,11 @@ def _tail(vals: np.ndarray, t: float) -> float:
     return int(np.count_nonzero(vals > t)) / len(vals)
 
 
-def _mean(vals: np.ndarray, transform) -> float:
+def _mean(vals: np.ndarray) -> float:
     # one float sum per _eps_blocks block, added in block order
     acc = 0.0
     for lo in range(0, len(vals), _SIGN_BLOCK):
-        acc += float(_apply_transform(vals[lo:lo + _SIGN_BLOCK], transform).sum())
+        acc += float(vals[lo:lo + _SIGN_BLOCK].sum())
     return acc / len(vals)
 
 
@@ -125,9 +115,9 @@ def sign_tail_mc(inst: SignInstance, t: float, budget: int, seed: int,
     return TailEstimate.from_counts(sum(map_chunks(count_chunk, budget)), budget, confidence)
 
 
-def sign_mean_exact(inst: SignInstance, transform="identity") -> float:
-    """Exact E_eps transform(||sum eps_i v_i||)."""
-    return _mean(_sign_norms(inst), transform)
+def sign_mean_exact(inst: SignInstance) -> float:
+    """Exact E_eps ||sum eps_i v_i||."""
+    return _mean(_sign_norms(inst))
 
 
 def signed_mean_over_outcomes(outcomes: np.ndarray, norm) -> np.ndarray:
@@ -166,8 +156,9 @@ def verify_kahane(inst: SignInstance, s: float, t: float) -> SlackReport:
 def verify_L1L2(inst: SignInstance) -> SlackReport:
     """E||S||^2 <= 2 (E||S||)^2 for random signs, exact."""
     vals = _sign_norms(inst)
-    m1 = _mean(vals, "identity")
-    m2 = _mean(vals, "square")
+    m1 = _mean(vals)
+    vals *= vals  # squared in place: no second 2^(n-1) array
+    m2 = _mean(vals)
     return SlackReport.from_exact("l1l2", m2, 2.0 * m1 * m1)
 
 
@@ -179,7 +170,7 @@ def verify_PZ(inst: SignInstance, theta: float) -> SlackReport:
     """
     theta = _check_real(theta, "theta", "(0, 1)")
     vals = _sign_norms(inst)
-    tail = _tail(vals, theta * _mean(vals, "identity"))
+    tail = _tail(vals, theta * _mean(vals))
     bound = 0.5 * (1.0 - theta) ** 2
     return SlackReport.from_exact("paley_zygmund", bound, tail)
 
@@ -193,8 +184,8 @@ def verify_contraction(vectors, a, b, norm) -> SlackReport:
         raise ParameterError("coefficient/vector length mismatch")
     if np.any(np.abs(a) > np.abs(b)):
         raise ParameterError("contraction requires |a_i| <= |b_i| for all i")
-    lhs = sign_mean_exact(SignInstance(a[:, None] * vectors, norm), "identity")
-    rhs = sign_mean_exact(SignInstance(b[:, None] * vectors, norm), "identity")
+    lhs = sign_mean_exact(SignInstance(a[:, None] * vectors, norm))
+    rhs = sign_mean_exact(SignInstance(b[:, None] * vectors, norm))
     return SlackReport.from_exact("contraction", lhs, rhs)
 
 

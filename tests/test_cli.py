@@ -11,12 +11,13 @@ import numpy as np
 
 import pytest
 
+import domlab.dominance as dominance
 from domlab import (CapacityError, Estimator, ParameterError, PreconditionError,
                     bernoulli_thinned, norm_from_spec, pareto_tail, scaled_source, sum_of,
                     symmetric_stable, tail_table)
 from domlab.cli import CATALOG, _json_default, _write_csv, main
 from domlab.config import EXPERIMENTS, source_from_spec, validate_config
-from domlab.rng import CHUNK
+from domlab.rng import CHUNK, map_chunks
 
 TAIL_CFG = {
     "kind": "tail", "seed": 1,
@@ -734,6 +735,22 @@ def test_threads_flag_does_not_change_results(tmp_path):
     main(["run", path, "--out", b, "--threads", "8"])
     assert (tmp_path / "a" / "report.json").read_bytes() == \
         (tmp_path / "b" / "report.json").read_bytes()
+
+
+def test_counterexample_runs_on_the_threads_flag(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(fn, count, threads=1):
+        seen.append(threads)
+        return map_chunks(fn, count, threads)
+    monkeypatch.setattr(dominance, "map_chunks", spy)
+    cfg = dict(EXPERIMENTS["counterexample"].example["config"], budget=3 * CHUNK)
+    path = _write(tmp_path, cfg)
+    for threads in ("1", "3"):
+        assert main(["run", path, "--out", str(tmp_path / threads), "--threads", threads]) == 2
+    assert seen == [1, 3]
+    assert (tmp_path / "1" / "report.json").read_bytes() == \
+        (tmp_path / "3" / "report.json").read_bytes()
 
 
 def test_dump_samples_writes_the_tail_batch(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from scipy.stats import levy_stable
 
 import domlab.distributions as distributions
-from domlab import (EXACT, CapacityError, FiniteSupportDist, ParameterError, ProductLaw,
-                    absolute_value, analytic_survival, bernoulli_thinned,
+from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist, ParameterError,
+                    ProductLaw, absolute_value, analytic_survival, bernoulli_thinned,
                     enumerate_sign_classes, enumerate_sum, gaussian, pareto_tail,
                     scaled_source, sum_of, symmetric_stable, tail_table)
 from domlab.distributions import _draw_chunk, sample_sum_chunk
@@ -56,6 +56,34 @@ def test_symmetric_pairs_with_zero_atom():
     law = FiniteSupportDist.symmetric_pairs([[1.0, 0.0]], [0.8], zero_prob=0.2)
     assert law.support_size == 3
     assert abs(law.probs().sum() - 1.0) < 1e-12
+
+
+def test_atom_arrays_are_read_once_and_read_only():
+    law = FiniteSupportDist.symmetric_pairs([[1.0, 0.0], [0.5, 2.0]], [0.6, 0.4])
+    assert law.vectors() is law.vectors() and law.probs() is law.probs()
+    assert not law.vectors().flags.writeable and not law.probs().flags.writeable
+    assert law.vectors().tolist() == [list(v) for v, _ in law.atoms]
+    assert law.probs().tolist() == [p for _, p in law.atoms]
+    with pytest.raises(ValueError):
+        law.vectors()[0, 0] = 9.0
+    twin = FiniteSupportDist.symmetric_pairs([[1.0, 0.0], [0.5, 2.0]], [0.6, 0.4])
+    assert law == twin and hash(law) == hash(twin)
+
+
+def test_scaled_finite_law_stays_finite():
+    law = scaled_source(FiniteSupportDist.rademacher(), 2.0)
+    assert law == FiniteSupportDist.rademacher(2.0)
+    assert scaled_source(FiniteSupportDist.rademacher(), -0.5) == FiniteSupportDist.from_pairs(
+        [[-0.5], [0.5]], [0.5, 0.5])
+
+
+def test_sum_of_is_the_product_law():
+    rad = FiniteSupportDist.rademacher()
+    assert sum_of([rad, pareto_tail(2.0)]) == ProductLaw((rad, pareto_tail(2.0)))
+    # SamplerSource has no sum family; a sum is only ever a ProductLaw.
+    with pytest.raises(ParameterError, match="unknown sampler family 'sum_of'"):
+        _draw_chunk(distributions.SamplerSource(1, "sum_of", {"parts": (rad, rad)}),
+                    0, 10, 1, ())
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +216,19 @@ def test_sample_prefix_stability():
     short = _sample(src, CHUNK, seed=3)
     long = _sample(src, CHUNK + 500, seed=3)
     assert np.array_equal(short, long[:CHUNK])
+
+
+def test_nested_sums_keep_their_draws():
+    # A sum nested in a scaled source or in a product law spawns one child per
+    # part from its node's SeedSequence and adds the parts in order; these
+    # Monte Carlo counts pin those draws.
+    est = Estimator("mc", budget=5000)
+    scaled = scaled_source(sum_of([pareto_tail(2.0), symmetric_stable(1.5)]), 2.0)
+    nested = ProductLaw((sum_of([gaussian([[1.0]]), pareto_tail(3.0)]), pareto_tail(2.0)))
+    for law, thresholds, seed, stream, counts in ((scaled, [1.0, 4.0], 1, (0,), [4321, 2315]),
+                                                   (nested, [2.0, 8.0], 3, (5,), [2472, 89])):
+        (row,) = tail_table(law, [absolute_value()], thresholds, est, seed, stream)
+        assert [p.value for p in row] == [k / 5000 for k in counts]
 
 
 def test_sample_outcomes_columns_differ():

@@ -10,12 +10,11 @@ import pytest
 import domlab.dominance as dominance
 from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimator,
                     FiniteSupportDist, LpNorm, ParameterError, PreconditionError,
-                    ProductLaw, SignInstance, TailEstimate, WBParams, absolute_value,
-                    bernoulli_thinned, check_domination, check_wb, euclidean,
-                    exact_capable, gaussian, pareto_tail, proxy_bound_check,
-                    proxy_exact, proxy_mc, random_norm_family, scale_norm,
-                    sign_mean_exact, signed_mean_over_outcomes, tail_probability,
-                    tail_table, tensorisation_experiment)
+                    ProductLaw, TailEstimate, WBParams, absolute_value,
+                    bernoulli_thinned, check_domination, check_wb, euclidean, gaussian,
+                    pareto_tail, proxy_bound_check, proxy_exact, proxy_mc,
+                    random_norm_family, scale_norm, scaled_source, signed_mean_over_outcomes,
+                    sum_of, tail_method, tail_table, tensorisation_experiment)
 from domlab.distributions import sample_sum_chunk
 from domlab.rng import CHUNK, map_chunks
 
@@ -31,28 +30,32 @@ FAMILY1 = random_norm_family(seed=31, d=1, size=6)
 
 
 def test_tail_exact_finite():
-    law = ProductLaw((RAD,) * 3)
-    p = tail_probability(law, absolute_value(), 1.0, EXACT)
-    assert p.exact and p.value == pytest.approx(0.25, abs=1e-15)
+    # [DERIVED] P(|e1 + e2 + e3| > t) = 1/4 for t in [1, 3), whether the sum is
+    # written as a product law or through sum_of.
+    for law in (ProductLaw((RAD,) * 3), sum_of([RAD] * 3)):
+        (p1, p2), = tail_table(law, [absolute_value()], [1.0, 2.0], EXACT)
+        assert p1.exact and p1.value == pytest.approx(0.25, abs=1e-15)
+        assert p2.exact and p2.value == 0.25
 
 
 def test_tail_analytic_scalar_with_scaled_norm():
     # P(c|X| > 1) = P(|X| > 1/c) via the closed-form survival function.
     src = pareto_tail(2.0)
     norm = scale_norm(absolute_value(), 0.25)
-    p = tail_probability(src, norm, 1.0, EXACT)
+    (p,), = tail_table(src, [norm], [1.0], EXACT)
     assert p.exact and p.value == pytest.approx(4.0 ** -2, abs=1e-15)
 
 
 def test_tail_mc_matches_analytic():
     src = pareto_tail(2.0)
     est = Estimator("mc", budget=400_000)
-    p = tail_probability(gaussian(np.eye(2)), euclidean(2), 1.0, est, seed=2)
+    (p,), = tail_table(gaussian(np.eye(2)), [euclidean(2)], [1.0], est, seed=2)
     assert not p.exact
     # [DERIVED] chi-square(2): P(||Z|| > 1) = exp(-1/2).
     assert p.lo <= np.exp(-0.5) <= p.hi
     assert p.value == pytest.approx(np.exp(-0.5), abs=0.005)
-    assert tail_probability(src, absolute_value(), 2.0, est, seed=2).exact
+    (q,), = tail_table(src, [absolute_value()], [2.0], est, seed=2)
+    assert q.exact
 
 
 def test_tail_table_samples_a_thinned_vector_source():
@@ -67,15 +70,17 @@ def test_tail_table_samples_a_thinned_vector_source():
 
 def test_tail_requires_mc_when_no_exact_path():
     with pytest.raises(ParameterError, match="mc"):
-        tail_probability(gaussian(np.eye(2)), euclidean(2), 1.0, EXACT)
+        tail_table(gaussian(np.eye(2)), [euclidean(2)], [1.0], EXACT)
 
 
 def test_exact_capable():
-    assert exact_capable(RAD)
-    assert exact_capable(ProductLaw((RAD, HALF)))
-    assert exact_capable(pareto_tail(2.0))
-    assert not exact_capable(gaussian(np.eye(2)))
-    assert not exact_capable(ProductLaw((gaussian(np.eye(2)),) * 2))
+    # tail_method is the one exactness test: every law but "mc" has an exact path.
+    for law in (RAD, ProductLaw((RAD, HALF)), sum_of([RAD, HALF]), scaled_source(RAD, 2.0)):
+        assert tail_method(law, EXACT) == "enumeration"
+    assert tail_method(pareto_tail(2.0), EXACT) == "closed-form"
+    mc = Estimator("mc")
+    assert tail_method(gaussian(np.eye(2)), mc) == "mc"
+    assert tail_method(ProductLaw((gaussian(np.eye(2)),) * 2), mc) == "mc"
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,8 @@ def test_proxy_exact_matches_the_tuple_enumeration():
 def test_proxy_exact_far_above_the_tuple_cap():
     # 12 four-atom components: 4^12 = 16.7M tuples, 2^12 = 4096 sign classes.
     # [DERIVED] oracle: the proxy summed class by class, each class's inner
-    # mean from sign_mean_exact and its mass the product of pair masses.
+    # mean by brute force over all 2^12 sign patterns and its mass the product
+    # of pair masses.
     rng = np.random.default_rng(12)
     pairs = rng.standard_normal((12, 2, 2)) * 0.4
     weights = rng.uniform(0.2, 0.8, 12)
@@ -297,11 +303,12 @@ def test_proxy_exact_far_above_the_tuple_cap():
                            for i, w in enumerate(weights)))
     assert math.prod(c.support_size for c in law.components) > PRODUCT_SUPPORT_CAP
     norm = euclidean(2)
+    eps = np.array(list(itertools.product((-1.0, 1.0), repeat=12)))
     expected = 0.0
     for choice in itertools.product((0, 1), repeat=12):
         mass = np.prod([w if c == 0 else 1.0 - w for w, c in zip(weights, choice)])
-        inner = sign_mean_exact(SignInstance(pairs[np.arange(12), list(choice)], norm),
-                                ("shifted_plus", 1.0))
+        sums = eps @ pairs[np.arange(12), list(choice)]
+        inner = np.maximum(norm.evaluate(sums) - 1.0, 0.0).mean()
         expected += mass * min(inner, 1.0)
     assert proxy_exact(law, norm).value == pytest.approx(expected, rel=1e-13)
 

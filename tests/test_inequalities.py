@@ -59,11 +59,12 @@ def test_sign_mean_exact_matches_brute_force():
     rng = np.random.default_rng(1)
     vectors = rng.standard_normal((5, 3))
     inst = SignInstance(vectors, euclidean(3))
-    assert sign_mean_exact(inst, "identity") == pytest.approx(
+    assert sign_mean_exact(inst) == pytest.approx(
         _brute_mean(vectors, euclidean(3), lambda v: v), abs=1e-12)
-    assert sign_mean_exact(inst, "square") == pytest.approx(
+    assert verify_L1L2(inst).lhs == pytest.approx(
         _brute_mean(vectors, euclidean(3), lambda v: v * v), abs=1e-12)
-    assert sign_mean_exact(inst, ("shifted_plus", 1.0)) == pytest.approx(
+    (shifted,) = signed_mean_over_outcomes(vectors[None], euclidean(3))
+    assert shifted == pytest.approx(
         _brute_mean(vectors, euclidean(3), lambda v: max(v - 1.0, 0.0)), abs=1e-12)
 
 
@@ -141,8 +142,7 @@ def test_signed_mean_over_outcomes_matches_per_instance():
     norm = euclidean(2)
     batch = signed_mean_over_outcomes(outcomes, norm)
     for m in range(6):
-        single = sign_mean_exact(SignInstance(outcomes[m], norm),
-                                 ("shifted_plus", 1.0))
+        single = _brute_mean(outcomes[m], norm, lambda v: max(v - 1.0, 0.0))
         assert batch[m] == pytest.approx(single, abs=1e-12)
 
 
@@ -180,8 +180,9 @@ def test_l1l2_holds_and_matches_moments():
         inst = SignInstance(rng.standard_normal((n, 3)), euclidean(3))
         rep = verify_L1L2(inst)
         assert rep.holds
-        m1 = sign_mean_exact(inst, "identity")
-        assert rep.lhs == pytest.approx(sign_mean_exact(inst, "square"), abs=1e-12)
+        m1 = sign_mean_exact(inst)
+        assert rep.lhs == pytest.approx(
+            _brute_mean(inst.vectors, euclidean(3), lambda v: v * v), abs=1e-12)
         assert rep.rhs == pytest.approx(2.0 * m1 * m1, abs=1e-12)
 
 

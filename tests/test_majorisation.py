@@ -1,5 +1,6 @@
 """Majorisation order, constructive mixtures, and weighted-sum experiments."""
 
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import levy_stable
 
+import domlab.dominance as dominance
 from domlab import (Estimator, FiniteSupportDist, ParameterError,
                     PreconditionError, WBParams, absolute_value,
                     counterexample_experiment, decompose, euclidean,
                     is_majorised, pareto_tail, scale_norm, schur_convexity_check,
                     weighted_domination_constants, weighted_domination_experiment)
+from domlab.rng import CHUNK, map_chunks
 
 
 def _random_majorised_pair(rng, n):
@@ -264,6 +267,21 @@ def test_counterexample_mc_witness_needs_separated_intervals():
     assert table.rows[-1].lhs > table.rows[-1].rhs
     assert table.witness is None
     assert table.to_json()["expected_violation"] is False
+
+
+def test_counterexample_threads_leave_the_report_unchanged(monkeypatch):
+    # Three rng.CHUNK chunks, counted on 1 and on 3 worker threads.
+    seen = []
+
+    def spy(fn, count, threads=1):
+        seen.append(threads)
+        return map_chunks(fn, count, threads)
+    monkeypatch.setattr(dominance, "map_chunks", spy)
+    reports = [json.dumps(counterexample_experiment(
+        0.7, [1, 64, 4096], kappa=10.0, lam=1.0, budget=3 * CHUNK, seed=2,
+        threads=threads).to_json()) for threads in (1, 3)]
+    assert seen == [1, 3]
+    assert reports[0] == reports[1]
 
 
 def test_counterexample_validation():
