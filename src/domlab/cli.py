@@ -47,19 +47,9 @@ CATALOG = [dict(kind.example, kind=name) for name, kind in EXPERIMENTS.items()]
 # output plumbing
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -243,8 +243,8 @@ def _prepare_majorize(raw):
 def _prepare_schur(raw):
     a, b = weight_pair(raw["a"], raw["b"])
     comp = source_from_spec(raw["component"], "component")
-    if not isinstance(comp, FiniteSupportDist):
-        raise ParameterError("config[schur]: component must be a finite source")
+    if not comp.finite:
+        raise ParameterError("config[schur]: component must be a finite law")
     (norm,) = norm_family([norm_from_spec(raw["norm"])], comp.dimension)
 
     def run(threads):

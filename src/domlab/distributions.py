@@ -10,10 +10,9 @@ Three kinds of laws coexist:
 * :class:`ProductLaw` -- independent laws X_1, ..., X_n, which stands for
   their sum wherever one law is expected; sum_of builds one.
 
-A scaled finite law is finite again, so a sum of scaled finite laws is a
-product law of finite laws and is enumerated.  A product law nested in
-another law (a sum as one part of a sum, or the inner law of a scaled or
-thinned source) is sampled.
+Each law says whether it is finite; a product law is when all its
+components are, nested sums included.  Scaling a finite law, or thinning a
+finite-support law, gives a finite law; a thinned sum is sampled.
 
 Sources are sampled one rng.CHUNK-row chunk at a time (_draw_chunk,
 sample_sum_chunk); callers stream the chunks and hold at most one per
@@ -66,6 +65,7 @@ class FiniteSupportDist:
     alone.  Probabilities sum to one.
     """
 
+    finite = True
     dimension: int
     atoms: tuple  # tuple of (tuple[float, ...], float)
     _vectors: np.ndarray = field(init=False, repr=False, compare=False)
@@ -139,6 +139,7 @@ class SamplerSource:
     Use the module-level constructors, which validate.
     """
 
+    finite = False
     dimension: int
     family: str
     params: dict = field(repr=False)
@@ -175,11 +176,16 @@ def pareto_tail(exponent: float) -> SamplerSource:
                          params={"exponent": _check_real(exponent, "tail exponent", "(0, inf)")})
 
 
-def bernoulli_thinned(inner: Law, keep: float) -> SamplerSource:
-    """Source delta * X with delta ~ Bernoulli(keep) independent of X."""
+def bernoulli_thinned(inner: Law, keep: float) -> Law:
+    """Source delta * X with delta ~ Bernoulli(keep) independent of X; a
+    finite-support law when X is one (masses times keep, 1 - keep at zero)."""
+    keep = _check_real(keep, "keep-probability", "(0, 1]")
+    if isinstance(inner, FiniteSupportDist):
+        vectors, probs = _merge_atoms(np.vstack([inner.vectors(), np.zeros(inner.dimension)]),
+                                      np.append(keep * inner.probs(), 1.0 - keep))
+        return FiniteSupportDist.from_pairs(vectors[probs > 0.0], probs[probs > 0.0])
     return SamplerSource(dimension=inner.dimension, family="bernoulli_thinned",
-                         params={"inner": inner,
-                                 "keep": _check_real(keep, "keep-probability", "(0, 1]")})
+                         params={"inner": inner, "keep": keep})
 
 
 def scaled_source(inner: Law, factor: float) -> Law:
@@ -189,6 +195,8 @@ def scaled_source(inner: Law, factor: float) -> Law:
         raise ParameterError("scale factor must be nonzero")
     if isinstance(inner, FiniteSupportDist):
         return FiniteSupportDist.from_pairs(factor * inner.vectors(), inner.probs())
+    if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n
+        return sum_of([scaled_source(c, factor) for c in inner.components])
     return SamplerSource(dimension=inner.dimension, family="scaled",
                          params={"inner": inner, "factor": factor})
 
@@ -220,8 +228,9 @@ class ProductLaw:
     def n(self) -> int:
         return len(self.components)
 
-    def all_finite(self) -> bool:
-        return all(isinstance(c, FiniteSupportDist) for c in self.components)
+    @property
+    def finite(self) -> bool:
+        return all(c.finite for c in self.components)
 
 
 Law = Union[FiniteSupportDist, SamplerSource, ProductLaw]
@@ -292,19 +301,19 @@ def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = ())
 # exact enumeration
 
 
-def _fold_signs(dist: FiniteSupportDist):
+def _fold_signs(vectors: np.ndarray, probs: np.ndarray):
     """One representative per +/- pair of atoms carrying the pair's mass, and
     the zero atom, as (vectors, probs)."""
-    index, vectors, masses = {}, [], []
-    for key, p in dist.atoms:
+    index, kept, masses = {}, [], []
+    for key, p in zip(map(tuple, vectors.tolist()), probs.tolist()):
         i = index.get(tuple(-x for x in key))
         if i is None:
             index[key] = len(masses)
-            vectors.append(key)
+            kept.append(key)
             masses.append(p)
         else:
             masses[i] += p
-    return np.array(vectors, dtype=float), np.array(masses)
+    return np.array(kept, dtype=float), np.array(masses)
 
 
 def enumerate_sign_classes(law: ProductLaw):
@@ -317,9 +326,7 @@ def enumerate_sign_classes(law: ProductLaw):
     such as E_eps ||sum eps_i x_i||, has the same law over these classes
     as over the tuples.  PRODUCT_SUPPORT_CAP bounds the number of classes.
     """
-    if not law.all_finite():
-        raise ParameterError("enumerate_sign_classes requires finite-support components")
-    parts = [_fold_signs(c) for c in law.components]
+    parts = [_fold_signs(*enumerate_sum(c)) for c in law.components]
     sizes = [len(p) for _, p in parts]
     if math.prod(sizes) > PRODUCT_SUPPORT_CAP:
         raise CapacityError(f"sign-class count {math.prod(sizes)} exceeds cap "
@@ -329,14 +336,14 @@ def enumerate_sign_classes(law: ProductLaw):
     return outcomes, np.prod([p[i] for (_, p), i in zip(parts, idx)], axis=0)
 
 
-def _step_masses(probs: np.ndarray, comp: FiniteSupportDist) -> np.ndarray:
+def _step_masses(probs: np.ndarray, comp_probs: np.ndarray) -> np.ndarray:
     """Masses of every (atom, comp atom) pair of one convolution step, row-major;
     PRODUCT_SUPPORT_CAP bounds their number."""
-    size = len(probs) * comp.support_size
+    size = len(probs) * len(comp_probs)
     if size > PRODUCT_SUPPORT_CAP:
         raise CapacityError(f"{size} atoms before merging exceed the product "
                             f"support cap {PRODUCT_SUPPORT_CAP}")
-    return np.multiply.outer(probs, comp.probs()).reshape(size)
+    return np.multiply.outer(probs, comp_probs).reshape(size)
 
 
 def _merge_atoms(vectors: np.ndarray, probs: np.ndarray):
@@ -357,17 +364,17 @@ def enumerate_sum(law: Law):
     tuple added in that order; after each step, atoms with exactly equal
     vectors are merged and their masses added.  PRODUCT_SUPPORT_CAP bounds
     the atoms of one step before they are merged; no outcome tuple is built.
+    A nested sum is enumerated first, as one component.
     """
+    if not law.finite:
+        raise ParameterError("exact enumeration needs a finite-support law")
     if isinstance(law, FiniteSupportDist):
         return law.vectors(), law.probs()
-    if not (isinstance(law, ProductLaw) and law.all_finite()):
-        raise ParameterError("exact enumeration needs a finite-support law")
-    first, *rest = law.components
-    vectors, probs = first.vectors(), first.probs()
-    for c in rest:
-        masses = _step_masses(probs, c)
+    (vectors, probs), *rest = (enumerate_sum(c) for c in law.components)
+    for comp_vectors, comp_probs in rest:
+        masses = _step_masses(probs, comp_probs)
         vectors, probs = _merge_atoms(
-            (vectors[:, None, :] + c.vectors()).reshape(len(masses), -1), masses)
+            (vectors[:, None, :] + comp_vectors).reshape(len(masses), -1), masses)
     return vectors, probs
 
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import (FiniteSupportDist, Law, ProductLaw, _draw_chunk,
-                            analytic_survival, enumerate_sign_classes,
-                            enumerate_sum, sample_sum_chunk)
+from .distributions import (Law, ProductLaw, _draw_chunk, analytic_survival,
+                            enumerate_sign_classes, enumerate_sum, sample_sum_chunk)
 from .errors import ParameterError, PreconditionError, _check_count, _check_real
 from .geometry import norm_family, norm_to_spec
 from .inequalities import _check_cap, signed_mean_over_outcomes
@@ -40,8 +39,7 @@ def tail_method(law: Law, estimator: Estimator) -> str:
     """How tail_table computes tails of law, decided here only: "enumeration" for
     finite support, "closed-form" where analytic_survival exists, else "mc", which
     raises ParameterError for an exact estimator."""
-    if isinstance(law, FiniteSupportDist) or (isinstance(law, ProductLaw)
-                                              and law.all_finite()):
+    if law.finite:
         return "enumeration"
     if analytic_survival(law) is not None:
         return "closed-form"

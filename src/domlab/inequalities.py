@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProductLaw, _merge_atoms, _step_masses
+from .distributions import ProductLaw, _merge_atoms, _step_masses, enumerate_sum
 from .errors import CapacityError, ParameterError, _check_count, _check_real, _param_rows
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
@@ -177,10 +177,9 @@ def verify_PZ(inst: SignInstance, theta: float) -> SlackReport:
 
 def verify_contraction(vectors, a, b, norm) -> SlackReport:
     """E||sum eps a_i v_i|| <= E||sum eps b_i v_i|| when |a_i| <= |b_i|, exact."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or len(a) != len(vectors):
+    vectors = _param_rows(vectors, "contraction vectors")
+    a, b = _param_rows([a, b], "contraction coefficients")
+    if len(a) != len(vectors):
         raise ParameterError("coefficient/vector length mismatch")
     if np.any(np.abs(a) > np.abs(b)):
         raise ParameterError("contraction requires |a_i| <= |b_i| for all i")
@@ -207,11 +206,12 @@ def _exact_sum_events(law: ProductLaw, norm, s: float, t: float, u: float):
     d = law.dimension
     states, probs, x_tails, q = np.zeros((1, d + 4)), np.ones(1), 0.0, 1.0
     for c in law.components:
-        xn = norm.evaluate(c.vectors())
-        x_tails += float(c.probs()[xn > t].sum())
-        q *= float(c.probs()[xn <= t].sum())
-        masses = _step_masses(probs, c)
-        sums = (states[:, None, :d] + c.vectors()).reshape(len(masses), d)
+        c_vectors, c_probs = enumerate_sum(c)
+        xn = norm.evaluate(c_vectors)
+        x_tails += float(c_probs[xn > t].sum())
+        q *= float(c_probs[xn <= t].sum())
+        masses = _step_masses(probs, c_probs)
+        sums = (states[:, None, :d] + c_vectors).reshape(len(masses), d)
         sn = norm.evaluate(sums).reshape(len(probs), -1)
         seen = np.stack(np.broadcast_arrays(sn > t, sn > s + t + u, xn > t, xn > s), axis=-1)
         flags = np.maximum(states[:, None, d:], seen).reshape(len(masses), 4)
@@ -233,8 +233,6 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict) -> dict:
     summand-tail check is replaced by a "skipped" entry when
     P(X* > t) = 1, where its right-hand side is infinite.
     """
-    if not law.all_finite():
-        raise ParameterError("sum inequalities need finite-support components")
     s, t, u = (_check_real(levels[k], f"level {k}") for k in "stu")
     events, q = _exact_sum_events(law, norm, s, t, u)
     p_sstar_t, p_slast_t, p_xstar, p_xstar_s, p_sstar_stu, p_slast_u, x_tails = events

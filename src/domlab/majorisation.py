@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import (FiniteSupportDist, ProductLaw, enumerate_sum,
-                            scaled_source, sum_of, symmetric_stable)
+from .distributions import (Law, ProductLaw, enumerate_sum, scaled_source, sum_of,
+                            symmetric_stable)
 from .dominance import DominationQuery, DominationReport, check_domination, tail_table
 from .errors import (ParameterError, PreconditionError, _check_count, _check_list,
                      _check_real, _param_rows)
@@ -124,23 +124,14 @@ def _t_transform_chain(a_sorted: np.ndarray, b_sorted: np.ndarray):
 
 def _doubly_stochastic_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Doubly stochastic T with a = T b, via the averaging chain."""
-    n = len(a)
     order_a = np.argsort(-a, kind="stable")
     order_b = np.argsort(-b, kind="stable")
-    a_sorted, b_sorted = a[order_a], b[order_b]
-    steps = _t_transform_chain(a_sorted, b_sorted)
-    t_sorted = np.eye(n)
-    for j, k, lam in steps:
-        step = np.eye(n)
-        step[j, j] = step[k, k] = lam
-        step[j, k] = step[k, j] = 1.0 - lam
-        t_sorted = step @ t_sorted
-    # undo the sorting permutations: a = Ra a_sorted, b_sorted = Sb b
-    ra = np.zeros((n, n))
-    ra[order_a, np.arange(n)] = 1.0
-    sb = np.zeros((n, n))
-    sb[np.arange(n), order_b] = 1.0
-    return ra @ t_sorted @ sb
+    t = np.eye(len(a))
+    for j, k, lam in _t_transform_chain(a[order_a], b[order_b]):
+        t[[j, k]] = lam * t[[j, k]] + (1.0 - lam) * t[[k, j]]
+    out = np.empty_like(t)
+    out[np.ix_(order_a, order_b)] = t  # undo both sorts: a = out b
+    return out
 
 
 def decompose(a, b) -> PermutationMixture:
@@ -191,7 +182,7 @@ def _weighted_sum_law(weights, source) -> ProductLaw:
     return sum_of(parts)
 
 
-def schur_convexity_check(a, b, component: FiniteSupportDist, norm) -> SlackReport:
+def schur_convexity_check(a, b, component: Law, norm) -> SlackReport:
     """E (||sum a_i X_i|| - 1)_+ <= E (||sum b_i X_i|| - 1)_+ for a < b, exact.
 
     X_i are iid copies of the finite-support component; each expectation

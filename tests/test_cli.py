@@ -15,7 +15,7 @@ import domlab.dominance as dominance
 from domlab import (CapacityError, Estimator, ParameterError, PreconditionError,
                     bernoulli_thinned, norm_from_spec, pareto_tail, scaled_source, sum_of,
                     symmetric_stable, tail_table)
-from domlab.cli import CATALOG, _json_default, _write_csv, main
+from domlab.cli import CATALOG, _write_csv, main
 from domlab.config import EXPERIMENTS, source_from_spec, validate_config
 from domlab.rng import CHUNK, map_chunks
 
@@ -354,7 +354,7 @@ def test_mutated_catalog_configs_fail_validate_cleanly_or_run():
             escaped.append((cfg, "a bool or a numeric string read as a number"))
         try:
             report, _, _ = run(1)
-            json.dumps(report, default=_json_default, allow_nan=False)
+            json.dumps(report, allow_nan=False)
         except (PreconditionError, CapacityError):
             pass
         except Exception as exc:
@@ -525,6 +525,23 @@ def test_schur_with_many_equal_weights_exits_zero(tmp_path):
                    for k in range(21)) / 2**20
     assert rep["lhs"] == pytest.approx(expected, rel=1e-12)
     assert rep["rhs"] == 1.0 and rep["holds"]
+
+
+def test_schur_component_may_be_any_finite_law(tmp_path, capsys):
+    # [DERIVED] e_1 + e_2 is the law on -2, 0, 2 with masses 1/4, 1/2, 1/4, so
+    # both configs sum the same dyadic atoms and report the same exact sides.
+    pair = {"family": "sum_of", "parts": [_RADEMACHER, _RADEMACHER]}
+    atoms = {"family": "finite", "atoms": [[[-2.0], 0.25], [[0.0], 0.5], [[2.0], 0.25]]}
+    reports = []
+    for name, component in (("pair", pair), ("atoms", atoms)):
+        path = _write(tmp_path, _example("schur", component=component), name + ".json")
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text())["report"])
+    assert reports[0] == reports[1] and reports[0]["method"] == "exact"
+    stable = _write(tmp_path, _example("schur", component=_STABLE), "stable.json")
+    assert main(["validate", stable]) == 1
+    assert "component must be a finite law" in capsys.readouterr().err
 
 
 def _rademacher_tensorize(n):

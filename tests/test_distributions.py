@@ -77,6 +77,27 @@ def test_scaled_finite_law_stays_finite():
         [[-0.5], [0.5]], [0.5, 0.5])
 
 
+def test_finite_is_one_predicate_through_nested_sums():
+    rad = FiniteSupportDist.rademacher()
+    assert rad.finite and not pareto_tail(2.0).finite
+    assert sum_of([sum_of([rad, rad]), rad]).finite
+    assert not sum_of([sum_of([rad, pareto_tail(2.0)]), rad]).finite
+    assert not scaled_source(sum_of([rad, pareto_tail(2.0)]), 2.0).finite
+
+
+def test_constructors_keep_finite_laws_finite():
+    rad = FiniteSupportDist.rademacher()
+    # c (X_1 + X_2) = c X_1 + c X_2
+    assert scaled_source(sum_of([rad, rad]), 2.0) == sum_of([FiniteSupportDist.rademacher(2.0)] * 2)
+    assert bernoulli_thinned(rad, 0.5) == FiniteSupportDist.from_pairs(
+        [[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
+    # keep = 1 adds no zero atom; a zero atom already there gains 1 - keep
+    assert dict(bernoulli_thinned(rad, 1.0).atoms) == {(-1.0,): 0.5, (1.0,): 0.5}
+    lazy = FiniteSupportDist.symmetric_pairs([[2.0]], [0.5], zero_prob=0.5)
+    assert dict(bernoulli_thinned(lazy, 0.25).atoms) == pytest.approx(
+        {(-2.0,): 0.0625, (0.0,): 0.875, (2.0,): 0.0625}, rel=1e-15)
+
+
 def test_sum_of_is_the_product_law():
     rad = FiniteSupportDist.rademacher()
     assert sum_of([rad, pareto_tail(2.0)]) == ProductLaw((rad, pareto_tail(2.0)))
@@ -117,9 +138,15 @@ def test_enumerate_sum_matches_merged_itertools_oracle():
     generic = FiniteSupportDist.symmetric_pairs(rng.standard_normal((2, 2)), [0.6, 0.4])
     square = FiniteSupportDist.from_pairs([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
                                            [-1.0, -1.0]], [0.25] * 4)
-    for comps in ((lattice,) * 4, (square,) * 5, (lattice, generic, square, lattice),
-                  (FiniteSupportDist.rademacher(0.1),) * 7):
-        vectors, probs = enumerate_sum(ProductLaw(comps))
+    rad = FiniteSupportDist.rademacher()
+    cases = [(ProductLaw(comps), comps)
+             for comps in ((lattice,) * 4, (square,) * 5, (lattice, generic, square, lattice),
+                           (FiniteSupportDist.rademacher(0.1),) * 7)]
+    # a nested sum is convolved left to right as the flat sum of its parts is
+    cases += [(sum_of([sum_of([rad, rad]), rad]), (rad,) * 3),
+              (sum_of([sum_of([lattice, generic]), square]), (lattice, generic, square))]
+    for law, comps in cases:
+        vectors, probs = enumerate_sum(law)
         got = {tuple(v): p for v, p in zip(vectors.tolist(), probs)}
         expected = _merged_sum_oracle(comps)
         assert len(got) == len(vectors)  # every atom is distinct
@@ -228,6 +255,21 @@ def test_nested_sums_keep_their_draws():
     for law, thresholds, seed, stream, counts in ((scaled, [1.0, 4.0], 1, (0,), [4321, 2315]),
                                                    (nested, [2.0, 8.0], 3, (5,), [2472, 89])):
         (row,) = tail_table(law, [absolute_value()], thresholds, est, seed, stream)
+        assert [p.value for p in row] == [k / 5000 for k in counts]
+
+
+def test_finite_parts_of_a_sampled_sum_draw_as_finite_laws():
+    # A scaled finite sum is the sum of its scaled parts, each drawn on its
+    # own substream, and a thinned finite-support law is one finite law
+    # drawn by a single choice over its atoms; these Monte Carlo counts pin
+    # those draws.
+    est = Estimator("mc", budget=5000)
+    rad = FiniteSupportDist.rademacher()
+    scaled = sum_of([scaled_source(sum_of([rad, rad]), 2.0), pareto_tail(2.0)])
+    thinned = sum_of([bernoulli_thinned(rad, 0.5), pareto_tail(2.0)])
+    for law, thresholds, counts in ((scaled, [3.0, 6.0], [1605, 400]),
+                                    (thinned, [1.0, 3.0], [4060, 692])):
+        (row,) = tail_table(law, [absolute_value()], thresholds, est, 1, (0,))
         assert [p.value for p in row] == [k / 5000 for k in counts]
 
 

@@ -15,7 +15,7 @@ from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimat
                     pareto_tail, proxy_bound_check, proxy_exact, proxy_mc,
                     random_norm_family, scale_norm, scaled_source, signed_mean_over_outcomes,
                     sum_of, tail_method, tail_table, tensorisation_experiment)
-from domlab.distributions import sample_sum_chunk
+from domlab.distributions import enumerate_sum, sample_sum_chunk
 from domlab.rng import CHUNK, map_chunks
 
 EXACT = Estimator("exact")
@@ -81,6 +81,19 @@ def test_exact_capable():
     mc = Estimator("mc")
     assert tail_method(gaussian(np.eye(2)), mc) == "mc"
     assert tail_method(ProductLaw((gaussian(np.eye(2)),) * 2), mc) == "mc"
+
+
+def test_nested_scaled_and_thinned_finite_laws_are_enumerated():
+    # [DERIVED] brute force: e_1 + e_2 + e_3 exceeds 2 only at +-3 (mass 1/4);
+    # 2 (e_1 + e_2) is +-4 with mass 1/4 each; e_1 thinned at keep 1/2 is 0
+    # with mass 1/2.
+    cases = ((sum_of([sum_of([RAD, RAD]), RAD]), [2.0], [0.25]),
+             (scaled_source(sum_of([RAD, RAD]), 2.0), [3.9, 4.0], [0.5, 0.0]),
+             (bernoulli_thinned(RAD, 0.5), [0.0, 1.0], [0.5, 0.0]))
+    for law, thresholds, expected in cases:
+        assert tail_method(law, EXACT) == "enumeration"
+        (row,) = tail_table(law, [absolute_value()], thresholds, EXACT)
+        assert [p.value for p in row] == expected and all(p.exact for p in row)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +293,14 @@ def _sign_class_oracle_laws():
 
 
 SIGN_CLASS_NORMS = [euclidean(2), *random_norm_family(seed=8, d=2, size=6)]
+
+
+def test_proxy_exact_reads_a_nested_sum_as_one_finite_summand():
+    inner = sum_of([RAD, HALF])
+    flat = FiniteSupportDist.from_pairs(*enumerate_sum(inner))
+    for norm in (absolute_value(), scale_norm(absolute_value(), 0.4)):
+        assert (proxy_exact(ProductLaw((inner, RAD)), norm)
+                == proxy_exact(ProductLaw((flat, RAD)), norm))
 
 
 def test_proxy_exact_matches_the_tuple_enumeration():

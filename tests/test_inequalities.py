@@ -13,6 +13,7 @@ from domlab import (CapacityError, EllipsoidNorm, FiniteSupportDist, LpNorm,
                     sign_mean_exact, sign_tail_exact, sign_tail_mc,
                     signed_mean_over_outcomes, verify_L1L2, verify_PZ,
                     verify_contraction, verify_kahane, verify_sum_inequalities)
+from domlab.distributions import enumerate_sum, sum_of
 from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _sign_norms
 
 
@@ -225,6 +226,19 @@ def test_contraction_holds_and_validates():
         verify_contraction(vectors, b, a, euclidean(2))
 
 
+def test_contraction_reads_coefficients_as_finite_reals():
+    vectors, ones = np.eye(3), [1.0, 1.0, 1.0]
+    with pytest.raises(ParameterError, match=r"contraction coefficients\[0\]\[1\] must be a "
+                                             "finite number, got nan"):
+        verify_contraction(vectors, [0.1, math.nan, 0.1], ones, euclidean(3))
+    with pytest.raises(ParameterError, match=r"contraction coefficients\[1\]\[2\].*inf"):
+        verify_contraction(vectors, [0.1, 0.1, 0.1], [1.0, 1.0, math.inf], euclidean(3))
+    with pytest.raises(ParameterError, match=r"coefficients\[0\]\[0\].*got True"):
+        verify_contraction(vectors, [True, 0.1, 0.1], ones, euclidean(3))
+    with pytest.raises(ParameterError, match="length mismatch"):
+        verify_contraction(vectors, [0.1, 0.1], [1.0, 1.0], euclidean(3))
+
+
 # ---------------------------------------------------------------------------
 # sum inequalities for independent symmetric vectors
 
@@ -334,6 +348,16 @@ def test_sum_inequalities_random_exact_instances():
         for name, rep in reports.items():
             assert rep.holds, name
             assert rep.method == "exact"
+
+
+def test_sum_inequalities_read_a_nested_sum_as_one_finite_summand():
+    rad, half = FiniteSupportDist.rademacher(), FiniteSupportDist.rademacher(0.5)
+    inner = sum_of([rad, half])
+    flat = FiniteSupportDist.from_pairs(*enumerate_sum(inner))
+    levels = {"s": 0.5, "t": 1.2, "u": 0.9}
+    nested = verify_sum_inequalities(ProductLaw((inner, rad)), absolute_value(), levels)
+    assert nested == verify_sum_inequalities(ProductLaw((flat, rad)), absolute_value(), levels)
+    assert all(rep.note != "skipped" for rep in nested.values())
 
 
 def test_summand_tails_rhs_keeps_precision_near_certainty():
