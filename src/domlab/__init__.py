@@ -11,9 +11,8 @@ claims about tails are answered with three-valued verdicts
 
 from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDist,
                             ProductLaw, SamplerSource,
-                            analytic_survival, bernoulli_thinned,
-                            enumerate_sign_classes, enumerate_sum, gaussian,
-                            pareto_tail, scaled_source, sum_of, symmetric_stable)
+                            analytic_survival, enumerate_sign_classes, enumerate_sum,
+                            gaussian, pareto_tail, scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, DominationReport, NormRecord, ProxyValue,
                         check_domination, proxy_bound_check, proxy_exact, proxy_mc,
                         tail_method, tail_table, tensorisation_experiment)

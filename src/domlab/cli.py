@@ -27,8 +27,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .config import EXPERIMENTS, load_config
 from .errors import CapacityError, ParameterError, PreconditionError
@@ -59,27 +57,13 @@ def _fmt(x):
     return x
 
 
-def _format_block(block):
-    """The CSV lines of a 2-D numeric array, as csv.writer writes its rows
-    after _fmt, built by one str.format call."""
-    field = "{:.17g}" if block.dtype.kind == "f" else "{}"
-    line = ",".join([field] * block.shape[1]) + "\r\n"
-    return (line * block.shape[0]).format(*block.ravel().tolist())
-
-
 def _write_csv(path, header, rows):
-    """One CSV table; a header of None writes no header row.  ``rows`` may be
-    a generator, so a table is streamed to disk as it is produced; an item
-    that is a 2-D numeric array is a block of rows, written in one piece."""
+    """One CSV table: the header row, then each row with floats at 17 digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)  # RFC 4180: CRLF line terminator is the default
-        if header is not None:
-            w.writerow(header)
+        w.writerow(header)
         for row in rows:
-            if isinstance(row, np.ndarray) and row.ndim == 2:
-                fh.write(_format_block(row))
-            else:
-                w.writerow([_fmt(v) for v in row])
+            w.writerow([_fmt(v) for v in row])
 
 
 def run_config(path: str, out_dir: str, threads: int) -> int:

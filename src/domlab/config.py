@@ -17,21 +17,20 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (FiniteSupportDist, ProductLaw, bernoulli_thinned,
-                            check_dimension, gaussian, pareto_tail, sample_sum_chunk,
-                            scaled_source, sum_of, symmetric_stable)
+from .distributions import (FiniteSupportDist, ProductLaw, check_dimension, gaussian,
+                            pareto_tail, scaled_source, sum_of, symmetric_stable)
 from .dominance import (DominationQuery, check_domination, tail_method, tail_table,
                         tensorisation_experiment, tensorisation_query)
 from .errors import (ParameterError, _check_count, _check_list, _check_real, _check_spec,
                      _in_spec, _spec_tag)
 from .geometry import (euclidean, norm_family, norm_from_spec, norm_to_spec,
                        random_norm_family)
-from .inequalities import (SignInstance, verify_L1L2, verify_PZ, verify_contraction,
-                           verify_kahane, verify_sum_inequalities)
+from .inequalities import (SIGN_ENUMERATION_CAP, SignInstance, verify_L1L2, verify_PZ,
+                           verify_contraction, verify_kahane, verify_sum_inequalities)
 from .majorisation import (_majorisation_violation, counterexample_experiment,
                            counterexample_inputs, decompose, schur_convexity_check,
                            weight_pair)
-from .rng import CHUNK, substream
+from .rng import substream
 from .stats import DEFAULT_CONFIDENCE, Estimator
 from .weakborell import (WBParams, check_wb, wb_lambda_grid, wb_sum_experiment,
                          wb_tensorize_constants)
@@ -46,7 +45,6 @@ _SOURCE_KEYS = {  # family -> its (required, optional) keys besides "family"
     "gaussian": (("covariance",), ()),
     "symmetric_stable": (("index",), ("scale",)),
     "pareto_tail": (("exponent",), ()),
-    "bernoulli_thinned": (("keep", "inner"), ()),
     "scaled": (("factor", "inner"), ()),
     "sum_of": (("parts",), ()),
 }
@@ -69,8 +67,6 @@ def source_from_spec(spec: dict, context: str = "source"):
         return _in_spec(context, sum_of, [source_from_spec(p, f"{context}.parts[{i}]")
                                           for i, p in enumerate(spec["parts"])])
     inner = source_from_spec(spec["inner"], context + ".inner")
-    if fam == "bernoulli_thinned":
-        return _in_spec(context, bernoulli_thinned, inner, spec["keep"])
     return _in_spec(context, scaled_source, inner, spec["factor"])
 
 
@@ -103,19 +99,11 @@ def estimator_from_spec(spec, context: str = "estimator") -> Estimator:
 # run(threads) -> (report dict, csv tables, verdict list)
 
 
-def _sample_chunks(law, budget, seed):
-    """The budget rows that tail_table counts for an mc estimator on stream (0,):
-    sample_sum_chunk(law, j, ...) for each rng.CHUNK piece j, one array at a time,
-    so that samples.csv is written without holding the whole batch."""
-    for j, lo in enumerate(range(0, budget, CHUNK)):
-        yield sample_sum_chunk(law, j, min(CHUNK, budget - lo), seed, (0,))
-
-
 def _prepare_tail(raw):
     law = source_from_spec(raw["source"])
     norms = norm_family(norms_from_spec(raw["norms"]), law.dimension)
     est = estimator_from_spec(raw["estimator"])
-    method = tail_method(law, est)
+    tail_method(law, est)
     thresholds = [_check_real(t, f"thresholds[{i}]")
                   for i, t in enumerate(_check_list(raw["thresholds"], "thresholds"))]
 
@@ -128,13 +116,9 @@ def _prepare_tail(raw):
                 cells.append({"norm_index": i, "norm": norm_to_spec(norm),
                               "threshold": t, "tail": p.to_json()})
                 csv_rows.append((i, t, p.value, p.lo, p.hi))
-        report = {"kind": "tail", "cells": cells}
         tables = {"tails.csv": (("norm_index", "threshold", "value", "lo", "hi"),
                                 csv_rows)}
-        if raw.get("dump_samples") and method == "mc":
-            report["samples_file"] = "samples.csv"
-            tables["samples.csv"] = (None, _sample_chunks(law, est.budget, raw["seed"]))
-        return report, tables, []
+        return {"kind": "tail", "cells": cells}, tables, []
     return run
 
 
@@ -281,6 +265,9 @@ def _prepare_inequality_suite(raw):
     instances, max_n, product_laws = (
         _check_count(raw[k], f"config[inequality-suite]: {k}", minimum)
         for k, minimum in (("instances", 1), ("max_n", 2), ("product_laws", 0)))
+    if max_n > SIGN_ENUMERATION_CAP:
+        raise ParameterError(f"config[inequality-suite]: max_n must be at most the "
+                             f"sign-enumeration cap {SIGN_ENUMERATION_CAP}, got {max_n}")
     d = check_dimension(raw["dimension"])
     norm = euclidean(d)
 
@@ -333,7 +320,7 @@ _HALF_RADEMACHER = {"family": "finite", "atoms": [[[0.5], 0.5], [[-0.5], 0.5]]}
 
 EXPERIMENTS = {kind.name: kind for kind in (
     ExperimentKind(
-        "tail", ("source", "norms", "thresholds", "estimator"), ("dump_samples",),
+        "tail", ("source", "norms", "thresholds", "estimator"), (),
         _prepare_tail,
         {"name": "tail-grid",
          "claim": "tail probabilities of a sum under a norm family",

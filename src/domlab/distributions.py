@@ -5,14 +5,14 @@ Three kinds of laws coexist:
 * :class:`FiniteSupportDist` -- exactly representable symmetric laws given
   by atom/probability pairs.  These feed the exact enumeration oracles.
 * :class:`SamplerSource` -- continuous families (gaussian, heavy-tailed
-  stable/pareto, thinned and scaled sources) sampled with deterministic
+  stable/pareto and scaled sources) sampled with deterministic
   counter-based substreams.
 * :class:`ProductLaw` -- independent laws X_1, ..., X_n, which stands for
   their sum wherever one law is expected; sum_of builds one.
 
 Each law says whether it is finite; a product law is when all its
-components are, nested sums included.  Scaling a finite law, or thinning a
-finite-support law, gives a finite law; a thinned sum is sampled.
+components are, nested sums included.  Scaling a finite law gives a finite
+law.
 
 Sources are sampled one rng.CHUNK-row chunk at a time (_draw_chunk,
 sample_sum_chunk); callers stream the chunks and hold at most one per
@@ -134,8 +134,8 @@ class FiniteSupportDist:
 class SamplerSource:
     """A symmetric continuous (or mixed) source, sampled on demand.
 
-    ``family`` is one of gaussian, symmetric_stable, pareto_tail,
-    bernoulli_thinned, scaled; ``params`` holds the family's parameters.
+    ``family`` is one of gaussian, symmetric_stable, pareto_tail, scaled;
+    ``params`` holds the family's parameters.
     Use the module-level constructors, which validate.
     """
 
@@ -174,18 +174,6 @@ def pareto_tail(exponent: float) -> SamplerSource:
     """Scalar symmetric source with P(|X| > t) = min(1, t^-exponent)."""
     return SamplerSource(dimension=1, family="pareto_tail",
                          params={"exponent": _check_real(exponent, "tail exponent", "(0, inf)")})
-
-
-def bernoulli_thinned(inner: Law, keep: float) -> Law:
-    """Source delta * X with delta ~ Bernoulli(keep) independent of X; a
-    finite-support law when X is one (masses times keep, 1 - keep at zero)."""
-    keep = _check_real(keep, "keep-probability", "(0, 1]")
-    if isinstance(inner, FiniteSupportDist):
-        vectors, probs = _merge_atoms(np.vstack([inner.vectors(), np.zeros(inner.dimension)]),
-                                      np.append(keep * inner.probs(), 1.0 - keep))
-        return FiniteSupportDist.from_pairs(vectors[probs > 0.0], probs[probs > 0.0])
-    return SamplerSource(dimension=inner.dimension, family="bernoulli_thinned",
-                         params={"inner": inner, "keep": keep})
 
 
 def scaled_source(inner: Law, factor: float) -> Law:
@@ -272,10 +260,6 @@ def _draw(source: Law, n: int, ss: np.random.SeedSequence) -> np.ndarray:
             x = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
                  * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha))
         return (scale * sign * x)[:, None]
-    if fam == "bernoulli_thinned":
-        child = ss.spawn(1)[0]
-        keep = (rng.random(n) < par["keep"]).astype(float)
-        return keep[:, None] * _draw(par["inner"], n, child)
     if fam == "scaled":
         child = ss.spawn(1)[0]
         return par["factor"] * _draw(par["inner"], n, child)
@@ -402,10 +386,4 @@ def analytic_survival(source: Law) -> Optional[Callable[[float], float]]:
             return None
         c = abs(par["factor"])
         return lambda t: inner(t / c)
-    if fam == "bernoulli_thinned":
-        inner = analytic_survival(par["inner"])
-        if inner is None:
-            return None
-        keep = par["keep"]
-        return lambda t: 1.0 if t < 0.0 else keep * inner(t)
     return None

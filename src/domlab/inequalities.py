@@ -40,10 +40,6 @@ class SignInstance:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
 
 def _check_cap(n: int):
     if n > SIGN_ENUMERATION_CAP:

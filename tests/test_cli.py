@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 
@@ -13,8 +12,8 @@ import pytest
 
 import domlab.dominance as dominance
 from domlab import (CapacityError, Estimator, ParameterError, PreconditionError,
-                    bernoulli_thinned, norm_from_spec, pareto_tail, scaled_source, sum_of,
-                    symmetric_stable, tail_table)
+                    norm_from_spec, pareto_tail, scaled_source, sum_of, symmetric_stable,
+                    tail_table)
 from domlab.cli import CATALOG, _write_csv, main
 from domlab.config import EXPERIMENTS, source_from_spec, validate_config
 from domlab.rng import CHUNK, map_chunks
@@ -155,16 +154,13 @@ def _round_trip(tmp_path, cfg, name):
 @pytest.mark.parametrize("spec, source", [
     ({"family": "symmetric_stable", "index": 0.7, "scale": 2.0},
      symmetric_stable(0.7, 2.0)),
-    ({"family": "bernoulli_thinned", "keep": 0.3,
-      "inner": {"family": "symmetric_stable", "index": 1.0}},
-     bernoulli_thinned(symmetric_stable(1.0), 0.3)),
     ({"family": "scaled", "factor": -2.0,
       "inner": {"family": "pareto_tail", "exponent": 3.0}},
      scaled_source(pareto_tail(3.0), -2.0)),
     ({"family": "sum_of", "parts": [{"family": "pareto_tail", "exponent": 2.0},
                                     {"family": "symmetric_stable", "index": 1.5}]},
      sum_of([pareto_tail(2.0), symmetric_stable(1.5)])),
-], ids=["symmetric_stable", "bernoulli_thinned", "scaled", "sum_of"])
+], ids=["symmetric_stable", "scaled", "sum_of"])
 def test_source_spec_round_trip(tmp_path, spec, source):
     est = {"kind": "mc", "budget": 5000}
     cfg = dict(TAIL_CFG, source=spec, estimator=est)
@@ -274,6 +270,11 @@ _RADEMACHER = {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}
      ["norms.list[0].inner: lp exponent must be"]),
     (_example("tail", estimator={"kind": "mc", "budget": 1000, "confidence": 1.5}),
      ["estimator: confidence must be"]),
+    (_example("tail", dump_samples=True), ["config: unknown key(s) ['dump_samples']"]),
+    (_example("tail", source={"family": "bernoulli_thinned", "keep": 0.5,
+                              "inner": _RADEMACHER}),
+     ["source: unknown family 'bernoulli_thinned'"]),
+    (_example("inequality-suite", max_n=100000), ["max_n", "cap 22", "got 100000"]),
 ], ids=["tensorize-no-pairs", "tensorize-kappa", "wb-sum-n0", "wb-sum-iid-and-components",
         "domination-kappa", "domination-lambda", "domination-2d-y", "domination-2d-norms",
         "wb-empty-grid", "wb-grid-below-1", "wb-2d-norm", "tail-threshold-string",
@@ -289,7 +290,8 @@ _RADEMACHER = {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}
         "tail-20d-gaussian", "tail-norm-list-number", "tail-atom-triple",
         "counterexample-overflowing-n", "domination-bool-probability-in-y",
         "tensorize-zero-factor-in-pair-1", "tail-p-below-1-in-inner-norm",
-        "tail-estimator-confidence"])
+        "tail-estimator-confidence", "tail-dump-samples", "tail-thinned-source",
+        "inequality-suite-max-n-over-cap"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # Each catalog example with one edit; each once passed validate and then
     # failed at run, or ran on a wrong input, or crashed validate with a
@@ -301,7 +303,8 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # (kappa "3", threshold true), a 20-d Gaussian passed the d <= 16 cap, a
     # list where a number belongs printed Python's own error naming no key,
     # delta = 400 overflowed 9^delta with a traceback, and so did 4096^999 at run;
-    # an error inside a source, norm or estimator named no spec path.
+    # an error inside a source, norm or estimator named no spec path; a max_n past
+    # the sign-enumeration cap validated, and run drew its vectors before failing.
     path = _write(tmp_path, cfg)
     assert main(["validate", path]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
@@ -713,20 +716,20 @@ def test_float_output_has_17_significant_digits(tmp_path):
 
 
 def test_csv_blocks_match_the_row_writer(tmp_path):
-    # A 2-D numeric array among the rows is written in one piece, with the
-    # bytes csv.writer gives its rows after each float is formatted to 17 digits.
+    # Rows are written with the bytes csv.writer gives them after each float is
+    # formatted to 17 digits: nan, inf, -0 and subnormals included.
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0, 1e300, 2.5]
-    floats = np.array(special * 4).reshape(-1, 3)
-    ints = np.array([[0, -1, 2**62], [7, 10**17, -(2**63)]])
-    rows = [("norm_index", 1, -0.0, math.nan), (2**70, math.inf, 5e-324, "x")]
+    floats = [tuple(special[i:i + 3]) for i in range(0, len(special), 3)]
+    ints = [(0, -1, 2**62), (7, 10**17, -(2**63))]
+    rows = [("norm_index", 1, -0.0, math.nan), (2**70, math.inf, 5e-324, "x"), *floats, *ints]
     expected = tmp_path / "expected.csv"
     with open(expected, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["a", "b", "c"])
-        for row in [*rows, *floats.tolist(), *ints.tolist(), *floats[:1].tolist()]:
+        for row in rows:
             w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
     got = tmp_path / "got.csv"
-    _write_csv(got, ["a", "b", "c"], iter([*rows, floats, ints, floats[:1]]))
+    _write_csv(got, ["a", "b", "c"], rows)
     assert got.read_bytes() == expected.read_bytes()
     assert b"nan,inf,-inf\r\n-0,0,4.9406564584124654e-324\r\n" in got.read_bytes()
 
@@ -768,50 +771,3 @@ def test_counterexample_runs_on_the_threads_flag(tmp_path, monkeypatch):
     assert seen == [1, 3]
     assert (tmp_path / "1" / "report.json").read_bytes() == \
         (tmp_path / "3" / "report.json").read_bytes()
-
-
-def test_dump_samples_writes_the_tail_batch(tmp_path):
-    from domlab import gaussian
-    from domlab.distributions import sample_sum_chunk
-    from domlab.rng import map_chunks
-
-    cfg = dict(TAIL_CFG, seed=4, dump_samples=True,
-               source={"family": "gaussian", "covariance": [[1.0, 0.3], [0.3, 0.5]]},
-               norms={"list": [{"variant": "lp", "dimension": 2, "p": 2}]},
-               estimator={"kind": "mc", "budget": 1000})
-    out = tmp_path / "mc"
-    main(["run", _write(tmp_path, cfg), "--out", str(out), "--threads", "2"])
-    assert json.loads((out / "report.json").read_text())["samples_file"] == "samples.csv"
-    law = gaussian([[1.0, 0.3], [0.3, 0.5]])
-    expected = np.concatenate(map_chunks(
-        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 4, (0,)), 1000))
-    rows = (out / "samples.csv").read_bytes().split(b"\r\n")
-    assert rows[-1] == b""
-    assert rows[:-1] == [",".join(format(x, ".17g") for x in row).encode()
-                         for row in expected]
-
-
-def test_dump_samples_memory_is_bounded(tmp_path):
-    # samples.csv is written one chunk at a time: an 8x larger budget must
-    # not raise the traced peak.  (Every value is formatted to 17 digits
-    # under tracemalloc, so the budgets stay small.)
-    def peak(budget):
-        cfg = dict(TAIL_CFG, dump_samples=True,
-                   source={"family": "symmetric_stable", "index": 1.5},
-                   estimator={"kind": "mc", "budget": budget})
-        path = _write(tmp_path, cfg, f"dump-{budget}.json")
-        tracemalloc.start()
-        try:
-            assert main(["run", path, "--out", str(tmp_path / str(budget))]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(16 * CHUNK) <= 2 * peak(2 * CHUNK)
-
-
-def test_dump_samples_skipped_on_exact_config(tmp_path):
-    out = tmp_path / "exact"
-    main(["run", _write(tmp_path, dict(TAIL_CFG, dump_samples=True)), "--out", str(out)])
-    assert not (out / "samples.csv").exists()
-    assert "samples_file" not in json.loads((out / "report.json").read_text())

@@ -9,9 +9,9 @@ from scipy.stats import levy_stable
 
 import domlab.distributions as distributions
 from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist, ParameterError,
-                    ProductLaw, absolute_value, analytic_survival, bernoulli_thinned,
-                    enumerate_sign_classes, enumerate_sum, gaussian, pareto_tail,
-                    scaled_source, sum_of, symmetric_stable, tail_table)
+                    ProductLaw, absolute_value, analytic_survival, enumerate_sign_classes,
+                    enumerate_sum, gaussian, pareto_tail, scaled_source, sum_of,
+                    symmetric_stable, tail_table)
 from domlab.distributions import _draw_chunk, sample_sum_chunk
 from domlab.rng import CHUNK, map_chunks
 
@@ -89,13 +89,6 @@ def test_constructors_keep_finite_laws_finite():
     rad = FiniteSupportDist.rademacher()
     # c (X_1 + X_2) = c X_1 + c X_2
     assert scaled_source(sum_of([rad, rad]), 2.0) == sum_of([FiniteSupportDist.rademacher(2.0)] * 2)
-    assert bernoulli_thinned(rad, 0.5) == FiniteSupportDist.from_pairs(
-        [[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
-    # keep = 1 adds no zero atom; a zero atom already there gains 1 - keep
-    assert dict(bernoulli_thinned(rad, 1.0).atoms) == {(-1.0,): 0.5, (1.0,): 0.5}
-    lazy = FiniteSupportDist.symmetric_pairs([[2.0]], [0.5], zero_prob=0.5)
-    assert dict(bernoulli_thinned(lazy, 0.25).atoms) == pytest.approx(
-        {(-2.0,): 0.0625, (0.0,): 0.875, (2.0,): 0.0625}, rel=1e-15)
 
 
 def test_sum_of_is_the_product_law():
@@ -260,17 +253,12 @@ def test_nested_sums_keep_their_draws():
 
 def test_finite_parts_of_a_sampled_sum_draw_as_finite_laws():
     # A scaled finite sum is the sum of its scaled parts, each drawn on its
-    # own substream, and a thinned finite-support law is one finite law
-    # drawn by a single choice over its atoms; these Monte Carlo counts pin
-    # those draws.
+    # own substream; these Monte Carlo counts pin those draws.
     est = Estimator("mc", budget=5000)
     rad = FiniteSupportDist.rademacher()
-    scaled = sum_of([scaled_source(sum_of([rad, rad]), 2.0), pareto_tail(2.0)])
-    thinned = sum_of([bernoulli_thinned(rad, 0.5), pareto_tail(2.0)])
-    for law, thresholds, counts in ((scaled, [3.0, 6.0], [1605, 400]),
-                                    (thinned, [1.0, 3.0], [4060, 692])):
-        (row,) = tail_table(law, [absolute_value()], thresholds, est, 1, (0,))
-        assert [p.value for p in row] == [k / 5000 for k in counts]
+    law = sum_of([scaled_source(sum_of([rad, rad]), 2.0), pareto_tail(2.0)])
+    (row,) = tail_table(law, [absolute_value()], [3.0, 6.0], est, 1, (0,))
+    assert [p.value for p in row] == [1605 / 5000, 400 / 5000]
 
 
 def test_sample_outcomes_columns_differ():
@@ -344,11 +332,8 @@ def test_stable_index_validation():
         symmetric_stable(2.5)
 
 
-def test_scaled_and_thinned_survival():
-    base = pareto_tail(2.0)
-    surv = analytic_survival(scaled_source(base, 3.0))
+def test_scaled_survival():
+    surv = analytic_survival(scaled_source(pareto_tail(2.0), 3.0))
     assert surv(6.0) == pytest.approx((6.0 / 3.0) ** -2, abs=1e-15)
-    surv = analytic_survival(bernoulli_thinned(base, 0.5))
-    assert surv(2.0) == pytest.approx(0.5 * 0.25, abs=1e-15)
     assert analytic_survival(gaussian(np.eye(2))) is None
 

@@ -10,9 +10,9 @@ import pytest
 import domlab.dominance as dominance
 from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimator,
                     FiniteSupportDist, LpNorm, ParameterError, PreconditionError,
-                    ProductLaw, TailEstimate, WBParams, absolute_value,
-                    bernoulli_thinned, check_domination, check_wb, euclidean, gaussian,
-                    pareto_tail, proxy_bound_check, proxy_exact, proxy_mc,
+                    ProductLaw, TailEstimate, WBParams, absolute_value, check_domination,
+                    check_wb, euclidean, gaussian, pareto_tail, proxy_bound_check,
+                    proxy_exact, proxy_mc,
                     random_norm_family, scale_norm, scaled_source, signed_mean_over_outcomes,
                     sum_of, tail_method, tail_table, tensorisation_experiment)
 from domlab.distributions import enumerate_sum, sample_sum_chunk
@@ -58,14 +58,14 @@ def test_tail_mc_matches_analytic():
     assert q.exact
 
 
-def test_tail_table_samples_a_thinned_vector_source():
-    # No closed form in d = 2, so the cell is sampled through the thinning draw.
-    law = bernoulli_thinned(gaussian(np.eye(2)), 0.3)
+def test_tail_table_samples_a_scaled_vector_source():
+    # No closed form in d = 2, so the cell is sampled through the scaled draw.
+    law = scaled_source(gaussian(np.eye(2)), 2.0)
     (cell,), = tail_table(law, [euclidean(2)], [1.0], Estimator("mc", budget=200_000),
                           seed=3)
     assert not cell.exact
-    # [DERIVED] P(||delta Z|| > 1) = 0.3 P(||Z|| > 1) = 0.3 exp(-1/2).
-    assert cell.lo <= 0.3 * np.exp(-0.5) <= cell.hi
+    # [DERIVED] P(||2 Z|| > 1) = P(||Z||^2 > 1/4) = exp(-1/8) for Z standard in R^2.
+    assert cell.lo <= np.exp(-1 / 8) <= cell.hi
 
 
 def test_tail_requires_mc_when_no_exact_path():
@@ -83,13 +83,11 @@ def test_exact_capable():
     assert tail_method(ProductLaw((gaussian(np.eye(2)),) * 2), mc) == "mc"
 
 
-def test_nested_scaled_and_thinned_finite_laws_are_enumerated():
+def test_nested_and_scaled_finite_laws_are_enumerated():
     # [DERIVED] brute force: e_1 + e_2 + e_3 exceeds 2 only at +-3 (mass 1/4);
-    # 2 (e_1 + e_2) is +-4 with mass 1/4 each; e_1 thinned at keep 1/2 is 0
-    # with mass 1/2.
+    # 2 (e_1 + e_2) is +-4 with mass 1/4 each.
     cases = ((sum_of([sum_of([RAD, RAD]), RAD]), [2.0], [0.25]),
-             (scaled_source(sum_of([RAD, RAD]), 2.0), [3.9, 4.0], [0.5, 0.0]),
-             (bernoulli_thinned(RAD, 0.5), [0.0, 1.0], [0.5, 0.0]))
+             (scaled_source(sum_of([RAD, RAD]), 2.0), [3.9, 4.0], [0.5, 0.0]))
     for law, thresholds, expected in cases:
         assert tail_method(law, EXACT) == "enumeration"
         (row,) = tail_table(law, [absolute_value()], thresholds, EXACT)

@@ -1,0 +1,300 @@
+"""Reach check: every statement of domlab that no experiment reaches.
+
+    python3 tools/reach.py
+
+Run from anywhere; domlab is imported from the ``src/`` next to this file.
+The script line-traces ``src/domlab`` (``sys.settrace`` and
+``threading.settrace``, so worker threads are traced too) while it runs
+
+* every ``domlab list-experiments`` catalog config: validate, then run at
+  ``--threads 2``, in a temporary directory;
+* one ``workloads.Runner.one_pass()`` of each bench workload at seed 1,
+  built into a temporary directory (``bench/`` is imported, never written);
+* ``tests/test_acceptance.py`` under pytest.
+
+It then lists every statement in a function body of ``src/domlab`` that no
+line event reached, leaving out error branches (a ``raise``, an ``except``
+body, or a block that ends in ``raise``) and the entries of ALLOWED.  A
+function none of whose statements ran is listed once, as its ``def`` line.
+It exits 1 when anything is listed, when an ALLOWED entry matches nothing
+unreached (it is reached now and should go), or when the acceptance tests
+fail; otherwise it exits 0.  domlab never imports this file.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import threading
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "domlab")
+BENCH = os.path.join(ROOT, "bench")
+ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
+
+# (module, function, statement) of each statement that no experiment reaches
+# yet; the statement is its first source line, stripped, and a def line stands
+# for a whole function that never ran.  Keyed by text, not by line number.
+ALLOWED = {
+    ("cli", "main", "return EXIT_USAGE"),  # the final fallthrough
+    # the symmetric_stable, sum_of and scaled families of a source spec
+    ("config", "source_from_spec",
+     'return _in_spec(context, symmetric_stable, spec["index"], spec.get("scale", 1.0))'),
+    ("config", "source_from_spec", 'if fam == "sum_of":'),
+    ("config", "source_from_spec",
+     'inner = source_from_spec(spec["inner"], context + ".inner")'),
+    ("config", "source_from_spec",
+     'return _in_spec(context, scaled_source, inner, spec["factor"])'),
+    # the components form of wb-sum
+    ("config", "_prepare_wb_sum", 'if "iid" in raw or "n" in raw:'),
+    ("config", "_prepare_wb_sum", 'comps = [source_from_spec(c, f"components[{i}]")'),
+    # the report of a pair that is not majorised
+    ("config", "_prepare_majorize.run",
+     'report = {"kind": "majorize", "majorised": False,'),
+    ("config", "_prepare_majorize.run", 'return report, {}, ["violated"]'),
+    # scaled_source of a finite sum and of a sampled law
+    ("distributions", "scaled_source",
+     "if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n"),
+    ("distributions", "scaled_source",
+     'return SamplerSource(dimension=inner.dimension, family="scaled",'),
+    # _draw of a nested sum, of a stable law at index 1 and of a scaled law
+    ("distributions", "_draw", "out = np.zeros((n, source.dimension))"),
+    ("distributions", "_draw",
+     "for part, child in zip(source.components, ss.spawn(source.n)):"),
+    ("distributions", "_draw", "return out"),
+    ("distributions", "_draw", "x = np.tan(v)"),
+    ("distributions", "_draw", 'if fam == "scaled":'),
+    # the closed forms of a scalar Gaussian and of a scaled law
+    ("distributions", "analytic_survival",
+     'sigma = math.sqrt(float(par["covariance"][0, 0]))'),
+    ("distributions", "analytic_survival", "if sigma == 0.0:"),
+    ("distributions", "analytic_survival",
+     "return lambda t: 1.0 if t <= 0.0 else float(erfc(t / (sigma * math.sqrt(2.0))))"),
+    ("distributions", "analytic_survival", 'inner = analytic_survival(par["inner"])'),
+    ("distributions", "analytic_survival", "if inner is None:"),
+    ("distributions", "analytic_survival", 'c = abs(par["factor"])'),
+    ("distributions", "analytic_survival", "return lambda t: inner(t / c)"),
+    # the weighted_lp, ellipsoid and polytope_gauge norm specs
+    ("geometry", "norm_from_spec",
+     'return _in_spec(context, WeightedLpNorm, dimension=d, p=p, weights=spec["weights"])'),
+    ("geometry", "norm_from_spec",
+     'return _in_spec(context, EllipsoidNorm, matrix=spec["matrix"])'),
+    ("geometry", "norm_from_spec",
+     'return _in_spec(context, PolytopeGauge, directions=spec["directions"])'),
+    ("geometry", "_random_polytope", "u = np.vstack([u, np.eye(d)])  # guarantee spanning"),
+    ("inequalities", "verify_sum_inequalities",  # the skipped summand_tails report
+     'reports["summand_tails"] = SlackReport('),
+    ("majorisation", "_majorisation_violation", "return len(ca)"),  # unequal totals
+    ("majorisation", "is_majorised", "def is_majorised(a, b) -> bool:"),
+    ("majorisation", "schur_convexity_check.weighted_mean",  # all-zero weights
+     "return 0.0  # the sum is 0 and (0 - 1)_+ = 0"),
+    ("majorisation", "weighted_domination_constants",
+     "def weighted_domination_constants(params: WBParams) -> dict:"),
+    ("majorisation", "weighted_domination_experiment",
+     "def weighted_domination_experiment(a, b, source, params: WBParams, norms,"),
+    ("stats", "compare_tails", 'return "violated"'),  # an exact violation
+    ("stats", "SlackReport.to_json", 'out["note"] = self.note'),
+    # a norm that check_wb skips
+    ("weakborell", "check_wb", "skipped.append(i)"),
+    ("weakborell", "check_wb", "continue"),
+}
+
+
+# ---------------------------------------------------------------------------
+# statements
+
+
+_DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _is_docstring(node):
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def _header_end(node):
+    """Last line of a statement's own code: a compound statement's header."""
+    if isinstance(node, (ast.If, ast.While)):
+        return node.test.end_lineno
+    if isinstance(node, ast.For):
+        return node.iter.end_lineno
+    if isinstance(node, ast.With):
+        return node.items[-1].context_expr.end_lineno
+    if isinstance(node, _DEFS):
+        return node.body[0].lineno - 1
+    return node.end_lineno
+
+
+class Statement:
+    def __init__(self, node, text):
+        self.node, self.text = node, text
+        self.children = []
+
+    def reached(self, lines):
+        if isinstance(self.node, ast.Try):  # the try line itself runs no code
+            return any(c.reached(lines) for c in self.children)
+        return any(line in lines
+                   for line in range(self.node.lineno, _header_end(self.node) + 1))
+
+
+def _functions(tree, source_lines):
+    """(name, line, def line text, Statements of the body) of every function of
+    a module, methods and nested functions included; error branches and
+    docstrings are left out."""
+    functions = []
+
+    def block(body, scope, in_function, branch):
+        if branch and isinstance(body[-1], ast.Raise):  # an error branch
+            return []
+        out = []
+        for node in body:
+            if isinstance(node, _DEFS):
+                name = scope + [node.name]
+                if isinstance(node, ast.ClassDef):
+                    block(node.body, name, False, False)
+                else:
+                    functions.append((".".join(name), node.lineno,
+                                      source_lines[node.lineno - 1].strip(),
+                                      block(node.body, name, True, False)))
+            if not in_function or isinstance(node, ast.Raise) or _is_docstring(node):
+                continue
+            stmt = Statement(node, source_lines[node.lineno - 1].strip())
+            if not isinstance(node, _DEFS):  # except bodies are error branches
+                for field in ("body", "orelse", "finalbody"):
+                    if getattr(node, field, None):
+                        stmt.children += block(getattr(node, field), scope, True, True)
+            out.append(stmt)
+        return out
+
+    block(tree.body, [], False, False)
+    return functions
+
+
+def _unreached_in(stmts, lines):
+    for s in stmts:
+        if s.reached(lines):
+            yield from _unreached_in(s.children, lines)
+        else:
+            yield s
+
+
+def unreached(hits):
+    """(path, line, function, text) of each unreached statement in source order;
+    a function none of whose statements ran is one item, its def line."""
+    found = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, filename)
+        with open(path) as fh:
+            source = fh.read()
+        lines = hits.get(path, set())
+        for function, line, text, body in _functions(ast.parse(source), source.splitlines()):
+            if body and not any(s.reached(lines) for s in body):
+                found.append((path, line, function, text))
+            else:
+                found += [(path, s.node.lineno, function, s.text)
+                          for s in _unreached_in(body, lines)]
+    return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# tracing
+
+
+def _tracer():
+    hits = {}
+    prefix = PACKAGE + os.sep
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def call(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(prefix):
+            return None
+        hits.setdefault(filename, set())
+        return local
+
+    return hits, call
+
+
+def run_catalog(workdir):
+    from domlab.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        main(["list-experiments"])
+    for entry in json.loads(out.getvalue()):
+        path = os.path.join(workdir, entry["name"] + ".json")
+        with open(path, "w") as fh:
+            json.dump(entry["config"], fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["validate", path])
+            main(["run", path, "--out", os.path.join(workdir, entry["name"]),
+                  "--threads", "2"])
+
+
+def run_bench(workdir):
+    sys.path.insert(0, BENCH)
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        workloads.Runner(workloads.build(name, 1, os.path.join(workdir, name))).one_pass()
+
+
+def run_acceptance():
+    import pytest
+
+    return pytest.main(["-q", "-p", "no:cacheprovider", ACCEPTANCE])
+
+
+def main() -> int:
+    started = time.monotonic()
+    sys.dont_write_bytecode = True  # bench/ and tests/ are read, never written
+    sys.path.insert(0, SRC)
+    hits, call = _tracer()
+    threading.settrace(call)
+    sys.settrace(call)
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            run_catalog(workdir)
+            run_bench(workdir)
+        code = run_acceptance()
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    if code != 0:
+        print(f"reach: the acceptance tests exited {code}")
+        return 1
+
+    found = unreached(hits)
+    used = set()
+    bad = []
+    for path, line, function, text in found:
+        key = (os.path.splitext(os.path.basename(path))[0], function, text)
+        if key in ALLOWED:
+            used.add(key)
+        else:
+            bad.append(f"{os.path.relpath(path, ROOT)}:{line}  {function}  {text}")
+    stale = sorted(ALLOWED - used)
+    for line in bad:
+        print("unreached:", line)
+    for module, function, text in stale:
+        print(f"reached, remove from ALLOWED: {module}  {function}  {text}")
+    print(f"reach: {len(bad)} unreached, {len(stale)} stale, {len(used)} allowed "
+          f"({time.monotonic() - started:.1f} s)")
+    return 1 if bad or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
