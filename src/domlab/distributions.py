@@ -19,7 +19,12 @@ sample_sum_chunk); callers stream the chunks and hold at most one per
 worker thread, so memory does not grow with the Monte Carlo budget.  Chunk
 j of a source draws from substream (seed, *stream, j), and of product-law
 component i from (seed, *stream, i, j), so every draw is deterministic in
-(seed, stream, j) and independent of the thread count.
+(seed, stream, j) and independent of the thread count.  Each map_chunks
+worker has one rng.Workspace, and the tail engine draws and sums a chunk in
+its arrays: the only new arrays that drawing and summing a chunk make are
+the raw bits of the signs and rng.choice's draws of a finite law's atoms.
+Every family writes in place the bits of the allocating formula it
+replaced.
 
 Exact enumeration of a finite-support product law has two forms, each
 bounded by PRODUCT_SUPPORT_CAP on the atoms that one step builds:
@@ -42,7 +47,7 @@ from scipy.special import erfc
 
 from .errors import (CapacityError, ParameterError, _check_count, _check_list, _check_real,
                      _param_rows)
-from .rng import seed_sequence
+from .rng import Workspace, seed_sequence, workspace
 from .stats import EXACT_SLACK_TOL
 
 DIMENSION_CAP = 16
@@ -228,57 +233,120 @@ Law = Union[FiniteSupportDist, SamplerSource, ProductLaw]
 # sampling
 
 
-def _draw(source: Law, n: int, ss: np.random.SeedSequence) -> np.ndarray:
-    """Draw n vectors from a single source, or the sum of a nested product law,
-    using ss for this node and deterministic children of ss for nested sources."""
+def _signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """rng.integers(0, 2, size=len(out)) * 2.0 - 1.0, written into out, with the
+    same later draws.  For range 2, Lemire's method returns the top bit of a
+    32-bit draw, and Philox hands out the low half of each 64-bit draw first
+    (read here as the first uint32 of its little-endian bytes)."""
+    n = len(out)
+    bits = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+    np.right_shift(bits, 31, out=bits)
+    np.multiply(bits, 2.0, out=out)
+    out -= 1.0
+    return out
+
+
+def _draw(source: Law, out: np.ndarray, ss: np.random.SeedSequence,
+          ws: Workspace) -> np.ndarray:
+    """Draw len(out) vectors of a single source, or the sum of a nested product
+    law, into out, a C-contiguous (n, d) array, and return out; ss seeds this
+    node and its deterministic children seed nested sources.  A family's
+    scratch arrays are ws's "normal", "sign", "exponential" and "stable"
+    arrays, which out must not be; a nested sum adds its parts through a new
+    array.  Every family gives the bits of the allocating numpy formula it
+    replaces."""
+    n = len(out)
     if isinstance(source, ProductLaw):
-        out = np.zeros((n, source.dimension))
-        for part, child in zip(source.components, ss.spawn(source.n)):
-            out += _draw(part, n, child)
+        part = np.empty_like(out)
+        out.fill(0.0)
+        for component, child in zip(source.components, ss.spawn(source.n)):
+            out += _draw(component, part, child, ws)
         return out
     rng = np.random.Generator(np.random.Philox(ss))
     if isinstance(source, FiniteSupportDist):
         idx = rng.choice(source.support_size, size=n, p=source.probs())
-        return source.vectors()[idx]
+        return np.take(source.vectors(), idx, axis=0, out=out, mode="clip")  # unbuffered
 
     fam, par = source.family, source.params
-    if fam == "gaussian":
-        z = rng.standard_normal((n, source.dimension))
-        return z @ par["factor"].T
-    if fam == "pareto_tail":
-        mag = rng.random(n) ** (-1.0 / par["exponent"])
-        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        return (sign * mag)[:, None]
-    if fam == "symmetric_stable":
-        alpha, scale = par["index"], par["scale"]
-        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        v = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
+    if fam == "gaussian":  # standard_normal((n, d)) @ factor.T
+        z = rng.standard_normal(out=ws.array("normal", out.shape))
+        return np.matmul(z, par["factor"].T, out=out)
+    x = out[:, 0]
+    if fam == "pareto_tail":  # sign * random(n) ** (-1 / exponent)
+        rng.random(out=x)
+        x **= -1.0 / par["exponent"]
+        x *= _signs(rng, ws.array("sign", (n,)))
+        return out
+    if fam == "symmetric_stable":  # Chambers-Mallows-Stuck: scale * sign * x
+        alpha = par["index"]
+        sign = _signs(rng, ws.array("sign", (n,)))
+        v = rng.random(out=x)  # uniform(-pi/2, pi/2) is -pi/2 + pi * random()
+        v *= np.pi
+        v -= np.pi / 2
         if alpha == 1.0:
-            x = np.tan(v)
-        else:
-            w = rng.exponential(1.0, size=n)
-            x = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
-                 * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha))
-        return (scale * sign * x)[:, None]
+            np.tan(v, out=v)
+        else:  # sin(a v) / cos(v) ** (1/a) * (cos((1-a) v) / w) ** ((1-a)/a)
+            w = rng.standard_exponential(out=ws.array("exponential", (n,)))
+            t = np.multiply(v, 1.0 - alpha, out=ws.array("stable", (n,)))
+            np.cos(t, out=t)
+            t /= w
+            t **= (1.0 - alpha) / alpha
+            np.cos(v, out=w)
+            w **= 1.0 / alpha
+            v *= alpha
+            np.sin(v, out=v)
+            v /= w
+            v *= t
+        v *= par["scale"]
+        v *= sign
+        return out
     if fam == "scaled":
-        child = ss.spawn(1)[0]
-        return par["factor"] * _draw(par["inner"], n, child)
+        _draw(par["inner"], out, ss.spawn(1)[0], ws)
+        out *= par["factor"]
+        return out
     raise ParameterError(f"unknown sampler family {fam!r}")
 
 
-def _draw_chunk(law: Law, j: int, size: int, seed: int, stream: tuple) -> np.ndarray:
-    """Chunk j of a source, shape (size, d), or of a product law, (size, n, d)."""
+def _chunk_parts(law: Law, j: int, seed: int, stream: tuple) -> list:
+    """(source, seed sequence) of each part of chunk j: a source itself on
+    (seed, *stream, j), or product-law component i on (seed, *stream, i, j)."""
     if isinstance(law, ProductLaw):
-        return np.stack([_draw(c, size, seed_sequence(seed, *stream, i, j))
-                         for i, c in enumerate(law.components)], axis=1)
-    return _draw(law, size, seed_sequence(seed, *stream, j))
+        return [(c, seed_sequence(seed, *stream, i, j)) for i, c in enumerate(law.components)]
+    return [(law, seed_sequence(seed, *stream, j))]
 
 
-def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = ()) -> np.ndarray:
+def _draw_chunk(law: Law, j: int, size: int, seed: int, stream: tuple) -> np.ndarray:
+    """Chunk j of a source, shape (size, d), or of a product law, (size, n, d),
+    as a new array; the draws' scratch arrays are rng.workspace()'s."""
+    parts = _chunk_parts(law, j, seed, stream)
+    ws = workspace()
+    out = np.empty((size, len(parts), law.dimension))
+    for i, (source, ss) in enumerate(parts):
+        out[:, i] = _draw(source, ws.array("part", (size, law.dimension)), ss, ws)
+    return out if isinstance(law, ProductLaw) else out[:, 0]
+
+
+def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = (),
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Chunk j of the vector X (a source) or of X_1 + ... + X_n (a product law),
-    shape (size, d); the components are added as sum(axis=1) adds them."""
-    x = _draw_chunk(law, j, size, seed, stream)
-    return x.sum(axis=1) if isinstance(law, ProductLaw) else x
+    written into out, a (size, d) array, or into a new Fortran-ordered one,
+    which every norm kernel reads without a copy.  The draws' scratch arrays
+    are rng.workspace()'s.
+
+    The components are added in place, in order, which is how sum(axis=1)
+    adds them; numpy adds eight or more one-dimensional components pairwise,
+    so there the last bits may differ from sum(axis=1).
+    """
+    total = np.empty((size, law.dimension), order="F") if out is None else out
+    ws = workspace()
+    part = ws.array("part", total.shape)
+    for i, (source, ss) in enumerate(_chunk_parts(law, j, seed, stream)):
+        x = _draw(source, part, ss, ws)
+        if i == 0:
+            np.copyto(total, x)
+        else:
+            total += x
+    return total
 
 
 # ---------------------------------------------------------------------------

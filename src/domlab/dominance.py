@@ -27,7 +27,7 @@ from .distributions import (Law, ProductLaw, _draw_chunk, analytic_survival,
 from .errors import ParameterError, PreconditionError, _check_count, _check_real
 from .geometry import norm_family, norm_to_spec
 from .inequalities import _check_cap, signed_mean_over_outcomes
-from .rng import map_chunks
+from .rng import map_chunks, workspace
 from .stats import (EXACT, EXACT_SLACK_TOL, Estimator, SlackReport, TailEstimate,
                     compare_tails, worst_verdict)
 
@@ -58,7 +58,8 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     with a closed-form survival function is read through each norm's
     scalar factor (every norm on R^1 is f * |x|); anything else is sampled
     on the (seed, stream) substreams and counted, one rng.CHUNK-row chunk at a
-    time so memory does not grow with the budget, with Clopper-Pearson intervals.
+    time, drawn and summed in place in its worker's rng.workspace(), so memory
+    does not grow with the budget, with Clopper-Pearson intervals.
     Each norm is evaluated once per atom or sample; every threshold reads the
     same values.  ``threads`` runs chunks in parallel; no result depends on it.
     """
@@ -78,7 +79,8 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
                 for f in factors]
 
     def count_chunk(j, lo, hi):
-        xs = np.asfortranarray(sample_sum_chunk(law, j, hi - lo, seed, stream))
+        xs = sample_sum_chunk(law, j, hi - lo, seed, stream,
+                              workspace().array("sum", (hi - lo, law.dimension), order="F"))
         return [[np.count_nonzero(vals > t) for t in thresholds]
                 for vals in (norm.evaluate(xs) for norm in norms)]
     counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)

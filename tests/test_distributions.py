@@ -12,8 +12,8 @@ from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist, Paramete
                     ProductLaw, absolute_value, analytic_survival, enumerate_sign_classes,
                     enumerate_sum, gaussian, pareto_tail, scaled_source, sum_of,
                     symmetric_stable, tail_table)
-from domlab.distributions import _draw_chunk, sample_sum_chunk
-from domlab.rng import CHUNK, map_chunks
+from domlab.distributions import _draw, _draw_chunk, _signs, sample_sum_chunk
+from domlab.rng import CHUNK, Workspace, map_chunks, seed_sequence, substream, workspace
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +268,115 @@ def test_sample_outcomes_columns_differ():
     assert not np.array_equal(out[:, 0, :], out[:, 1, :])
     total = _sample(law, 1000, seed=1, draw=sample_sum_chunk)
     assert np.allclose(total, out.sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# in-place draws against the allocating formulas they replaced
+
+
+def _allocating_draw(source, n, ss):
+    """n vectors of source drawn by fresh-array numpy formulas, as _draw drew them
+    before it wrote into a caller's buffer."""
+    if isinstance(source, ProductLaw):
+        out = np.zeros((n, source.dimension))
+        for part, child in zip(source.components, ss.spawn(source.n)):
+            out += _allocating_draw(part, n, child)
+        return out
+    rng = np.random.Generator(np.random.Philox(ss))
+    if isinstance(source, FiniteSupportDist):
+        return source.vectors()[rng.choice(source.support_size, size=n, p=source.probs())]
+    par = source.params
+    if source.family == "gaussian":
+        return rng.standard_normal((n, source.dimension)) @ par["factor"].T
+    if source.family == "pareto_tail":
+        mag = rng.random(n) ** (-1.0 / par["exponent"])
+        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        return (sign * mag)[:, None]
+    if source.family == "symmetric_stable":
+        alpha = par["index"]
+        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        v = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
+        if alpha == 1.0:
+            x = np.tan(v)
+        else:
+            w = rng.exponential(1.0, size=n)
+            x = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
+                 * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha))
+        return (par["scale"] * sign * x)[:, None]
+    return par["factor"] * _allocating_draw(par["inner"], n, ss.spawn(1)[0])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+PARITY_LAWS = [
+    pareto_tail(2.0), pareto_tail(1.0), pareto_tail(0.7),
+    *(symmetric_stable(alpha, 1.3) for alpha in (0.5, 1.0, 1.5, 2.0)),
+    *(gaussian(np.eye(d) + 0.4) for d in (1, 2, 3)),
+    FiniteSupportDist.symmetric_pairs([[1.0, 2.0], [0.5, -1.0]], [0.6, 0.3], zero_prob=0.1),
+    scaled_source(symmetric_stable(0.7), -2.5),
+    sum_of([sum_of([gaussian([[1.0]]), pareto_tail(3.0)]), scaled_source(pareto_tail(2.0), 3.0)]),
+]
+
+
+@pytest.mark.parametrize("n", [1, 7, 2304, CHUNK])
+def test_in_place_draws_keep_the_allocating_bits(n):
+    ws = Workspace()
+    for law in PARITY_LAWS:
+        got = _draw(law, np.empty((n, law.dimension)), seed_sequence(4, 2, 9), ws)
+        assert _same_bits(got, _allocating_draw(law, n, seed_sequence(4, 2, 9))), law
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 2303, 2304])
+def test_signs_are_the_integers_formula_and_leave_later_draws(n):
+    raw, ref = substream(5, 1), substream(5, 1)
+    assert _same_bits(_signs(raw, np.empty(n)), ref.integers(0, 2, size=n) * 2.0 - 1.0)
+    assert _same_bits(raw.random(9), ref.random(9))
+    assert _same_bits(raw.standard_exponential(9), ref.standard_exponential(9))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9])
+def test_in_place_sums_keep_the_stacked_sum(d, n):
+    # Parts of magnitudes 1e-3 to 1e3, so that any other order of the adds
+    # moves low bits; one-dimensional sums mix in heavy tails.
+    scalar = [pareto_tail(2.0), symmetric_stable(0.7), gaussian([[1.0]])]
+    parts = [scaled_source(scalar[i % 3] if d == 1 else gaussian(np.eye(d) + 0.2 * i),
+                           10.0 ** (i % 7 - 3)) for i in range(n)]
+    law = ProductLaw(tuple(parts))
+    draws = [_allocating_draw(c, 2304, seed_sequence(6, 1, i, 3)) for i, c in enumerate(parts)]
+    in_order = draws[0].copy()
+    for x in draws[1:]:
+        in_order += x
+    assert _same_bits(sample_sum_chunk(law, 3, 2304, 6, (1,)), in_order)
+    stacked = np.stack(draws, axis=1).sum(axis=1)
+    assert _same_bits(_draw_chunk(law, 3, 2304, 6, (1,)).sum(axis=1), stacked)
+    # sum(axis=1) adds in order too, except eight or more one-dimensional
+    # parts, which numpy adds pairwise
+    assert _same_bits(in_order, stacked) == (d > 1 or n < 8)
+
+
+def test_one_workspace_per_worker_for_the_length_of_a_call():
+    law = sum_of([pareto_tail(2.0), symmetric_stable(0.7)])
+
+    def chunk(j, lo, hi):
+        ws = workspace()
+        total = sample_sum_chunk(law, j, hi - lo, 1, (), ws.array("sum", (hi - lo, 1)))
+        return ws, total, ws.array("part", (hi - lo, 1))
+    (ws0, total0, part0), (ws1, total1, part1) = map_chunks(chunk, 2 * CHUNK)
+    # both chunks were drawn and summed in the same arrays
+    assert ws0 is ws1
+    assert np.shares_memory(total0, total1) and np.shares_memory(part0, part1)
+    # a finished call hands its workspace on to the next call
+    assert map_chunks(lambda j, lo, hi: workspace(), CHUNK) == [ws0]
+    # _draw_chunk, and sample_sum_chunk without out, return new arrays
+    a, b = map_chunks(lambda j, lo, hi: _draw_chunk(law, j, hi - lo, 1, ()), 2 * CHUNK)
+    assert not np.shares_memory(a, b)
+    assert not np.shares_memory(sample_sum_chunk(law, 0, 10, 1), sample_sum_chunk(law, 0, 10, 1))
+    # off a worker, every call gets a new workspace
+    assert workspace() is not workspace()
 
 
 # ---------------------------------------------------------------------------

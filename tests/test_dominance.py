@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimat
                     check_wb, euclidean, gaussian, pareto_tail, proxy_bound_check,
                     proxy_exact, proxy_mc,
                     random_norm_family, scale_norm, scaled_source, signed_mean_over_outcomes,
-                    sum_of, tail_method, tail_table, tensorisation_experiment)
+                    sum_of, symmetric_stable, tail_method, tail_table,
+                    tensorisation_experiment)
 from domlab.distributions import enumerate_sum, sample_sum_chunk
 from domlab.rng import CHUNK, map_chunks
 
@@ -154,10 +157,42 @@ def test_tail_table_mc_memory_is_bounded_and_thread_free():
         finally:
             tracemalloc.stop()
 
+    peak(CHUNK)  # the first call in a process allocates the worker's workspace
     assert peak(64 * CHUNK) <= 2 * peak(4 * CHUNK)
     est = Estimator("mc", budget=4 * CHUNK + 123)
     assert (tail_table(law, norms, thresholds, est, seed=2, threads=1)
             == tail_table(law, norms, thresholds, est, seed=2, threads=3))
+
+
+def test_tail_tables_are_the_same_on_1_2_and_8_threads():
+    # Each worker draws and sums its chunks in its own workspace; the last
+    # chunk is partial.
+    est = Estimator("mc", budget=3 * CHUNK + 777)
+    cases = ((sum_of([gaussian([[1.0, 0.3], [0.3, 0.6]])] * 3), random_norm_family(5, 2, 6)),
+             (sum_of([pareto_tail(2.0)] * 3), [absolute_value()]),
+             (symmetric_stable(0.7), [absolute_value(), scale_norm(absolute_value(), 0.1)]))
+    for law, norms in cases:
+        tables = [tail_table(law, norms, [0.5, 2.0], est, seed=3, stream=(4,), threads=threads)
+                  for threads in (1, 2, 8)]
+        assert tables[0] == tables[1] == tables[2]
+
+
+def test_concurrent_tail_tables_never_share_a_workspace():
+    # Four calls on three workers each, with thread switches forced often: a
+    # workspace handed to two workers at once would mix their draws.
+    law = sum_of([pareto_tail(2.0), symmetric_stable(0.7)])
+    est = Estimator("mc", budget=4 * CHUNK)
+    want = tail_table(law, [absolute_value()], [1.0, 5.0], est, seed=9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            futures = [ex.submit(tail_table, law, [absolute_value()], [1.0, 5.0], est, 9,
+                                 (), 3) for _ in range(4)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4
 
 
 def test_tail_table_exact_estimator_needs_an_exact_path():

@@ -83,6 +83,25 @@ def _row_major(norm, x):
     return np.abs(x @ np.array(norm.directions, dtype=float).T).max(axis=-1)
 
 
+def _column_major(norm, x):
+    """The column-major formulas that the row-wise kernels replaced, on the
+    (d, m) transpose of an (m, d) batch."""
+    xt = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float)).T)
+    if isinstance(norm, ScaledNorm):
+        return norm.factor * _column_major(norm.inner, x)
+    if isinstance(norm, LpNorm):
+        return np.linalg.norm(xt, ord=norm.p, axis=0)
+    if isinstance(norm, WeightedLpNorm):
+        return np.linalg.norm(xt * np.asarray(norm.weights)[:, None], ord=norm.p, axis=0)
+    if isinstance(norm, EllipsoidNorm):
+        q = np.zeros(xt.shape[1])
+        for a_i, x_i in zip(np.array(norm.matrix, dtype=float), xt):
+            q += x_i * (a_i @ xt)
+        return np.sqrt(np.maximum(q, 0.0))
+    y = np.array(norm.directions, dtype=float) @ xt
+    return np.abs(y).max(axis=0)
+
+
 def _kernel_cases(d, rng):
     ps = [1.0, 1.5, 2.0, 3.0, np.inf]
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -116,6 +135,12 @@ def test_column_major_kernels_match_row_major_formulas(d):
         assert np.array_equal(norm.evaluate(np.asfortranarray(x)), got_c)
         single = norm.evaluate(x[7])
         assert isinstance(single, float)
+        # the row-wise kernels keep every bit of the column-major formulas on
+        # a batch, and an lp kernel gives a single vector its batch row's bits
+        assert np.array_equal(got_c.view(np.uint64), _column_major(norm, x).view(np.uint64))
+        want = (got_c[7] if isinstance(leaf, (LpNorm, WeightedLpNorm))
+                else _column_major(norm, x[7])[0])
+        assert np.float64(single).view(np.uint64) == np.float64(want).view(np.uint64), norm
         assert norm.evaluate(np.empty((0, d))).shape == (0,)
         for got, ref in ((got_c, _row_major(norm, x)), (single, _row_major(norm, x[7])[0])):
             if exact:

@@ -16,6 +16,9 @@ It then lists every statement in a function body of ``src/domlab`` that no
 line event reached, leaving out error branches (a ``raise``, an ``except``
 body, or a block that ends in ``raise``) and the entries of ALLOWED.  A
 function none of whose statements ran is listed once, as its ``def`` line.
+A statement is named by its module, its function, its first source line and
+the ordinal of that line among the function's statements, so a repeated
+line is told apart from the allowed one it repeats.
 It exits 1 when anything is listed, when an ALLOWED entry matches nothing
 unreached (it is reached now and should go), or when the acceptance tests
 fail; otherwise it exits 0.  domlab never imports this file.
@@ -40,71 +43,74 @@ PACKAGE = os.path.join(SRC, "domlab")
 BENCH = os.path.join(ROOT, "bench")
 ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
 
-# (module, function, statement) of each statement that no experiment reaches
-# yet; the statement is its first source line, stripped, and a def line stands
-# for a whole function that never ran.  Keyed by text, not by line number.
+# (module, function, statement, ordinal) of each statement that no experiment
+# reaches yet; the statement is its first source line, stripped, and a def
+# line stands for a whole function that never ran.  The ordinal counts the
+# statements of the same text before it in the function, in source order
+# (error branches left out).  Keyed by text, not by line number.
 ALLOWED = {
-    ("cli", "main", "return EXIT_USAGE"),  # the final fallthrough
+    ("cli", "main", "return EXIT_USAGE", 0),  # the final fallthrough
     # the symmetric_stable, sum_of and scaled families of a source spec
     ("config", "source_from_spec",
-     'return _in_spec(context, symmetric_stable, spec["index"], spec.get("scale", 1.0))'),
-    ("config", "source_from_spec", 'if fam == "sum_of":'),
+     'return _in_spec(context, symmetric_stable, spec["index"], spec.get("scale", 1.0))', 0),
+    ("config", "source_from_spec", 'if fam == "sum_of":', 0),
     ("config", "source_from_spec",
-     'inner = source_from_spec(spec["inner"], context + ".inner")'),
+     'inner = source_from_spec(spec["inner"], context + ".inner")', 0),
     ("config", "source_from_spec",
-     'return _in_spec(context, scaled_source, inner, spec["factor"])'),
+     'return _in_spec(context, scaled_source, inner, spec["factor"])', 0),
     # the components form of wb-sum
-    ("config", "_prepare_wb_sum", 'if "iid" in raw or "n" in raw:'),
-    ("config", "_prepare_wb_sum", 'comps = [source_from_spec(c, f"components[{i}]")'),
+    ("config", "_prepare_wb_sum", 'if "iid" in raw or "n" in raw:', 0),
+    ("config", "_prepare_wb_sum", 'comps = [source_from_spec(c, f"components[{i}]")', 0),
     # the report of a pair that is not majorised
     ("config", "_prepare_majorize.run",
-     'report = {"kind": "majorize", "majorised": False,'),
-    ("config", "_prepare_majorize.run", 'return report, {}, ["violated"]'),
+     'report = {"kind": "majorize", "majorised": False,', 0),
+    ("config", "_prepare_majorize.run", 'return report, {}, ["violated"]', 0),
     # scaled_source of a finite sum and of a sampled law
     ("distributions", "scaled_source",
-     "if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n"),
+     "if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n", 0),
     ("distributions", "scaled_source",
-     'return SamplerSource(dimension=inner.dimension, family="scaled",'),
+     'return SamplerSource(dimension=inner.dimension, family="scaled",', 0),
     # _draw of a nested sum, of a stable law at index 1 and of a scaled law
-    ("distributions", "_draw", "out = np.zeros((n, source.dimension))"),
+    ("distributions", "_draw", "part = np.empty_like(out)", 0),
+    ("distributions", "_draw", "out.fill(0.0)", 0),
     ("distributions", "_draw",
-     "for part, child in zip(source.components, ss.spawn(source.n)):"),
-    ("distributions", "_draw", "return out"),
-    ("distributions", "_draw", "x = np.tan(v)"),
-    ("distributions", "_draw", 'if fam == "scaled":'),
+     "for component, child in zip(source.components, ss.spawn(source.n)):", 0),
+    ("distributions", "_draw", "return out", 0),
+    ("distributions", "_draw", "np.tan(v, out=v)", 0),
+    ("distributions", "_draw", 'if fam == "scaled":', 0),
     # the closed forms of a scalar Gaussian and of a scaled law
     ("distributions", "analytic_survival",
-     'sigma = math.sqrt(float(par["covariance"][0, 0]))'),
-    ("distributions", "analytic_survival", "if sigma == 0.0:"),
+     'sigma = math.sqrt(float(par["covariance"][0, 0]))', 0),
+    ("distributions", "analytic_survival", "if sigma == 0.0:", 0),
     ("distributions", "analytic_survival",
-     "return lambda t: 1.0 if t <= 0.0 else float(erfc(t / (sigma * math.sqrt(2.0))))"),
-    ("distributions", "analytic_survival", 'inner = analytic_survival(par["inner"])'),
-    ("distributions", "analytic_survival", "if inner is None:"),
-    ("distributions", "analytic_survival", 'c = abs(par["factor"])'),
-    ("distributions", "analytic_survival", "return lambda t: inner(t / c)"),
+     "return lambda t: 1.0 if t <= 0.0 else float(erfc(t / (sigma * math.sqrt(2.0))))", 0),
+    ("distributions", "analytic_survival", 'inner = analytic_survival(par["inner"])', 0),
+    ("distributions", "analytic_survival", "if inner is None:", 0),
+    ("distributions", "analytic_survival", 'c = abs(par["factor"])', 0),
+    ("distributions", "analytic_survival", "return lambda t: inner(t / c)", 0),
     # the weighted_lp, ellipsoid and polytope_gauge norm specs
     ("geometry", "norm_from_spec",
-     'return _in_spec(context, WeightedLpNorm, dimension=d, p=p, weights=spec["weights"])'),
+     'return _in_spec(context, WeightedLpNorm, dimension=d, p=p, weights=spec["weights"])', 0),
     ("geometry", "norm_from_spec",
-     'return _in_spec(context, EllipsoidNorm, matrix=spec["matrix"])'),
+     'return _in_spec(context, EllipsoidNorm, matrix=spec["matrix"])', 0),
     ("geometry", "norm_from_spec",
-     'return _in_spec(context, PolytopeGauge, directions=spec["directions"])'),
-    ("geometry", "_random_polytope", "u = np.vstack([u, np.eye(d)])  # guarantee spanning"),
+     'return _in_spec(context, PolytopeGauge, directions=spec["directions"])', 0),
+    ("geometry", "_random_polytope", "u = np.vstack([u, np.eye(d)])  # guarantee spanning", 0),
     ("inequalities", "verify_sum_inequalities",  # the skipped summand_tails report
-     'reports["summand_tails"] = SlackReport('),
-    ("majorisation", "_majorisation_violation", "return len(ca)"),  # unequal totals
-    ("majorisation", "is_majorised", "def is_majorised(a, b) -> bool:"),
+     'reports["summand_tails"] = SlackReport(', 0),
+    ("majorisation", "_majorisation_violation", "return len(ca)", 0),  # unequal totals
+    ("majorisation", "is_majorised", "def is_majorised(a, b) -> bool:", 0),
     ("majorisation", "schur_convexity_check.weighted_mean",  # all-zero weights
-     "return 0.0  # the sum is 0 and (0 - 1)_+ = 0"),
+     "return 0.0  # the sum is 0 and (0 - 1)_+ = 0", 0),
     ("majorisation", "weighted_domination_constants",
-     "def weighted_domination_constants(params: WBParams) -> dict:"),
+     "def weighted_domination_constants(params: WBParams) -> dict:", 0),
     ("majorisation", "weighted_domination_experiment",
-     "def weighted_domination_experiment(a, b, source, params: WBParams, norms,"),
-    ("stats", "compare_tails", 'return "violated"'),  # an exact violation
-    ("stats", "SlackReport.to_json", 'out["note"] = self.note'),
+     "def weighted_domination_experiment(a, b, source, params: WBParams, norms,", 0),
+    ("stats", "compare_tails", 'return "violated"', 0),  # an exact violation
+    ("stats", "SlackReport.to_json", 'out["note"] = self.note', 0),
     # a norm that check_wb skips
-    ("weakborell", "check_wb", "skipped.append(i)"),
-    ("weakborell", "check_wb", "continue"),
+    ("weakborell", "check_wb", "skipped.append(i)", 0),
+    ("weakborell", "check_wb", "continue", 0),
 }
 
 
@@ -137,6 +143,7 @@ class Statement:
     def __init__(self, node, text):
         self.node, self.text = node, text
         self.children = []
+        self.ordinal = 0
 
     def reached(self, lines):
         if isinstance(self.node, ast.Try):  # the try line itself runs no code
@@ -161,9 +168,10 @@ def _functions(tree, source_lines):
                 if isinstance(node, ast.ClassDef):
                     block(node.body, name, False, False)
                 else:
+                    body = block(node.body, name, True, False)
+                    _number(body, {})
                     functions.append((".".join(name), node.lineno,
-                                      source_lines[node.lineno - 1].strip(),
-                                      block(node.body, name, True, False)))
+                                      source_lines[node.lineno - 1].strip(), body))
             if not in_function or isinstance(node, ast.Raise) or _is_docstring(node):
                 continue
             stmt = Statement(node, source_lines[node.lineno - 1].strip())
@@ -178,6 +186,16 @@ def _functions(tree, source_lines):
     return functions
 
 
+def _number(stmts, seen):
+    """Set each statement's ordinal: how many statements of its text come
+    before it in the function, whose counts seen holds; a compound statement
+    comes before its blocks."""
+    for s in stmts:
+        s.ordinal = seen.get(s.text, 0)
+        seen[s.text] = s.ordinal + 1
+        _number(s.children, seen)
+
+
 def _unreached_in(stmts, lines):
     for s in stmts:
         if s.reached(lines):
@@ -187,8 +205,9 @@ def _unreached_in(stmts, lines):
 
 
 def unreached(hits):
-    """(path, line, function, text) of each unreached statement in source order;
-    a function none of whose statements ran is one item, its def line."""
+    """(path, line, function, text, ordinal) of each unreached statement in
+    source order; a function none of whose statements ran is one item, its def
+    line."""
     found = []
     for filename in sorted(os.listdir(PACKAGE)):
         if not filename.endswith(".py"):
@@ -199,9 +218,9 @@ def unreached(hits):
         lines = hits.get(path, set())
         for function, line, text, body in _functions(ast.parse(source), source.splitlines()):
             if body and not any(s.reached(lines) for s in body):
-                found.append((path, line, function, text))
+                found.append((path, line, function, text, 0))
             else:
-                found += [(path, s.node.lineno, function, s.text)
+                found += [(path, s.node.lineno, function, s.text, s.ordinal)
                           for s in _unreached_in(body, lines)]
     return sorted(found)
 
@@ -280,8 +299,8 @@ def main() -> int:
     found = unreached(hits)
     used = set()
     bad = []
-    for path, line, function, text in found:
-        key = (os.path.splitext(os.path.basename(path))[0], function, text)
+    for path, line, function, text, ordinal in found:
+        key = (os.path.splitext(os.path.basename(path))[0], function, text, ordinal)
         if key in ALLOWED:
             used.add(key)
         else:
@@ -289,8 +308,8 @@ def main() -> int:
     stale = sorted(ALLOWED - used)
     for line in bad:
         print("unreached:", line)
-    for module, function, text in stale:
-        print(f"reached, remove from ALLOWED: {module}  {function}  {text}")
+    for module, function, text, ordinal in stale:
+        print(f"reached, remove from ALLOWED: {module}  {function}  {text}  #{ordinal}")
     print(f"reach: {len(bad)} unreached, {len(stale)} stale, {len(used)} allowed "
           f"({time.monotonic() - started:.1f} s)")
     return 1 if bad or stale else 0
