@@ -46,9 +46,9 @@ CATALOG = [dict(kind.example, kind=name) for name, kind in EXPERIMENTS.items()]
 
 
 def _write_json(path, obj):
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _fmt(x):

@@ -399,13 +399,27 @@ def _step_masses(probs: np.ndarray, comp_probs: np.ndarray) -> np.ndarray:
 
 
 def _merge_atoms(vectors: np.ndarray, probs: np.ndarray):
-    """Merge rows with exactly equal vectors, adding their masses."""
-    order = np.lexsort(vectors.T[::-1])
-    vectors, probs = vectors[order], probs[order]
+    """Merge rows with exactly equal vectors, adding their masses.
+
+    The order contract, on which the bits of every exact tail sum depend:
+    rows are sorted lexicographically by their coordinates, first column
+    first, with a stable sort in which -0.0 equals 0.0; each run of equal
+    rows keeps its first row, and its masses are added in sorted order.
+    For d = 2 one stable argsort of the rows read as complex numbers gives
+    that order, since numpy orders complex numbers by real part, then
+    imaginary part; every other d sorts with np.lexsort.
+    """
+    keys = vectors
+    if vectors.shape[1] == 2:
+        keys = np.ascontiguousarray(vectors).view(np.complex128)  # (m, 1)
+        order = np.argsort(keys[:, 0], kind="stable")
+    else:
+        order = np.lexsort(vectors.T[::-1])
+    keys, probs = keys[order], probs[order]
     first = np.empty(len(probs), dtype=bool)
     first[0] = True
-    np.any(vectors[1:] != vectors[:-1], axis=1, out=first[1:])
-    return vectors[first], np.bincount(np.cumsum(first) - 1, weights=probs)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    return keys[first].view(np.float64), np.bincount(np.cumsum(first) - 1, weights=probs)
 
 
 def enumerate_sum(law: Law):
@@ -414,9 +428,12 @@ def enumerate_sum(law: Law):
     A product law is convolved one component at a time.  Partial sums are
     added left to right, so every atom is bit-identical to the sum of a
     tuple added in that order; after each step, atoms with exactly equal
-    vectors are merged and their masses added.  PRODUCT_SUPPORT_CAP bounds
-    the atoms of one step before they are merged; no outcome tuple is built.
-    A nested sum is enumerated first, as one component.
+    vectors are merged and their masses added by _merge_atoms.  Its order
+    contract fixes the bits of every exact tail sum: atoms come out sorted
+    lexicographically by a stable sort in which -0.0 equals 0.0, and a
+    merged mass adds its pairs' masses in that order.  PRODUCT_SUPPORT_CAP
+    bounds the atoms of one step before they are merged; no outcome tuple
+    is built.  A nested sum is enumerated first, as one component.
     """
     if not law.finite:
         raise ParameterError("exact enumeration needs a finite-support law")

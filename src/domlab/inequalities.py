@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProductLaw, _merge_atoms, _step_masses, enumerate_sum
+from .distributions import ProductLaw, _merge_atoms, _signs, _step_masses, enumerate_sum
 from .errors import CapacityError, ParameterError, _check_count, _check_real, _param_rows
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
@@ -61,16 +61,23 @@ def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
     half = 1 << (n - 1)
     block = min(half, max_block)
     low = block.bit_length() - 1
-    eps = np.ones((block, n))
+    eps = np.full((block, n), -1.0)
+    eps[:, 0] = 1.0
     for j in range(low):
-        # -1 on the first run of 2^j rows of every 2^(j+1)
-        eps.reshape(-1, 2 << j, n)[:, :1 << j, 1 + j] = -1.0
-    eps[:, 1 + low:] = -1.0
-    for b in range(half // block):
-        if b:
-            # b ^ (b - 1) has exactly the bits that differ from b - 1: the
-            # lowest set bit of b and every bit below it
-            eps[:, 1 + low:1 + low + (b ^ (b - 1)).bit_length()] *= -1.0
+        # rows [2^j, 2^(j+1)) are rows [0, 2^j) with bit j set
+        h = 1 << j
+        eps[h:2 * h] = eps[:h]
+        eps[h:2 * h, 1 + j] = 1.0
+    yield eps
+    for b in range(1, half // block):
+        # b ^ (b - 1) has exactly the bits that differ from b - 1: the lowest
+        # set bit of b and every bit below it.  Negating their transpose in C
+        # order runs numpy's inner loop down each column, where a plain
+        # multi-column slice loops row by row.  The flip multiplies: numpy
+        # 2.4.6's np.negative(column, out=column) leaves every eighth entry
+        # unflipped when n = 8.
+        high = eps[:, 1 + low:1 + low + (b ^ (b - 1)).bit_length()].T
+        np.multiply(high, -1.0, out=high, order="C")
         yield eps
 
 
@@ -106,8 +113,10 @@ def sign_tail_mc(inst: SignInstance, t: float, budget: int, seed: int,
     _check_count(budget, "budget", 1)
 
     def count_chunk(j, lo, hi):
-        eps = substream(seed, 0, j).integers(0, 2, size=(hi - lo, inst.n)) * 2.0 - 1.0
-        return int(np.count_nonzero(inst.norm.evaluate(eps @ inst.vectors) > t))
+        size = (hi - lo) * inst.n  # the signs of integers(0, 2, size=(hi - lo, n)) * 2 - 1
+        eps = _signs(substream(seed, 0, j), np.empty(size))
+        return int(np.count_nonzero(
+            inst.norm.evaluate(eps.reshape(hi - lo, inst.n) @ inst.vectors) > t))
     return TailEstimate.from_counts(sum(map_chunks(count_chunk, budget)), budget, confidence)
 
 

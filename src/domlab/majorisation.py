@@ -83,11 +83,14 @@ class PermutationMixture:
             raise ParameterError(f"mixture does not reconstruct a within {DEFAULT_TOL}")
 
     def reconstruct(self) -> np.ndarray:
+        """sum_k w_k b[perm_k], the terms added in order to a zero start, as a
+        loop of out += w_k * b[perm_k] adds them: numpy reduces axis 0 of a
+        (terms, n) array term by term when n >= 2.  For n = 1 it sums
+        pairwise, and decompose gives a one-entry b one term."""
         b = np.asarray(self.b, dtype=float)
-        out = np.zeros_like(b)
-        for perm, w in self.terms:
-            out += w * b[list(perm)]
-        return out
+        perms, weights = zip(*self.terms)
+        scaled = np.array(weights)[:, None] * b[np.array(perms)]
+        return np.add.reduce(scaled, axis=0, initial=0.0)
 
     def to_json(self) -> dict:
         return {"a": list(self.a), "b": list(self.b),
@@ -146,6 +149,7 @@ def decompose(a, b) -> PermutationMixture:
     n = len(a)
     residual = _doubly_stochastic_matrix(a, b)
     terms = []
+    cost = np.empty((n, n))
     # Residual mass below EXACT_SLACK_TOL of T's unit row mass is float noise,
     # and so is an entry below that fraction of its row's remaining mass.
     for _ in range((n - 1) ** 2 + 1):
@@ -153,15 +157,18 @@ def decompose(a, b) -> PermutationMixture:
         if mass.max() <= EXACT_SLACK_TOL:
             break
         support = residual > EXACT_SLACK_TOL * mass
-        cost = np.full((n, n), np.inf)
+        cost.fill(np.inf)
+        # log exactly the support's entries, as one array: numpy's SIMD log
+        # may round an input differently at another position in its array
         cost[support] = -np.log(residual[support])
         try:
             rows, cols = linear_sum_assignment(cost)
         except ValueError:  # scipy: no finite-cost perfect matching
             raise ParameterError("extraction failed: no perfect matching on support") from None
-        w = float(residual[rows, cols].min())
-        terms.append((tuple(int(c) for c in cols), w))
-        residual[rows, cols] -= w
+        picked = residual[rows, cols]
+        w = float(picked.min())
+        terms.append((tuple(cols.tolist()), w))
+        residual[rows, cols] = picked - w
     if residual.sum(axis=1).max() > EXACT_SLACK_TOL:
         raise ParameterError("extraction did not exhaust the matrix in the term budget")
     total = sum(w for _, w in terms)

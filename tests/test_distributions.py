@@ -148,6 +148,39 @@ def test_enumerate_sum_matches_merged_itertools_oracle():
             assert got[key] == pytest.approx(p, rel=1e-14)
 
 
+def _lexsort_merge(vectors, probs):
+    # The merge as np.lexsort orders it: the oracle for every d.
+    order = np.lexsort(vectors.T[::-1])
+    vectors, probs = vectors[order], probs[order]
+    first = np.ones(len(probs), dtype=bool)
+    first[1:] = np.any(vectors[1:] != vectors[:-1], axis=1)
+    return vectors[first], np.bincount(np.cumsum(first) - 1, weights=probs)
+
+
+def test_merge_atoms_in_the_plane_keeps_the_lexsort_bits():
+    rng = np.random.default_rng(6)
+    zeros = [[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]
+    cases = [np.array([[0.5, -2.0]]),  # a single atom
+             np.array(zeros),  # +-0.0 in either coordinate: equal, the first one kept
+             np.array(zeros[::-1]),
+             np.array([[1.0, 3.0], [1.0, -3.0], [1.0, 3.0], [-1.0, 3.0], [1.0, 2.0]]),
+             # many duplicates and equal first coordinates, +-0.0 mixed in
+             rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(5000, 2)),
+             rng.standard_normal((3000, 2))]
+    for vectors in cases:
+        probs = rng.random(len(vectors))
+        want = _lexsort_merge(vectors, probs)
+        for got_array, want_array in zip(distributions._merge_atoms(vectors, probs), want):
+            assert got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes()
+    # a non-contiguous input, as a slice of a wider array
+    wide = np.repeat(rng.integers(-1, 2, size=(400, 2)).astype(float), 2, axis=1)
+    probs = rng.random(400)
+    got = distributions._merge_atoms(wide[:, ::2], probs)
+    want = _lexsort_merge(wide[:, ::2], probs)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_enumerate_sum_tie_on_a_threshold_stays_outside_the_tail():
     # [DERIVED] e1/2 + e2/2 + e3/2 takes +-1/2 with mass 3/4 and +-3/2 with
     # mass 1/4; atoms exactly at t = 1/2 or t = 3/2 are not above it.

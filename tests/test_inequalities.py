@@ -15,6 +15,7 @@ from domlab import (CapacityError, EllipsoidNorm, FiniteSupportDist, LpNorm,
                     verify_contraction, verify_kahane, verify_sum_inequalities)
 from domlab.distributions import enumerate_sum, sum_of
 from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _sign_norms
+from domlab.rng import CHUNK, substream
 
 
 def _brute_tail(vectors, norm, t):
@@ -75,6 +76,18 @@ def test_sign_tail_mc_covers_exact():
     est = sign_tail_mc(inst, 1.0, budget=200_000, seed=3)
     assert est.lo <= exact <= est.hi
     assert est.value == pytest.approx(exact, abs=0.01)
+
+
+def test_sign_tail_mc_draws_the_integers_signs():
+    # Chunk j's signs are integers(0, 2, size=(m, n)) * 2 - 1 on substream
+    # (seed, 0, j); the second chunk's m * n = 5005 is odd.
+    inst = SignInstance(np.random.default_rng(8).standard_normal((5, 2)), euclidean(2))
+    budget = CHUNK + 1001
+    est = sign_tail_mc(inst, 3.0, budget=budget, seed=11)
+    count = sum(int(np.count_nonzero(inst.norm.evaluate(
+        (substream(11, 0, j).integers(0, 2, size=(m, 5)) * 2.0 - 1.0) @ inst.vectors) > 3.0))
+        for j, m in enumerate((CHUNK, 1001)))
+    assert round(est.value * budget) == count == 41734
 
 
 def test_enumeration_cap_enforced():

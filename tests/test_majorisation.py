@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from scipy.stats import levy_stable
 
 import domlab.dominance as dominance
+import domlab.majorisation as majorisation
 from domlab import (Estimator, FiniteSupportDist, ParameterError,
                     PreconditionError, WBParams, absolute_value,
                     counterexample_experiment, decompose, euclidean,
                     is_majorised, pareto_tail, scale_norm, schur_convexity_check,
                     weighted_domination_constants, weighted_domination_experiment)
 from domlab.rng import CHUNK, map_chunks
+from domlab.stats import EXACT_SLACK_TOL
 
 
 def _random_majorised_pair(rng, n):
@@ -134,6 +136,72 @@ def test_decompose_always_extracts(n, seed, uniform):
 def test_decompose_rejects_non_majorised():
     with pytest.raises(PreconditionError, match="partial sum"):
         decompose([1.0, 0.0], [0.5, 0.5])
+
+
+def _peeling_loop(a, b):
+    # The peeling loop as first written, one new cost matrix and one
+    # element-by-element term per step: the oracle for every term's bits.
+    from scipy.optimize import linear_sum_assignment
+
+    a, b = majorisation.weight_pair(a, b)
+    n = len(a)
+    residual = majorisation._doubly_stochastic_matrix(a, b)
+    terms = []
+    for _ in range((n - 1) ** 2 + 1):
+        mass = residual.sum(axis=1, keepdims=True)
+        if mass.max() <= EXACT_SLACK_TOL:
+            break
+        support = residual > EXACT_SLACK_TOL * mass
+        cost = np.full((n, n), np.inf)
+        cost[support] = -np.log(residual[support])
+        rows, cols = linear_sum_assignment(cost)
+        w = float(residual[rows, cols].min())
+        terms.append((tuple(int(c) for c in cols), w))
+        residual[rows, cols] -= w
+    total = sum(w for _, w in terms)
+    return tuple((p, w / total) for p, w in terms)
+
+
+def _term_bits(terms):
+    return [(p, np.float64(w).view(np.uint64)) for p, w in terms]
+
+
+@pytest.mark.parametrize("pair", [("mixture", 8, i) for i in range(3)]
+                         + [("mixture", 12, i) for i in range(3)]
+                         + [("uniform", 30, seed) for seed in (3000, 3001)])
+def test_decompose_keeps_the_terms_of_the_peeling_loop(pair):
+    # The benchmark's pairs: mixtures at n = 8 and 12, uniform against random at n = 30.
+    kind, n, i = pair
+    if kind == "mixture":
+        a, b = _random_majorised_pair(np.random.default_rng([1000 + n, i]), n)
+    else:
+        a, b = _uniform_random_pair(i, n)
+    assert _term_bits(decompose(a, b).terms) == _term_bits(_peeling_loop(a, b))
+
+
+def _reconstruct_loop(mix):
+    b = np.asarray(mix.b, dtype=float)
+    out = np.zeros_like(b)
+    for perm, w in mix.terms:
+        out += w * b[list(perm)]
+    return out
+
+
+def test_reconstruct_adds_the_terms_in_order_from_zero():
+    # 0.0 + (-0.0) is 0.0: a -0.0 entry of b reconstructs as 0.0, as the loop gives.
+    b = [2.0, -0.0, -1.0]
+    mix = decompose(b, b)
+    assert mix.terms == (((0, 1, 2), 1.0),)
+    assert _reconstruct_loop(mix).tobytes() == mix.reconstruct().tobytes()
+    assert np.signbit(mix.reconstruct()).tolist() == [False, False, True]
+    rng = np.random.default_rng(5)
+    for n in (2, 8, 12, 30):
+        b = rng.standard_normal(n)
+        b[n // 2] = -0.0
+        a = sum(w * rng.permutation(b) for w in (0.2, 0.3, 0.5))
+        for mix in (decompose(a, b), decompose(*_uniform_random_pair(n, n))):
+            assert len(mix.terms) > 1
+            assert _reconstruct_loop(mix).tobytes() == mix.reconstruct().tobytes()
 
 
 def test_mixture_serialization():
