@@ -335,17 +335,26 @@ def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = (),
 
     The components are added in place, in order, which is how sum(axis=1)
     adds them; numpy adds eight or more one-dimensional components pairwise,
-    so there the last bits may differ from sum(axis=1).
+    so there the last bits may differ from sum(axis=1).  The parts are drawn
+    C-ordered, and numpy adds arrays of two memory orders many times slower
+    than arrays of one, so a sum of parts into a total that is not
+    C-contiguous runs in the workspace's C-ordered "running" array and is
+    copied into the total once.
     """
     total = np.empty((size, law.dimension), order="F") if out is None else out
     ws = workspace()
     part = ws.array("part", total.shape)
-    for i, (source, ss) in enumerate(_chunk_parts(law, j, seed, stream)):
+    parts = _chunk_parts(law, j, seed, stream)
+    one_order = total.flags.c_contiguous or len(parts) == 1
+    acc = total if one_order else ws.array("running", total.shape)
+    for i, (source, ss) in enumerate(parts):
         x = _draw(source, part, ss, ws)
         if i == 0:
-            np.copyto(total, x)
+            np.copyto(acc, x)
         else:
-            total += x
+            acc += x
+    if acc is not total:
+        np.copyto(total, acc)
     return total
 
 

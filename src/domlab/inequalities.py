@@ -4,11 +4,16 @@ Monte Carlo.
 The exact engine enumerates sign patterns.  Because every quantity here
 depends on signs only through the norm of a sign-odd sum, the global flip
 eps -> -eps leaves it invariant, so enumeration runs over 2^(n-1)
-patterns with the first sign pinned to +1.  Each verifier reads every
-tail and moment it compares from one array of 2^(n-1) norm values (16 MB
-at the cap).  The sum inequalities convolve the law of a running state one
-summand at a time.  sign_tail_mc draws chunk j of rng.map_chunks on the
-substream (seed, 0, j), so memory stays one chunk per thread.
+patterns with the first sign pinned to +1.  Every tail and moment comes
+from one read-only table of 2^(n-1) norm values (16 MB at the cap), and
+the table of the last instance enumerated is kept: the verifiers and the
+exact sign tail and mean, called in a row on one instance, share one
+enumeration.  At most one table is held, not one per instance, and it is
+dropped before the next is built; so a fresh instance, or one asked again
+after another, enumerates again.  The sum inequalities convolve the law of
+a running state one summand at a time.  sign_tail_mc draws chunk j of
+rng.map_chunks on the substream (seed, 0, j), so memory stays one chunk
+per thread.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ SIGN_ENUMERATION_CAP = 22  # 2^21 ~ 2.1M half-patterns, 16 MB of float64 norms
 _SIGN_BLOCK = 1 << 14  # sign patterns per block of _eps_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignInstance:
-    """Fixed vectors v_1..v_n together with the norm used to measure sums."""
+    """Fixed vectors v_1..v_n together with the norm used to measure sums.
+    Instances compare, and hash, by identity."""
 
     vectors: np.ndarray  # (n, d)
     norm: object
@@ -81,12 +87,27 @@ def _eps_blocks(n: int, max_block: int = _SIGN_BLOCK):
         yield eps
 
 
+# the one-entry memo of _sign_norms: [(instance, its table)], the pair replaced
+# as one tuple, so no reader matches an instance with another instance's table
+_last_table = [(None, None)]
+
+
 def _sign_norms(inst: SignInstance) -> np.ndarray:
-    """||sum eps_i v_i|| for each of the 2^(n-1) half-patterns, in block order."""
+    """||sum eps_i v_i|| for each of the 2^(n-1) half-patterns, in block order,
+    as a read-only array.  The table of the last instance asked for is kept
+    for the next call on that same instance; the old table is dropped before
+    a new one is built, so no two tables are ever held at once."""
+    held, vals = _last_table[0]
+    if held is inst:
+        return vals
     _check_cap(inst.n)
+    _last_table[0] = (None, None)
+    del vals  # the old table goes before the new one is allocated
     vals = np.empty(1 << (inst.n - 1))
     for lo, eps in zip(range(0, len(vals), _SIGN_BLOCK), _eps_blocks(inst.n)):
         vals[lo:lo + len(eps)] = inst.norm.evaluate(eps @ inst.vectors)
+    vals.setflags(write=False)
+    _last_table[0] = (inst, vals)
     return vals
 
 
@@ -94,16 +115,19 @@ def _tail(vals: np.ndarray, t: float) -> float:
     return int(np.count_nonzero(vals > t)) / len(vals)
 
 
-def _mean(vals: np.ndarray) -> float:
-    # one float sum per _eps_blocks block, added in block order
+def _mean(vals: np.ndarray, square: bool = False) -> float:
+    # one float sum per _eps_blocks block, added in block order; a squared
+    # block is a new block-sized array, so the table itself is never written
     acc = 0.0
     for lo in range(0, len(vals), _SIGN_BLOCK):
-        acc += float(vals[lo:lo + _SIGN_BLOCK].sum())
+        block = vals[lo:lo + _SIGN_BLOCK]
+        acc += float((block * block if square else block).sum())
     return acc / len(vals)
 
 
 def sign_tail_exact(inst: SignInstance, t: float) -> float:
     """P_eps(||sum eps_i v_i|| > t), an exact dyadic rational k / 2^n."""
+    t = _check_real(t, "threshold")
     return _tail(_sign_norms(inst), t)
 
 
@@ -111,6 +135,7 @@ def sign_tail_mc(inst: SignInstance, t: float, budget: int, seed: int,
                  confidence: float = DEFAULT_CONFIDENCE) -> TailEstimate:
     """Monte-Carlo estimate of the sign tail with a Clopper-Pearson interval."""
     _check_count(budget, "budget", 1)
+    t = _check_real(t, "threshold")
 
     def count_chunk(j, lo, hi):
         size = (hi - lo) * inst.n  # the signs of integers(0, 2, size=(hi - lo, n)) * 2 - 1
@@ -161,9 +186,7 @@ def verify_kahane(inst: SignInstance, s: float, t: float) -> SlackReport:
 def verify_L1L2(inst: SignInstance) -> SlackReport:
     """E||S||^2 <= 2 (E||S||)^2 for random signs, exact."""
     vals = _sign_norms(inst)
-    m1 = _mean(vals)
-    vals *= vals  # squared in place: no second 2^(n-1) array
-    m2 = _mean(vals)
+    m1, m2 = _mean(vals), _mean(vals, square=True)
     return SlackReport.from_exact("l1l2", m2, 2.0 * m1 * m1)
 
 

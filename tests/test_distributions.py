@@ -391,6 +391,29 @@ def test_in_place_sums_keep_the_stacked_sum(d, n):
     assert _same_bits(in_order, stacked) == (d > 1 or n < 8)
 
 
+@pytest.mark.parametrize("law", [sum_of([gaussian(np.eye(2) + 0.3 * i) for i in range(3)]),
+                                 sum_of([pareto_tail(a) for a in (2.0, 1.5, 0.9)])],
+                         ids=["gaussian-d2", "pareto"])
+def test_sums_of_parts_keep_the_bits_of_the_fortran_ordered_total(law):
+    # The formula of a sum that adds C-ordered parts into a Fortran-ordered
+    # total: the first part copied in, each later one added in place.
+    shape = (CHUNK, law.dimension)
+    want = np.empty(shape, order="F")
+    for i, c in enumerate(law.components):
+        x = _draw(c, np.empty(shape), seed_sequence(6, 2, i, 1), Workspace())
+        if i == 0:
+            want[...] = x
+        else:
+            want += x
+    assert _same_bits(sample_sum_chunk(law, 1, CHUNK, 6, (2,)), want)
+    for out in (np.empty(shape, order="F"), np.empty(shape)):
+        assert sample_sum_chunk(law, 1, CHUNK, 6, (2,), out) is out
+        assert _same_bits(out, want)
+    got, = map_chunks(lambda j, lo, hi: sample_sum_chunk(
+        law, 1, CHUNK, 6, (2,), workspace().array("sum", shape, order="F")).copy(), CHUNK)
+    assert _same_bits(got, want)
+
+
 def test_one_workspace_per_worker_for_the_length_of_a_call():
     law = sum_of([pareto_tail(2.0), symmetric_stable(0.7)])
 

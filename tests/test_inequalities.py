@@ -1,8 +1,10 @@
 """Sign-pattern enumeration against brute-force oracles; classical verifiers."""
 
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from domlab import (CapacityError, EllipsoidNorm, FiniteSupportDist, LpNorm,
                     sign_mean_exact, sign_tail_exact, sign_tail_mc,
                     signed_mean_over_outcomes, verify_L1L2, verify_PZ,
                     verify_contraction, verify_kahane, verify_sum_inequalities)
+from domlab import inequalities
 from domlab.distributions import enumerate_sum, sum_of
-from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _sign_norms
+from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _mean, _sign_norms
 from domlab.rng import CHUNK, substream
 
 
@@ -211,7 +214,7 @@ def test_paley_zygmund_holds():
             assert rep.lhs == pytest.approx(0.5 * (1.0 - theta) ** 2, abs=1e-15)
 
 
-def test_sign_verifiers_evaluate_the_norm_once_per_pattern(monkeypatch):
+def test_sign_verifiers_in_a_row_evaluate_the_norm_once_per_pattern(monkeypatch):
     rows = []
     real = LpNorm.evaluate
 
@@ -222,11 +225,81 @@ def test_sign_verifiers_evaluate_the_norm_once_per_pattern(monkeypatch):
     monkeypatch.setattr(LpNorm, "evaluate", counting)
     n = 16  # two _eps_blocks blocks of half-patterns
     inst = SignInstance(np.random.default_rng(9).standard_normal((n, 2)), euclidean(2))
-    for verify in (lambda: verify_kahane(inst, s=0.7, t=1.1),
-                   lambda: verify_L1L2(inst), lambda: verify_PZ(inst, 0.5)):
-        rows.clear()
-        assert verify().holds
-        assert sum(rows) == 1 << (n - 1)
+    assert verify_kahane(inst, s=0.7, t=1.1).holds
+    assert verify_L1L2(inst).holds
+    assert verify_PZ(inst, 0.5).holds
+    assert 0.0 < sign_tail_exact(inst, 1.0) < 1.0 < sign_mean_exact(inst)
+    assert sum(rows) == 1 << (n - 1)
+    # a fresh instance with equal contents is enumerated again
+    rows.clear()
+    assert verify_L1L2(SignInstance(inst.vectors, inst.norm)).holds
+    assert sum(rows) == 1 << (n - 1)
+
+
+def test_sign_norms_keep_one_read_only_table_of_the_last_instance(monkeypatch):
+    rng = np.random.default_rng(11)
+    a = SignInstance(rng.standard_normal((10, 2)), euclidean(2))
+    b = SignInstance(rng.standard_normal((12, 3)), LpNorm(3, 1.0))
+    # fresh enumerations, on fresh instances with equal contents
+    want = {inst: _sign_norms(SignInstance(inst.vectors, inst.norm)).copy() for inst in (a, b)}
+    held = weakref.ref(_sign_norms(a))
+    alive = []
+    real = LpNorm.evaluate
+
+    def watching(self, x):
+        alive.append(held() is not None)
+        return real(self, x)
+    monkeypatch.setattr(LpNorm, "evaluate", watching)
+    _sign_norms(b)
+    assert alive and not any(alive)  # a's table went before b's was built
+    for inst in (a, b, a):
+        got = _sign_norms(inst)
+        assert np.array_equal(got.view(np.uint64), want[inst].view(np.uint64))
+        assert _sign_norms(inst) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    _sign_norms(b)
+    kept = weakref.ref(a)
+    del a, inst, got, want
+    gc.collect()
+    assert kept() is None  # the memo holds b alone
+
+
+def test_l1l2_moments_keep_the_bits_of_squaring_a_copy():
+    rng = np.random.default_rng(12)
+    for n in range(1, 21):
+        d = 1 + n % 3
+        vectors = rng.standard_normal((n, d))
+        for norm in _five_norms(rng, d):
+            inst = SignInstance(vectors, norm)
+            rep = verify_L1L2(inst)
+            vals = _sign_norms(inst).copy()
+            m1 = _mean(vals)
+            vals *= vals
+            assert rep.lhs.hex() == _mean(vals).hex(), (n, norm)
+            assert rep.rhs.hex() == (2.0 * m1 * m1).hex(), (n, norm)
+
+
+def test_sign_instance_compares_by_identity():
+    vectors = np.ones((2, 1))
+    inst = SignInstance(vectors, absolute_value())
+    assert inst == inst
+    assert inst != SignInstance(vectors, absolute_value())
+    assert hash(inst) == hash(inst) and len({inst, inst}) == 1
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "1"])
+def test_sign_tails_read_the_threshold_as_a_finite_number(t, monkeypatch):
+    inst = SignInstance(np.ones((3, 1)), absolute_value())
+    with pytest.raises(ParameterError, match="threshold"):
+        sign_tail_exact(inst, t)
+
+    def no_draws(*args):
+        raise AssertionError("drew before the threshold was checked")
+    monkeypatch.setattr(inequalities, "substream", no_draws)
+    with pytest.raises(ParameterError, match="threshold"):
+        sign_tail_mc(inst, t, budget=10, seed=0)
 
 
 def test_contraction_holds_and_validates():
