@@ -12,7 +12,7 @@ claims about tails are answered with three-valued verdicts
 from .distributions import (DIMENSION_CAP, PRODUCT_SUPPORT_CAP, FiniteSupportDist,
                             ProductLaw, SamplerSource,
                             analytic_survival, enumerate_sign_classes, enumerate_sum,
-                            gaussian, pareto_tail, scaled_source, sum_of, symmetric_stable)
+                            gaussian, pareto_tail, scaled_source, symmetric_stable)
 from .dominance import (DominationQuery, DominationReport, NormRecord, ProxyValue,
                         check_domination, proxy_bound_check, proxy_exact, proxy_mc,
                         tail_method, tail_table, tensorisation_experiment)
@@ -26,7 +26,7 @@ from .inequalities import (SIGN_ENUMERATION_CAP, SignInstance, sign_mean_exact,
                            verify_L1L2, verify_PZ, verify_contraction,
                            verify_kahane, verify_sum_inequalities)
 from .majorisation import (CounterexampleTable, PermutationMixture,
-                           counterexample_experiment, decompose, is_majorised,
+                           counterexample_experiment, decompose,
                            schur_convexity_check, weighted_domination_constants,
                            weighted_domination_experiment)
 from .stats import (DEFAULT_CONFIDENCE, EXACT, Estimator, SlackReport,

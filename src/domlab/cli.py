@@ -130,14 +130,13 @@ def main(argv=None) -> int:
             load_config(args.config)
             print(f"{args.config}: valid")
             return EXIT_OK
-        if args.command == "run":
-            if args.threads < 1:
-                raise ParameterError("--threads must be >= 1")
-            return run_config(args.config, args.out, args.threads)
+        # run: the parser admits no other command
+        if args.threads < 1:
+            raise ParameterError("--threads must be >= 1")
+        return run_config(args.config, args.out, args.threads)
     except (ParameterError, PreconditionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (FiniteSupportDist, ProductLaw, check_dimension, gaussian,
-                            pareto_tail, scaled_source, sum_of, symmetric_stable)
+                            pareto_tail, scaled_source, symmetric_stable)
 from .dominance import (DominationQuery, check_domination, tail_method, tail_table,
                         tensorisation_experiment, tensorisation_query)
 from .errors import (ParameterError, _check_count, _check_list, _check_real, _check_spec,
@@ -64,8 +64,8 @@ def source_from_spec(spec: dict, context: str = "source"):
     if fam == "pareto_tail":
         return _in_spec(context, pareto_tail, spec["exponent"])
     if fam == "sum_of":
-        return _in_spec(context, sum_of, [source_from_spec(p, f"{context}.parts[{i}]")
-                                          for i, p in enumerate(spec["parts"])])
+        return _in_spec(context, ProductLaw, tuple(source_from_spec(p, f"{context}.parts[{i}]")
+                                                   for i, p in enumerate(spec["parts"])))
     inner = source_from_spec(spec["inner"], context + ".inner")
     return _in_spec(context, scaled_source, inner, spec["factor"])
 
@@ -291,7 +291,7 @@ def _prepare_inequality_suite(raw):
             sums = verify_sum_inequalities(ProductLaw(comps), norm,
                                            {"s": 0.5, "t": 0.5, "u": 0.5})
             reports.extend(sums.values())
-        verdicts = [r.verdict for r in reports if r.verdict is not None]
+        verdicts = [r.verdict for r in reports]
         rows = [(r.name, r.lhs, r.rhs, r.slack, r.method) for r in reports]
         report = {"kind": "inequality-suite",
                   "reports": [r.to_json() for r in reports]}

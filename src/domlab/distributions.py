@@ -8,7 +8,7 @@ Three kinds of laws coexist:
   stable/pareto and scaled sources) sampled with deterministic
   counter-based substreams.
 * :class:`ProductLaw` -- independent laws X_1, ..., X_n, which stands for
-  their sum wherever one law is expected; sum_of builds one.
+  their sum wherever one law is expected.
 
 Each law says whether it is finite; a product law is when all its
 components are, nested sums included.  Scaling a finite law gives a finite
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import erfc
@@ -189,14 +189,9 @@ def scaled_source(inner: Law, factor: float) -> Law:
     if isinstance(inner, FiniteSupportDist):
         return FiniteSupportDist.from_pairs(factor * inner.vectors(), inner.probs())
     if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n
-        return sum_of([scaled_source(c, factor) for c in inner.components])
+        return ProductLaw(tuple(scaled_source(c, factor) for c in inner.components))
     return SamplerSource(dimension=inner.dimension, family="scaled",
                          params={"inner": inner, "factor": factor})
-
-
-def sum_of(parts: Sequence[Law]) -> ProductLaw:
-    """Sum of independent sources of equal dimension, as their product law."""
-    return ProductLaw(tuple(parts))
 
 
 @dataclass(frozen=True)

@@ -195,13 +195,17 @@ def absolute_value() -> LpNorm:
 
 
 def norm_family(norms, dimension: int) -> tuple:
-    """The norms as a tuple, checked to be a nonempty family of norms on R^dimension."""
+    """The norms as a tuple, checked to be a nonempty family of norms on R^dimension;
+    a member with no dimension is not a norm."""
     norms = tuple(norms)
     if not norms:
         raise ParameterError("the norm family must be nonempty")
     for norm in norms:
-        if norm.dimension != dimension:
-            raise ParameterError(f"norm dimension {norm.dimension} != law dimension {dimension}")
+        dim = getattr(norm, "dimension", None)
+        if dim is None:
+            raise ParameterError(f"{norm!r} is not a norm")
+        if dim != dimension:
+            raise ParameterError(f"norm dimension {dim} != law dimension {dimension}")
     return norms
 
 
@@ -272,9 +276,7 @@ def _random_ellipsoid(rng, d):
 def _random_polytope(rng, d):
     m = int(rng.integers(d, 4 * d + 1))
     u = rng.standard_normal((m, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    if np.linalg.matrix_rank(u) < d:
-        u = np.vstack([u, np.eye(d)])  # guarantee spanning
+    u /= np.linalg.norm(u, axis=1, keepdims=True)  # m >= d: spans R^d almost surely
     return PolytopeGauge(directions=tuple(tuple(row) for row in u))
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .distributions import ProductLaw, _merge_atoms, _signs, _step_masses, enumerate_sum
 from .errors import CapacityError, ParameterError, _check_count, _check_real, _param_rows
+from .geometry import norm_family
 from .rng import map_chunks, substream
 from .stats import DEFAULT_CONFIDENCE, SlackReport, TailEstimate
 
@@ -33,14 +34,16 @@ _SIGN_BLOCK = 1 << 14  # sign patterns per block of _eps_blocks
 
 @dataclass(frozen=True, eq=False)
 class SignInstance:
-    """Fixed vectors v_1..v_n together with the norm used to measure sums.
+    """Fixed vectors v_1..v_n together with the norm on R^d used to measure sums.
     Instances compare, and hash, by identity."""
 
     vectors: np.ndarray  # (n, d)
     norm: object
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _param_rows(self.vectors, "sign instance vectors"))
+        vectors = _param_rows(self.vectors, "sign instance vectors")
+        norm_family((self.norm,), vectors.shape[1])
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def n(self) -> int:
@@ -258,8 +261,8 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict) -> dict:
     law of the running state (S_k and four flags) is convolved one summand
     at a time, and PRODUCT_SUPPORT_CAP bounds the states of one step.
     Returns a dict of SlackReports keyed by inequality name; the
-    summand-tail check is replaced by a "skipped" entry when
-    P(X* > t) = 1, where its right-hand side is infinite.
+    summand_tails entry is omitted when P(X* <= t) = 0, where its
+    right-hand side is infinite.
     """
     s, t, u = (_check_real(levels[k], f"level {k}") for k in "stu")
     events, q = _exact_sum_events(law, norm, s, t, u)
@@ -273,8 +276,4 @@ def verify_sum_inequalities(law: ProductLaw, norm, levels: dict) -> dict:
     if q > 0.0:
         reports["summand_tails"] = SlackReport.from_exact("summand_tails", x_tails,
                                                           p_xstar / q)
-    else:
-        reports["summand_tails"] = SlackReport(
-            name="summand_tails", lhs=float("nan"), rhs=float("nan"), verdict=None,
-            note="skipped")
     return reports

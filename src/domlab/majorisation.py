@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import (Law, ProductLaw, enumerate_sum, scaled_source, sum_of,
-                            symmetric_stable)
+from .distributions import (FiniteSupportDist, Law, ProductLaw, enumerate_sum,
+                            scaled_source, symmetric_stable)
 from .dominance import DominationQuery, DominationReport, check_domination, tail_table
 from .errors import (ParameterError, PreconditionError, _check_count, _check_list,
                      _check_real, _param_rows)
@@ -48,9 +48,9 @@ def _majorisation_violation(a, b) -> Optional[int]:
     a, b = weight_pair(a, b)
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
-    if not abs(ca[-1] - cb[-1]) <= DEFAULT_TOL:
-        return len(ca)
-    bad = np.nonzero(~(ca[:-1] <= cb[:-1] + DEFAULT_TOL))[0]
+    ok = ca <= cb + DEFAULT_TOL
+    ok[-1] = abs(ca[-1] - cb[-1]) <= DEFAULT_TOL
+    bad = np.flatnonzero(~ok)
     return int(bad[0]) + 1 if len(bad) else None
 
 
@@ -60,11 +60,6 @@ def _require_majorised(a, b):
     if bad is not None:
         raise PreconditionError(f"a is not majorised by b: partial sum {bad} violates")
     return weight_pair(a, b)
-
-
-def is_majorised(a, b) -> bool:
-    """True iff a is majorised by b (partial sums of sorted rearrangements)."""
-    return _majorisation_violation(a, b) is None
 
 
 @dataclass(frozen=True)
@@ -140,8 +135,8 @@ def _doubly_stochastic_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def decompose(a, b) -> PermutationMixture:
     """Write a as a convex combination of permutations of b.
 
-    Requires is_majorised(a, b); raises a not-majorised error naming the
-    violating partial-sum index otherwise.
+    Raises a not-majorised error naming the first violated partial-sum
+    index unless a is majorised by b.
     """
     from scipy.optimize import linear_sum_assignment  # slow to import; only needed here
 
@@ -182,11 +177,10 @@ def decompose(a, b) -> PermutationMixture:
 
 def _weighted_sum_law(weights, source) -> ProductLaw:
     """The law of sum_i w_i X_i over the nonzero weights, X_i iid copies of source;
-    finite parts when source is finite."""
-    parts = [scaled_source(source, w) for w in weights if w != 0.0]
-    if not parts:
-        raise ParameterError("all weights are zero")
-    return sum_of(parts)
+    finite parts when source is finite, and the point mass at 0 when every
+    weight is zero."""
+    parts = tuple(scaled_source(source, w) for w in weights if w != 0.0)
+    return ProductLaw(parts or (FiniteSupportDist.from_pairs([[0.0] * source.dimension], [1.0]),))
 
 
 def schur_convexity_check(a, b, component: Law, norm) -> SlackReport:
@@ -199,8 +193,6 @@ def schur_convexity_check(a, b, component: Law, norm) -> SlackReport:
     norm_family([norm], component.dimension)
 
     def weighted_mean(weights):
-        if not np.any(weights):
-            return 0.0  # the sum is 0 and (0 - 1)_+ = 0
         sums, masses = enumerate_sum(_weighted_sum_law(weights, component))
         return float(masses @ np.maximum(norm.evaluate(sums) - 1.0, 0.0))
 

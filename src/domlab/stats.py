@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from scipy.special import betaincinv
 
@@ -99,16 +98,12 @@ def compare_tails(px: TailEstimate, py: TailEstimate, factor: float) -> str:
 
 @dataclass(frozen=True)
 class SlackReport:
-    """One inequality lhs <= rhs, verified exactly.
-
-    verdict is None when no claim was evaluated (note "skipped").
-    """
+    """One inequality lhs <= rhs, verified exactly."""
 
     name: str
     lhs: float
     rhs: float
-    verdict: Optional[str]
-    note: str = ""
+    verdict: str
     method = "exact"  # every report compares exact values
 
     @property
@@ -126,14 +121,8 @@ class SlackReport:
         return SlackReport(name=name, lhs=lhs, rhs=rhs, verdict=verdict)
 
     def to_json(self) -> dict:
-        # a skipped report's sides are NaN, written as null
-        lhs, rhs, slack = ((self.lhs, self.rhs, self.slack) if self.verdict is not None
-                           else (None, None, None))
-        out = {"name": self.name, "lhs": lhs, "rhs": rhs,
-               "holds": self.holds, "slack": slack, "method": self.method}
-        if self.note:
-            out["note"] = self.note
-        return out
+        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
+                "holds": self.holds, "slack": self.slack, "method": self.method}
 
 
 def worst_verdict(verdicts) -> str:

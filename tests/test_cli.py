@@ -12,7 +12,7 @@ import pytest
 
 import domlab.dominance as dominance
 from domlab import (CapacityError, Estimator, ParameterError, PreconditionError,
-                    norm_from_spec, pareto_tail, scaled_source, sum_of, symmetric_stable,
+                    ProductLaw, norm_from_spec, pareto_tail, scaled_source, symmetric_stable,
                     tail_table)
 from domlab.cli import CATALOG, _write_csv, main
 from domlab.config import EXPERIMENTS, source_from_spec, validate_config
@@ -159,7 +159,7 @@ def _round_trip(tmp_path, cfg, name):
      scaled_source(pareto_tail(3.0), -2.0)),
     ({"family": "sum_of", "parts": [{"family": "pareto_tail", "exponent": 2.0},
                                     {"family": "symmetric_stable", "index": 1.5}]},
-     sum_of([pareto_tail(2.0), symmetric_stable(1.5)])),
+     ProductLaw((pareto_tail(2.0), symmetric_stable(1.5)))),
 ], ids=["symmetric_stable", "scaled", "sum_of"])
 def test_source_spec_round_trip(tmp_path, spec, source):
     est = {"kind": "mc", "budget": 5000}

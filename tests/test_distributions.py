@@ -10,7 +10,7 @@ from scipy.stats import levy_stable
 import domlab.distributions as distributions
 from domlab import (EXACT, CapacityError, Estimator, FiniteSupportDist, ParameterError,
                     ProductLaw, absolute_value, analytic_survival, enumerate_sign_classes,
-                    enumerate_sum, gaussian, pareto_tail, scaled_source, sum_of,
+                    enumerate_sum, gaussian, pareto_tail, scaled_source,
                     symmetric_stable, tail_table)
 from domlab.distributions import _draw, _draw_chunk, _signs, sample_sum_chunk
 from domlab.rng import CHUNK, Workspace, map_chunks, seed_sequence, substream, workspace
@@ -80,21 +80,21 @@ def test_scaled_finite_law_stays_finite():
 def test_finite_is_one_predicate_through_nested_sums():
     rad = FiniteSupportDist.rademacher()
     assert rad.finite and not pareto_tail(2.0).finite
-    assert sum_of([sum_of([rad, rad]), rad]).finite
-    assert not sum_of([sum_of([rad, pareto_tail(2.0)]), rad]).finite
-    assert not scaled_source(sum_of([rad, pareto_tail(2.0)]), 2.0).finite
+    assert ProductLaw((ProductLaw((rad, rad)), rad)).finite
+    assert not ProductLaw((ProductLaw((rad, pareto_tail(2.0))), rad)).finite
+    assert not scaled_source(ProductLaw((rad, pareto_tail(2.0))), 2.0).finite
 
 
 def test_constructors_keep_finite_laws_finite():
     rad = FiniteSupportDist.rademacher()
     # c (X_1 + X_2) = c X_1 + c X_2
-    assert scaled_source(sum_of([rad, rad]), 2.0) == sum_of([FiniteSupportDist.rademacher(2.0)] * 2)
+    assert scaled_source(ProductLaw((rad, rad)), 2.0) == ProductLaw(
+        (FiniteSupportDist.rademacher(2.0),) * 2)
 
 
-def test_sum_of_is_the_product_law():
+def test_a_sampler_source_has_no_sum_family():
     rad = FiniteSupportDist.rademacher()
-    assert sum_of([rad, pareto_tail(2.0)]) == ProductLaw((rad, pareto_tail(2.0)))
-    # SamplerSource has no sum family; a sum is only ever a ProductLaw.
+    # a sum is only ever a ProductLaw
     with pytest.raises(ParameterError, match="unknown sampler family 'sum_of'"):
         _draw_chunk(distributions.SamplerSource(1, "sum_of", {"parts": (rad, rad)}),
                     0, 10, 1, ())
@@ -136,8 +136,8 @@ def test_enumerate_sum_matches_merged_itertools_oracle():
              for comps in ((lattice,) * 4, (square,) * 5, (lattice, generic, square, lattice),
                            (FiniteSupportDist.rademacher(0.1),) * 7)]
     # a nested sum is convolved left to right as the flat sum of its parts is
-    cases += [(sum_of([sum_of([rad, rad]), rad]), (rad,) * 3),
-              (sum_of([sum_of([lattice, generic]), square]), (lattice, generic, square))]
+    cases += [(ProductLaw((ProductLaw((rad, rad)), rad)), (rad,) * 3),
+              (ProductLaw((ProductLaw((lattice, generic)), square)), (lattice, generic, square))]
     for law, comps in cases:
         vectors, probs = enumerate_sum(law)
         got = {tuple(v): p for v, p in zip(vectors.tolist(), probs)}
@@ -250,7 +250,7 @@ def test_sample_deterministic_in_seed():
 
 
 def test_sample_thread_count_invariant():
-    src = sum_of([gaussian(np.eye(3)), scaled_source(gaussian(np.eye(3)), 2.0)])
+    src = ProductLaw((gaussian(np.eye(3)), scaled_source(gaussian(np.eye(3)), 2.0)))
     a = _sample(src, 200_000, seed=11, threads=1)
     b = _sample(src, 200_000, seed=11, threads=8)
     assert np.array_equal(a, b)
@@ -276,8 +276,8 @@ def test_nested_sums_keep_their_draws():
     # part from its node's SeedSequence and adds the parts in order; these
     # Monte Carlo counts pin those draws.
     est = Estimator("mc", budget=5000)
-    scaled = scaled_source(sum_of([pareto_tail(2.0), symmetric_stable(1.5)]), 2.0)
-    nested = ProductLaw((sum_of([gaussian([[1.0]]), pareto_tail(3.0)]), pareto_tail(2.0)))
+    scaled = scaled_source(ProductLaw((pareto_tail(2.0), symmetric_stable(1.5))), 2.0)
+    nested = ProductLaw((ProductLaw((gaussian([[1.0]]), pareto_tail(3.0))), pareto_tail(2.0)))
     for law, thresholds, seed, stream, counts in ((scaled, [1.0, 4.0], 1, (0,), [4321, 2315]),
                                                    (nested, [2.0, 8.0], 3, (5,), [2472, 89])):
         (row,) = tail_table(law, [absolute_value()], thresholds, est, seed, stream)
@@ -289,7 +289,7 @@ def test_finite_parts_of_a_sampled_sum_draw_as_finite_laws():
     # own substream; these Monte Carlo counts pin those draws.
     est = Estimator("mc", budget=5000)
     rad = FiniteSupportDist.rademacher()
-    law = sum_of([scaled_source(sum_of([rad, rad]), 2.0), pareto_tail(2.0)])
+    law = ProductLaw((scaled_source(ProductLaw((rad, rad)), 2.0), pareto_tail(2.0)))
     (row,) = tail_table(law, [absolute_value()], [3.0, 6.0], est, 1, (0,))
     assert [p.value for p in row] == [1605 / 5000, 400 / 5000]
 
@@ -350,7 +350,8 @@ PARITY_LAWS = [
     *(gaussian(np.eye(d) + 0.4) for d in (1, 2, 3)),
     FiniteSupportDist.symmetric_pairs([[1.0, 2.0], [0.5, -1.0]], [0.6, 0.3], zero_prob=0.1),
     scaled_source(symmetric_stable(0.7), -2.5),
-    sum_of([sum_of([gaussian([[1.0]]), pareto_tail(3.0)]), scaled_source(pareto_tail(2.0), 3.0)]),
+    ProductLaw((ProductLaw((gaussian([[1.0]]), pareto_tail(3.0))),
+                scaled_source(pareto_tail(2.0), 3.0))),
 ]
 
 
@@ -391,8 +392,8 @@ def test_in_place_sums_keep_the_stacked_sum(d, n):
     assert _same_bits(in_order, stacked) == (d > 1 or n < 8)
 
 
-@pytest.mark.parametrize("law", [sum_of([gaussian(np.eye(2) + 0.3 * i) for i in range(3)]),
-                                 sum_of([pareto_tail(a) for a in (2.0, 1.5, 0.9)])],
+@pytest.mark.parametrize("law", [ProductLaw(tuple(gaussian(np.eye(2) + 0.3 * i) for i in range(3))),
+                                 ProductLaw(tuple(pareto_tail(a) for a in (2.0, 1.5, 0.9)))],
                          ids=["gaussian-d2", "pareto"])
 def test_sums_of_parts_keep_the_bits_of_the_fortran_ordered_total(law):
     # The formula of a sum that adds C-ordered parts into a Fortran-ordered
@@ -415,7 +416,7 @@ def test_sums_of_parts_keep_the_bits_of_the_fortran_ordered_total(law):
 
 
 def test_one_workspace_per_worker_for_the_length_of_a_call():
-    law = sum_of([pareto_tail(2.0), symmetric_stable(0.7)])
+    law = ProductLaw((pareto_tail(2.0), symmetric_stable(0.7)))
 
     def chunk(j, lo, hi):
         ws = workspace()

@@ -16,7 +16,7 @@ from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimat
                     check_wb, euclidean, gaussian, pareto_tail, proxy_bound_check,
                     proxy_exact, proxy_mc,
                     random_norm_family, scale_norm, scaled_source, signed_mean_over_outcomes,
-                    sum_of, symmetric_stable, tail_method, tail_table,
+                    symmetric_stable, tail_method, tail_table,
                     tensorisation_experiment)
 from domlab.distributions import enumerate_sum, sample_sum_chunk
 from domlab.rng import CHUNK, map_chunks
@@ -33,12 +33,10 @@ FAMILY1 = random_norm_family(seed=31, d=1, size=6)
 
 
 def test_tail_exact_finite():
-    # [DERIVED] P(|e1 + e2 + e3| > t) = 1/4 for t in [1, 3), whether the sum is
-    # written as a product law or through sum_of.
-    for law in (ProductLaw((RAD,) * 3), sum_of([RAD] * 3)):
-        (p1, p2), = tail_table(law, [absolute_value()], [1.0, 2.0], EXACT)
-        assert p1.exact and p1.value == pytest.approx(0.25, abs=1e-15)
-        assert p2.exact and p2.value == 0.25
+    # [DERIVED] P(|e1 + e2 + e3| > t) = 1/4 for t in [1, 3).
+    (p1, p2), = tail_table(ProductLaw((RAD,) * 3), [absolute_value()], [1.0, 2.0], EXACT)
+    assert p1.exact and p1.value == pytest.approx(0.25, abs=1e-15)
+    assert p2.exact and p2.value == 0.25
 
 
 def test_tail_analytic_scalar_with_scaled_norm():
@@ -78,7 +76,7 @@ def test_tail_requires_mc_when_no_exact_path():
 
 def test_exact_capable():
     # tail_method is the one exactness test: every law but "mc" has an exact path.
-    for law in (RAD, ProductLaw((RAD, HALF)), sum_of([RAD, HALF]), scaled_source(RAD, 2.0)):
+    for law in (RAD, ProductLaw((RAD, HALF)), scaled_source(RAD, 2.0)):
         assert tail_method(law, EXACT) == "enumeration"
     assert tail_method(pareto_tail(2.0), EXACT) == "closed-form"
     mc = Estimator("mc")
@@ -89,8 +87,8 @@ def test_exact_capable():
 def test_nested_and_scaled_finite_laws_are_enumerated():
     # [DERIVED] brute force: e_1 + e_2 + e_3 exceeds 2 only at +-3 (mass 1/4);
     # 2 (e_1 + e_2) is +-4 with mass 1/4 each.
-    cases = ((sum_of([sum_of([RAD, RAD]), RAD]), [2.0], [0.25]),
-             (scaled_source(sum_of([RAD, RAD]), 2.0), [3.9, 4.0], [0.5, 0.0]))
+    cases = ((ProductLaw((ProductLaw((RAD, RAD)), RAD)), [2.0], [0.25]),
+             (scaled_source(ProductLaw((RAD, RAD)), 2.0), [3.9, 4.0], [0.5, 0.0]))
     for law, thresholds, expected in cases:
         assert tail_method(law, EXACT) == "enumeration"
         (row,) = tail_table(law, [absolute_value()], thresholds, EXACT)
@@ -168,8 +166,8 @@ def test_tail_tables_are_the_same_on_1_2_and_8_threads():
     # Each worker draws and sums its chunks in its own workspace; the last
     # chunk is partial.
     est = Estimator("mc", budget=3 * CHUNK + 777)
-    cases = ((sum_of([gaussian([[1.0, 0.3], [0.3, 0.6]])] * 3), random_norm_family(5, 2, 6)),
-             (sum_of([pareto_tail(2.0)] * 3), [absolute_value()]),
+    cases = ((ProductLaw((gaussian([[1.0, 0.3], [0.3, 0.6]]),) * 3), random_norm_family(5, 2, 6)),
+             (ProductLaw((pareto_tail(2.0),) * 3), [absolute_value()]),
              (symmetric_stable(0.7), [absolute_value(), scale_norm(absolute_value(), 0.1)]))
     for law, norms in cases:
         tables = [tail_table(law, norms, [0.5, 2.0], est, seed=3, stream=(4,), threads=threads)
@@ -180,7 +178,7 @@ def test_tail_tables_are_the_same_on_1_2_and_8_threads():
 def test_concurrent_tail_tables_never_share_a_workspace():
     # Four calls on three workers each, with thread switches forced often: a
     # workspace handed to two workers at once would mix their draws.
-    law = sum_of([pareto_tail(2.0), symmetric_stable(0.7)])
+    law = ProductLaw((pareto_tail(2.0), symmetric_stable(0.7)))
     est = Estimator("mc", budget=4 * CHUNK)
     want = tail_table(law, [absolute_value()], [1.0, 5.0], est, seed=9)
     interval = sys.getswitchinterval()
@@ -198,6 +196,11 @@ def test_concurrent_tail_tables_never_share_a_workspace():
 def test_tail_table_exact_estimator_needs_an_exact_path():
     with pytest.raises(ParameterError, match="no exact tail path"):
         tail_table(gaussian(np.eye(2)), [euclidean(2)], [1.0], EXACT)
+
+
+def test_tail_table_rejects_a_norm_family_member_that_is_not_a_norm():
+    with pytest.raises(ParameterError, match="'l2' is not a norm"):
+        tail_table(RAD, ["l2"], [1.0], EXACT)
 
 
 def test_check_domination_enumerates_each_law_once(monkeypatch):
@@ -329,7 +332,7 @@ SIGN_CLASS_NORMS = [euclidean(2), *random_norm_family(seed=8, d=2, size=6)]
 
 
 def test_proxy_exact_reads_a_nested_sum_as_one_finite_summand():
-    inner = sum_of([RAD, HALF])
+    inner = ProductLaw((RAD, HALF))
     flat = FiniteSupportDist.from_pairs(*enumerate_sum(inner))
     for norm in (absolute_value(), scale_norm(absolute_value(), 0.4)):
         assert (proxy_exact(ProductLaw((inner, RAD)), norm)

@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import json
 import math
 import weakref
 
@@ -16,7 +15,7 @@ from domlab import (CapacityError, EllipsoidNorm, FiniteSupportDist, LpNorm,
                     signed_mean_over_outcomes, verify_L1L2, verify_PZ,
                     verify_contraction, verify_kahane, verify_sum_inequalities)
 from domlab import inequalities
-from domlab.distributions import enumerate_sum, sum_of
+from domlab.distributions import enumerate_sum
 from domlab.inequalities import _SIGN_BLOCK, _eps_blocks, _mean, _sign_norms
 from domlab.rng import CHUNK, substream
 
@@ -113,7 +112,9 @@ def _explicit_eps(n, lo, hi):
 @pytest.mark.parametrize("max_block", [1, 2, 8, 1 << 14])
 def test_eps_blocks_match_the_explicit_table(max_block):
     # Blocks may share one array, so each is copied out before the next is drawn.
-    for n in range(1, 21):
+    # One- and two-row blocks flip every column pattern, n = 8 included (where
+    # numpy 2.4.6's in-place negate skips entries), well below n = 14.
+    for n in range(1, 21 if max_block > 2 else 15):
         half = 1 << (n - 1)
         block = min(half, max_block)
         got = np.empty((half, n))
@@ -289,6 +290,13 @@ def test_sign_instance_compares_by_identity():
     assert hash(inst) == hash(inst) and len({inst, inst}) == 1
 
 
+def test_sign_instance_checks_its_norm_at_construction():
+    with pytest.raises(ParameterError, match="'l2' is not a norm"):
+        SignInstance(np.ones((2, 2)), "l2")
+    with pytest.raises(ParameterError, match="norm dimension 3 != law dimension 2"):
+        SignInstance(np.ones((2, 2)), euclidean(3))
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "1"])
 def test_sign_tails_read_the_threshold_as_a_finite_number(t, monkeypatch):
     inst = SignInstance(np.ones((3, 1)), absolute_value())
@@ -383,7 +391,7 @@ def test_sum_inequalities_exact_against_oracle():
         assert set(reports) == set(oracle)
         for name, (lhs, rhs) in oracle.items():
             rep = reports[name]
-            assert rep.method == "exact" and rep.note != "skipped", name
+            assert rep.method == "exact", name
             assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=1e-300), name
             assert rep.rhs == pytest.approx(rhs, rel=1e-14, abs=1e-300), name
             assert rep.holds, name
@@ -438,12 +446,12 @@ def test_sum_inequalities_random_exact_instances():
 
 def test_sum_inequalities_read_a_nested_sum_as_one_finite_summand():
     rad, half = FiniteSupportDist.rademacher(), FiniteSupportDist.rademacher(0.5)
-    inner = sum_of([rad, half])
+    inner = ProductLaw((rad, half))
     flat = FiniteSupportDist.from_pairs(*enumerate_sum(inner))
     levels = {"s": 0.5, "t": 1.2, "u": 0.9}
     nested = verify_sum_inequalities(ProductLaw((inner, rad)), absolute_value(), levels)
     assert nested == verify_sum_inequalities(ProductLaw((flat, rad)), absolute_value(), levels)
-    assert all(rep.note != "skipped" for rep in nested.values())
+    assert "summand_tails" in nested
 
 
 def test_summand_tails_rhs_keeps_precision_near_certainty():
@@ -460,21 +468,12 @@ def test_summand_tails_rhs_keeps_precision_near_certainty():
 
 
 def test_sum_inequalities_skip_when_rhs_infinite():
-    # Every |X_j| = 1 surely, so P(X* > 0.5) = 1 and p/(1-p) is infinite.
+    # Every |X_j| = 1 surely, so P(X* <= 0.5) = 0 and the summand-tail rhs is
+    # infinite: that entry is left out, and the other three are reported.
     law = ProductLaw((FiniteSupportDist.rademacher(),) * 2)
     reports = verify_sum_inequalities(law, absolute_value(),
                                       {"s": 0.5, "t": 0.5, "u": 0.5})
-    assert reports["summand_tails"].note == "skipped"
-
-
-def test_skipped_report_writes_null_sides():
-    law = ProductLaw((FiniteSupportDist.rademacher(),) * 2)
-    reports = verify_sum_inequalities(law, absolute_value(),
-                                      {"s": 0.5, "t": 0.5, "u": 0.5})
-    out = reports["summand_tails"].to_json()
-    assert (out["lhs"], out["rhs"], out["slack"]) == (None, None, None)
-    json.dumps(out, allow_nan=False)
-    assert math.isnan(reports["summand_tails"].slack)  # slack.csv still writes nan
+    assert set(reports) == {"levy", "max_summand", "hoffmann_jorgensen"}
 
 
 def test_sum_inequalities_need_finite_components():

@@ -14,7 +14,7 @@ import domlab.majorisation as majorisation
 from domlab import (Estimator, FiniteSupportDist, ParameterError,
                     PreconditionError, WBParams, absolute_value,
                     counterexample_experiment, decompose, euclidean,
-                    is_majorised, pareto_tail, scale_norm, schur_convexity_check,
+                    pareto_tail, scale_norm, schur_convexity_check,
                     weighted_domination_constants, weighted_domination_experiment)
 from domlab.rng import CHUNK, map_chunks
 from domlab.stats import EXACT_SLACK_TOL
@@ -54,20 +54,23 @@ def _assert_valid_mixture(mix, a, b):
 
 
 def test_is_majorised_basic():
-    assert is_majorised([0.5, 0.5], [1.0, 0.0])
-    assert is_majorised([1.0, 0.0], [1.0, 0.0])
-    assert not is_majorised([1.0, 0.0], [0.5, 0.5])
-    assert not is_majorised([0.6, 0.6], [1.0, 0.0])  # totals differ
+    violation = majorisation._majorisation_violation
+    assert violation([0.5, 0.5], [1.0, 0.0]) is None
+    assert violation([1.0, 0.0], [1.0, 0.0]) is None
+    assert violation([1.0, 0.0], [0.5, 0.5]) == 1
+    assert violation([0.6, 0.6], [1.0, 0.0]) == 2  # totals differ: partial sum n
+    # [DERIVED] partial sums 0.9 > 0.5 and totals 1.2 != 1.0: the first is named
+    assert violation([0.9, 0.3], [0.5, 0.5]) == 1
 
 
 def test_is_majorised_permutation_invariant():
-    assert is_majorised([0.2, 0.5, 0.3], [0.0, 1.0, 0.0])
-    assert is_majorised([0.3, 0.5, 0.2], [1.0, 0.0, 0.0])
+    assert majorisation._majorisation_violation([0.2, 0.5, 0.3], [0.0, 1.0, 0.0]) is None
+    assert majorisation._majorisation_violation([0.3, 0.5, 0.2], [1.0, 0.0, 0.0]) is None
 
 
 def test_is_majorised_shape_validation():
     with pytest.raises(ParameterError):
-        is_majorised([1.0], [1.0, 0.0])
+        majorisation._majorisation_violation([1.0], [1.0, 0.0])
     # Unequal lengths are rejected before any partial sum is compared, by
     # every entry point that takes a pair of weight vectors.
     a, b = [0.6, 0.2, 0.2], [0.9, 0.1]
@@ -244,6 +247,14 @@ def test_schur_convexity_random_instances():
         assert schur_convexity_check(a, b, comp, euclidean(2)).holds
 
 
+def test_schur_convexity_all_zero_weights():
+    # [DERIVED] lhs: the sum is 0 surely, so (0 - 1)_+ = 0; rhs: e1 - e2 is
+    # +-2 with mass 1/4 each and 0 with mass 1/2, so E(|S| - 1)_+ = 1/2.
+    rep = schur_convexity_check([0.0, 0.0], [1.0, -1.0], FiniteSupportDist.rademacher(),
+                                absolute_value())
+    assert (rep.lhs, rep.rhs, rep.verdict) == (0.0, 0.5, "holds")
+
+
 def test_schur_convexity_precondition():
     comp = FiniteSupportDist.rademacher()
     with pytest.raises(PreconditionError):
@@ -290,6 +301,16 @@ def test_weighted_domination_no_violation():
     assert "violated" not in rep.verdicts()
     assert rep.kappa == pytest.approx(7776.0)
     assert rep.lam == 2.0
+
+
+def test_weighted_domination_all_zero_weights():
+    # The all-zero weights give the point mass at 0, whose tail is exactly 0.
+    rep = weighted_domination_experiment(
+        [0.0, 0.0], [1.0, -1.0], pareto_tail(2.0), WBParams(C=1.0, delta=2.0, theta=0.5),
+        norms=[absolute_value()], estimator=Estimator("mc", budget=1000), seed=3)
+    (rec,) = rep.records
+    assert rec.px.exact and rec.px.value == 0.0
+    assert rep.verdicts() == ["holds"]
 
 
 def test_weighted_domination_precondition():

@@ -49,7 +49,6 @@ ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
 # statements of the same text before it in the function, in source order
 # (error branches left out).  Keyed by text, not by line number.
 ALLOWED = {
-    ("cli", "main", "return EXIT_USAGE", 0),  # the final fallthrough
     # the symmetric_stable, sum_of and scaled families of a source spec
     ("config", "source_from_spec",
      'return _in_spec(context, symmetric_stable, spec["index"], spec.get("scale", 1.0))', 0),
@@ -95,19 +94,11 @@ ALLOWED = {
      'return _in_spec(context, EllipsoidNorm, matrix=spec["matrix"])', 0),
     ("geometry", "norm_from_spec",
      'return _in_spec(context, PolytopeGauge, directions=spec["directions"])', 0),
-    ("geometry", "_random_polytope", "u = np.vstack([u, np.eye(d)])  # guarantee spanning", 0),
-    ("inequalities", "verify_sum_inequalities",  # the skipped summand_tails report
-     'reports["summand_tails"] = SlackReport(', 0),
-    ("majorisation", "_majorisation_violation", "return len(ca)", 0),  # unequal totals
-    ("majorisation", "is_majorised", "def is_majorised(a, b) -> bool:", 0),
-    ("majorisation", "schur_convexity_check.weighted_mean",  # all-zero weights
-     "return 0.0  # the sum is 0 and (0 - 1)_+ = 0", 0),
     ("majorisation", "weighted_domination_constants",
      "def weighted_domination_constants(params: WBParams) -> dict:", 0),
     ("majorisation", "weighted_domination_experiment",
      "def weighted_domination_experiment(a, b, source, params: WBParams, norms,", 0),
     ("stats", "compare_tails", 'return "violated"', 0),  # an exact violation
-    ("stats", "SlackReport.to_json", 'out["note"] = self.note', 0),
     # a norm that check_wb skips
     ("weakborell", "check_wb", "skipped.append(i)", 0),
     ("weakborell", "check_wb", "continue", 0),
