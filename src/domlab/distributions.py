@@ -151,15 +151,23 @@ class SamplerSource:
 
 
 def gaussian(covariance) -> SamplerSource:
-    """Centered gaussian with the given symmetric PSD covariance matrix."""
+    """Centered gaussian with the given covariance matrix, which must be symmetric
+    and positive semidefinite to 1e-10 of its largest |entry|."""
     cov = _param_rows(covariance, "covariance", symmetric=True)
     check_dimension(len(cov))
     w, v = np.linalg.eigh(cov)
-    if w.min() < -1e-10 * max(1.0, w.max()):
+    if w.min() < -1e-10 * np.abs(cov).max():  # relative: no absolute floor for tiny scales
         raise ParameterError("covariance must be positive semidefinite")
     factor = v * np.sqrt(np.clip(w, 0.0, None))  # X = factor @ Z
     return SamplerSource(dimension=len(cov), family="gaussian",
                          params={"covariance": cov, "factor": factor})
+
+
+def gaussian_covariance(law: Law) -> Optional[np.ndarray]:
+    """The validated, read-only covariance of a gaussian source; None for any other law."""
+    if isinstance(law, SamplerSource) and law.family == "gaussian":
+        return law.params["covariance"]
+    return None
 
 
 def symmetric_stable(index: float, scale: float = 1.0) -> SamplerSource:

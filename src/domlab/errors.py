@@ -85,14 +85,15 @@ def _check_list(value, what: str) -> list:
 def _param_rows(rows, what: str, symmetric: bool = False) -> np.ndarray:
     """rows as a read-only 2-d float array: a nonempty list of equal-length rows of
     finite numbers, each entry read by _check_real, and with symmetric=True a
-    symmetric square matrix."""
+    square matrix symmetric to 1e-10 of its largest |entry|."""
     rows = [[_check_real(v, f"{what}[{i}][{j}]") for j, v in
              enumerate(_check_list(row, f"{what}[{i}]"))]
             for i, row in enumerate(_check_list(rows, what))]
     if len(set(map(len, rows))) > 1:
         raise ParameterError(f"{what} must be equal-length rows")
     a = np.array(rows, dtype=float)
-    if symmetric and (a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10)):
+    if symmetric and (a.shape[0] != a.shape[1]
+                      or np.abs(a - a.T).max() > 1e-10 * np.abs(a).max()):
         raise ParameterError(f"{what} must be a symmetric square matrix")
     a.setflags(write=False)
     return a

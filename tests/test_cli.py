@@ -275,6 +275,8 @@ _RADEMACHER = {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}
                               "inner": _RADEMACHER}),
      ["source: unknown family 'bernoulli_thinned'"]),
     (_example("inequality-suite", max_n=100000), ["max_n", "cap 22", "got 100000"]),
+    (_example("tail", source={"family": "gaussian", "covariance": [[-1e-12]]}),
+     ["source: covariance must be positive semidefinite"]),
 ], ids=["tensorize-no-pairs", "tensorize-kappa", "wb-sum-n0", "wb-sum-iid-and-components",
         "domination-kappa", "domination-lambda", "domination-2d-y", "domination-2d-norms",
         "wb-empty-grid", "wb-grid-below-1", "wb-2d-norm", "tail-threshold-string",
@@ -291,7 +293,7 @@ _RADEMACHER = {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]}
         "counterexample-overflowing-n", "domination-bool-probability-in-y",
         "tensorize-zero-factor-in-pair-1", "tail-p-below-1-in-inner-norm",
         "tail-estimator-confidence", "tail-dump-samples", "tail-thinned-source",
-        "inequality-suite-max-n-over-cap"])
+        "inequality-suite-max-n-over-cap", "tail-tiny-negative-covariance"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # Each catalog example with one edit; each once passed validate and then
     # failed at run, or ran on a wrong input, or crashed validate with a
@@ -304,7 +306,8 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, cfg, messages):
     # list where a number belongs printed Python's own error naming no key,
     # delta = 400 overflowed 9^delta with a traceback, and so did 4096^999 at run;
     # an error inside a source, norm or estimator named no spec path; a max_n past
-    # the sign-enumeration cap validated, and run drew its vectors before failing.
+    # the sign-enumeration cap validated, and run drew its vectors before failing;
+    # a covariance of [[-1e-12]] passed an absolute PSD floor and run crashed in math.sqrt.
     path = _write(tmp_path, cfg)
     assert main(["validate", path]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
@@ -495,6 +498,21 @@ def test_failed_premise_exits_one_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "premise" in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_unordered_gaussian_premise_exits_one_without_traceback(tmp_path, capsys):
+    # X ~ N(0, 4I) has no covariance-order certificate against Y ~ N(0, I), so its
+    # premise is re-checked over the family, and every norm's X tail is larger.
+    cfg = {"kind": "tensorize", "seed": 1,
+           "pairs": [{"x": {"family": "gaussian", "covariance": [[4.0, 0.0], [0.0, 4.0]]},
+                      "y": {"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]}}],
+           "kappa": 1.0, "lambda": 1.0, "alpha": 1.0,
+           "norms": {"random": {"seed": 77, "dimension": 2, "size": 3}},
+           "estimator": {"kind": "mc", "budget": 2000}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error:") and "pair 0 fails" in line and "premise" in line, line
     assert not (tmp_path / "o").exists()
 
 

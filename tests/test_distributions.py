@@ -452,8 +452,21 @@ def test_gaussian_sampler_matches_covariance():
 
 
 def test_gaussian_rejects_non_psd():
-    with pytest.raises(ParameterError, match="positive semidefinite"):
-        gaussian([[1.0, 2.0], [2.0, 1.0]])
+    # Tiny scales once passed absolute floors: [[-1e-12]] reached math.sqrt in
+    # analytic_survival, 1e-12 [[1, 2], [2, 1]] (eigenvalues -1e-12, 3e-12) was
+    # sampled as its clipped part, and the asymmetric matrix by its lower triangle.
+    for cov, message in [([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
+                         ([[-1e-12]], "positive semidefinite"),
+                         (1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]]), "positive semidefinite"),
+                         ([[1e-12, 5e-11], [0.0, 1e-12]], "symmetric")]:
+        with pytest.raises(ParameterError, match=message):
+            gaussian(cov)
+
+
+def test_gaussian_accepts_tiny_and_zero_psd_scales():
+    for scale in (1e-12, 1e-300, 0.0):
+        cov = gaussian(scale * np.ones((2, 2))).params["covariance"]
+        assert np.array_equal(cov, scale * np.ones((2, 2)))
 
 
 def test_pareto_tail_sampler_matches_survival():

@@ -442,6 +442,58 @@ def test_tensorisation_recheck_catches_bad_pair():
                                  estimator=EXACT, seed=1)
 
 
+# the three pairs of acceptance criterion 4: Cov(Y) - Cov(X) is positive definite
+GAUSS_PAIRS = [
+    (gaussian([[0.5, 0.1], [0.1, 0.4]]), gaussian([[1.0, 0.2], [0.2, 0.8]])),
+    (gaussian([[0.3, 0.0], [0.0, 0.3]]), gaussian([[0.6, 0.0], [0.0, 0.9]])),
+    (gaussian([[0.2, 0.05], [0.05, 0.2]]), gaussian([[0.4, 0.1], [0.1, 0.5]])),
+]
+
+
+def _gauss_tensorisation(pairs=GAUSS_PAIRS, budget=4000):
+    return tensorisation_experiment(pairs, kappa=1.0, lam=1.0, alpha=1.0,
+                                    norms=random_norm_family(77, 2, 5),
+                                    estimator=Estimator("mc", budget=budget), seed=5)
+
+
+def test_certified_gaussian_premises_build_no_tail_table(monkeypatch):
+    calls = []
+
+    def counted(law, *args, **kwargs):
+        calls.append(law)
+        return tail_table(law, *args, **kwargs)
+    monkeypatch.setattr(dominance, "tail_table", counted)
+    certified = _gauss_tensorisation()
+    assert len(calls) == 2 and all(isinstance(law, ProductLaw) for law in calls)
+    # the premise never reaches the report, and the sums draw on their own streams
+    monkeypatch.setattr(dominance, "_covariance_ordered", lambda *args: False)
+    rechecked = _gauss_tensorisation()
+    assert len(calls) == 2 + 2 * len(GAUSS_PAIRS) + 2
+    assert certified.to_json() == rechecked.to_json()
+
+
+def test_covariance_order_certificate():
+    eye = np.eye(2)
+    cov = [[1.0, 0.3], [0.3, 0.5]]
+    assert dominance._covariance_ordered(gaussian(cov), gaussian(cov), 1.0)
+    assert dominance._covariance_ordered(gaussian(2.0 * np.array(cov)), gaussian(cov), 1.5)
+    assert not dominance._covariance_ordered(gaussian(2.0 * np.array(cov)), gaussian(cov), 1.4)
+    # the tolerance is relative: rounding does not certify a tiny scale
+    assert not dominance._covariance_ordered(gaussian(2e-20 * eye), gaussian(1e-20 * eye), 1.0)
+    assert dominance._covariance_ordered(gaussian(0.0 * eye), gaussian(0.0 * eye), 1.0)
+    assert not dominance._covariance_ordered(HALF, RAD, 1.0)
+    assert not dominance._covariance_ordered(gaussian([[0.25]]),
+                                             scaled_source(gaussian([[1.0]]), 1.0), 1.0)
+
+
+def test_unordered_gaussian_pair_is_still_rechecked():
+    # X ~ N(0, 4I) is not (1,1)-dominated by Y ~ N(0, I): every norm's tail of X is larger
+    pairs = [(gaussian(4.0 * np.eye(2)), gaussian(np.eye(2)))] + GAUSS_PAIRS[1:]
+    assert not dominance._covariance_ordered(*pairs[0], 1.0)
+    with pytest.raises(PreconditionError, match="^pair 0 fails its .*premise"):
+        _gauss_tensorisation(pairs, budget=2000)
+
+
 def test_report_serialization():
     query = DominationQuery(x=HALF, y=RAD, kappa=1.0, lam=1.0,
                             norms=tuple(FAMILY1[:2]), estimator=EXACT)

@@ -149,6 +149,23 @@ def test_column_major_kernels_match_row_major_formulas(d):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=repr(norm))
 
 
+def test_single_vector_has_its_batch_row_bits_in_one_dimension():
+    # tail_table evaluates a single vector only on its closed-form path, d = 1;
+    # there no variant has a matrix product whose BLAS path depends on the
+    # number of columns, so one vector gets the bits of its batch row.
+    rng = np.random.default_rng(0)
+    xs = rng.choice([-1.0, 1.0], 303) * 10.0 ** rng.uniform(-8.0, 8.0, 303)
+    xs[:2] = 1e-8, 1e8
+    norms = [norm for seed in range(30) for norm in random_norm_family(seed, 1, 12)]
+    leaves = {type(n.inner if isinstance(n, ScaledNorm) else n) for n in norms}
+    assert leaves == {LpNorm, WeightedLpNorm, EllipsoidNorm, PolytopeGauge}
+    assert any(isinstance(n, ScaledNorm) for n in norms)
+    for norm in norms:
+        batch = norm.evaluate(xs[:, None])
+        single = np.array([norm.evaluate(xs[k:k + 1]) for k in range(len(xs))])
+        assert np.array_equal(single.view(np.uint64), batch.view(np.uint64)), norm
+
+
 # Peak traced allocation, MiB, of signed_mean_over_outcomes on (4096, 8, 2)
 # outcomes under norms 0, 3, 4, 5, 6 of random_norm_family(77, 2, 20): one
 # 128-pattern block of sums is 8 MiB, so a copy of it per norm call exceeds
@@ -190,6 +207,8 @@ def test_ellipsoid_requires_positive_definite():
         EllipsoidNorm(matrix=((1.0, 0.0), (0.0, 0.0)))
     with pytest.raises(ParameterError):
         EllipsoidNorm(matrix=((1.0, 2.0), (0.0, 1.0)))
+    with pytest.raises(ParameterError, match="symmetric"):  # the kernel reads both triangles
+        EllipsoidNorm(matrix=((1e-12, 5e-11), (0.0, 1e-12)))
 
 
 def test_polytope_requires_spanning():
