@@ -395,10 +395,10 @@ EXPERIMENTS = {kind.name: kind for kind in (
     ExperimentKind(
         "majorize", ("a", "b"), (), _prepare_majorize,
         {"name": "majorisation-mixture",
-         "claim": "constructive Birkhoff decomposition of majorised weights",
+         "claim": "constructive permutation mixture of majorised weights",
          "description": "Checks a < b via partial sums and, when it holds, "
                         "writes a as an explicit convex combination of at most "
-                        "(n-1)^2 + 1 permutations of b.",
+                        "n permutations of b, by a walk on the permutohedron of b.",
          "config": {"kind": "majorize", "seed": 1,
                     "a": [0.5, 0.5], "b": [0.9, 0.1]}}),
     ExperimentKind(

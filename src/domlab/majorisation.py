@@ -1,15 +1,15 @@
 """Majorisation, constructive permutation mixtures, and weighted-sum experiments.
 
 a is majorised by b when the partial sums of their nonincreasing
-rearrangements compare and the totals agree; equivalently a is a convex
-combination of permutations of b.  The decomposition here is fully
-constructive: a chain of at most n-1 two-coordinate averaging steps builds
-a doubly stochastic matrix T with a = T b, and Birkhoff peeling turns T into
-an explicit mixture with at most (n-1)^2 + 1 terms.  Each peeling step takes
-the maximum-product assignment on the residual's support
-(scipy.optimize.linear_sum_assignment on -log of the entries) and removes it
-with the weight of its smallest entry; while mass remains, such an assignment
-exists by Birkhoff's theorem.
+rearrangements compare and the totals agree; equivalently a lies in the
+permutohedron of b, the convex hull of the permutations of b (Rado 1952).
+The decomposition here is fully constructive: a walk on the permutohedron
+keeps the face that holds the current point as an ordered partition of the
+indices, and each step moves from the face's vertex through the point to
+the face's boundary, which splits a block; at most n - 1 splits give a
+mixture of at most n permutations, the bound of Caratheodory's theorem on
+a polytope of dimension n - 1.  Partial sums and reconstructions are
+compared within DEFAULT_TOL times the largest |entry| of a and b.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .geometry import absolute_value, norm_family
 from .stats import EXACT_SLACK_TOL, Estimator, SlackReport, compare_tails
 from .weakborell import WBParams, wb_tensorize_constants
 
+# Relative to the largest |entry| of a and b: partial sums and reconstructions.
 DEFAULT_TOL = 1e-9
-# Averaging chain: a coordinate gap below this (relative to max |b|) is closed.
-_CHAIN_TOL = 1e-13
 
 
 def weight_pair(a, b):
@@ -39,17 +38,25 @@ def weight_pair(a, b):
     return _param_rows([a, b], "[a, b]")
 
 
+def _tolerance(a, b) -> float:
+    """DEFAULT_TOL times the largest |entry| of a and b: no absolute floor, so
+    the order and the mixture check do not depend on the weights' scale."""
+    return DEFAULT_TOL * max(np.max(np.abs(a)), np.max(np.abs(b)))
+
+
 def _majorisation_violation(a, b) -> Optional[int]:
     """Number k of the first violated partial sum, or None when a < b.
 
     Partial sums are those of the nonincreasing rearrangements, compared
-    within DEFAULT_TOL; a total that differs by more counts as partial sum n.
+    within _tolerance(a, b); a total that differs by more counts as partial
+    sum n.
     """
     a, b = weight_pair(a, b)
+    tol = _tolerance(a, b)
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
-    ok = ca <= cb + DEFAULT_TOL
-    ok[-1] = abs(ca[-1] - cb[-1]) <= DEFAULT_TOL
+    ok = ca <= cb + tol
+    ok[-1] = abs(ca[-1] - cb[-1]) <= tol
     bad = np.flatnonzero(~ok)
     return int(bad[0]) + 1 if len(bad) else None
 
@@ -74,8 +81,10 @@ class PermutationMixture:
         w = sum(t[1] for t in self.terms)
         if abs(w - 1.0) > EXACT_SLACK_TOL:
             raise ParameterError(f"weights sum to {w}, not 1")
-        if np.max(np.abs(self.reconstruct() - np.asarray(self.a))) > DEFAULT_TOL:
-            raise ParameterError(f"mixture does not reconstruct a within {DEFAULT_TOL}")
+        a, b = np.asarray(self.a), np.asarray(self.b)
+        if np.max(np.abs(self.reconstruct() - a)) > _tolerance(a, b):
+            raise ParameterError(f"mixture does not reconstruct a within {DEFAULT_TOL} "
+                                 "times the largest |entry| of a and b")
 
     def reconstruct(self) -> np.ndarray:
         """sum_k w_k b[perm_k], the terms added in order to a zero start, as a
@@ -93,81 +102,75 @@ class PermutationMixture:
                           for p, w in self.terms]}
 
 
-def _t_transform_chain(a_sorted: np.ndarray, b_sorted: np.ndarray):
-    """Averaging chain from b_sorted to a_sorted (both nonincreasing).
+def _longest_step(rest, mass, v, s, block, open_cut):
+    """(w, cut) of the longest step from x = rest / mass away from the face's vertex v.
 
-    Yields (j, k, lam) steps; applying c <- lam c + (1 - lam) swap_jk(c)
-    in order maps b_sorted to a_sorted in at most n-1 steps.
+    w / mass is the largest lam with (x - lam v) / (1 - lam) still in the
+    face: the least ratio sum(s - x) / sum(s - v) over the proper top-t
+    prefixes of each block ordered by z = x - lam v, among those with a
+    positive denominator.  Dinkelbach's iteration finds it from lam = 1, each
+    pass ordering by the z of the last ratio.  Everything is kept times mass,
+    so nothing is divided by a small mass.  cut is (position, order) of the
+    prefix that binds, or None when none does and x is the vertex v.
     """
-    c = b_sorted.astype(float).copy()
-    n = len(c)
-    steps = []
-    for _ in range(n):
-        diff = c - a_sorted
-        if np.max(np.abs(diff)) <= _CHAIN_TOL * max(1.0, np.max(np.abs(b_sorted))):
+    w, cut = mass, None
+    share = mass * s
+    while w > 0.0:
+        order = np.lexsort((w * v - rest, block))
+        num = (share - rest[order]).cumsum()
+        den = (s - v[order]).cumsum()
+        gap = np.where(open_cut & (den > 0.0), num - w * den, np.inf)
+        p = int(gap.argmin())
+        ratio = max(float(num[p] / den[p]), 0.0) if gap[p] < 0.0 else w
+        if not ratio < w:  # also a ratio that rounding leaves at w: the search ends
             break
-        j = int(np.nonzero(diff > _CHAIN_TOL)[0][0])
-        ks = np.nonzero(diff[j + 1:] < -_CHAIN_TOL)[0]
-        if len(ks) == 0:
-            raise ParameterError("majorisation chain failed; inputs not majorised")
-        k = j + 1 + int(ks[0])
-        delta = min(c[j] - a_sorted[j], a_sorted[k] - c[k])
-        lam = 1.0 - delta / (c[j] - c[k])
-        steps.append((j, k, lam))
-        cj, ck = c[j], c[k]
-        c[j] = lam * cj + (1.0 - lam) * ck
-        c[k] = lam * ck + (1.0 - lam) * cj
-    return steps
-
-
-def _doubly_stochastic_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Doubly stochastic T with a = T b, via the averaging chain."""
-    order_a = np.argsort(-a, kind="stable")
-    order_b = np.argsort(-b, kind="stable")
-    t = np.eye(len(a))
-    for j, k, lam in _t_transform_chain(a[order_a], b[order_b]):
-        t[[j, k]] = lam * t[[j, k]] + (1.0 - lam) * t[[k, j]]
-    out = np.empty_like(t)
-    out[np.ix_(order_a, order_b)] = t  # undo both sorts: a = out b
-    return out
+        w, cut = ratio, (p, order)
+    return w, cut
 
 
 def decompose(a, b) -> PermutationMixture:
-    """Write a as a convex combination of permutations of b.
+    """Write a as a convex combination of at most n permutations of b.
+
+    A walk on the permutohedron of b.  The face that holds the current
+    point x (a at the start) is kept as an ordered partition of the indices
+    into blocks, block j taking the next share of b sorted nonincreasing:
+    block is each index's block, and open_cut marks the sorted positions
+    that end none.  Each step takes the face's vertex v (each block's share
+    laid on its indices in nonincreasing order of x, stable), keeps v with
+    the largest weight w that leaves the rest of the mass in the face, and
+    splits a block at the prefix that became tight.  A tight set is never
+    re-detected by a tolerance; a step of weight 0 only splits.  x is kept
+    as rest = mass x, the part of a not yet written, with rest <- rest - w v
+    and mass <- mass - w.  With at most n - 1 splits and the last vertex
+    taking the mass left, there are at most n terms.
 
     Raises a not-majorised error naming the first violated partial-sum
     index unless a is majorised by b.
     """
-    from scipy.optimize import linear_sum_assignment  # slow to import; only needed here
-
     a, b = _require_majorised(a, b)
     n = len(a)
-    residual = _doubly_stochastic_matrix(a, b)
+    order_b = np.argsort(-b, kind="stable")
+    s = b[order_b]  # a block's share is s at the block's run of sorted positions
+    rest = a
+    block = np.zeros(n, dtype=np.intp)
+    open_cut = np.arange(n) < n - 1
+    perm = np.empty(n, dtype=np.intp)
+    mass = 1.0
     terms = []
-    cost = np.empty((n, n))
-    # Residual mass below EXACT_SLACK_TOL of T's unit row mass is float noise,
-    # and so is an entry below that fraction of its row's remaining mass.
-    for _ in range((n - 1) ** 2 + 1):
-        mass = residual.sum(axis=1, keepdims=True)
-        if mass.max() <= EXACT_SLACK_TOL:
+    while True:
+        perm[np.lexsort((-rest, block))] = order_b
+        v = b[perm]
+        w, cut = _longest_step(rest, mass, v, s, block, open_cut)
+        if cut is None:
             break
-        support = residual > EXACT_SLACK_TOL * mass
-        cost.fill(np.inf)
-        # log exactly the support's entries, as one array: numpy's SIMD log
-        # may round an input differently at another position in its array
-        cost[support] = -np.log(residual[support])
-        try:
-            rows, cols = linear_sum_assignment(cost)
-        except ValueError:  # scipy: no finite-cost perfect matching
-            raise ParameterError("extraction failed: no perfect matching on support") from None
-        picked = residual[rows, cols]
-        w = float(picked.min())
-        terms.append((tuple(cols.tolist()), w))
-        residual[rows, cols] = picked - w
-    if residual.sum(axis=1).max() > EXACT_SLACK_TOL:
-        raise ParameterError("extraction did not exhaust the matrix in the term budget")
-    total = sum(w for _, w in terms)
-    terms = [(p, w / total) for p, w in terms]  # absorb float residual
+        p, order = cut
+        if w > 0.0:
+            terms.append((tuple(perm.tolist()), w))
+            rest = rest - w * v
+            mass -= w
+        block[order[p + 1:]] += 1  # the prefix's block splits after position p
+        open_cut[p] = False
+    terms.append((tuple(perm.tolist()), mass))
     return PermutationMixture(a=tuple(a), b=tuple(b), terms=tuple(terms))
 
 

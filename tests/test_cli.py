@@ -14,7 +14,7 @@ import domlab.dominance as dominance
 from domlab import (CapacityError, Estimator, ParameterError, PreconditionError,
                     ProductLaw, norm_from_spec, pareto_tail, scaled_source, symmetric_stable,
                     tail_table)
-from domlab.cli import CATALOG, _write_csv, main
+from domlab.cli import CATALOG, _write_csv, build_parser, main
 from domlab.config import EXPERIMENTS, source_from_spec, validate_config
 from domlab.rng import CHUNK, map_chunks
 
@@ -419,6 +419,22 @@ def test_majorize_reports_a_pair_that_is_not_majorised(tmp_path):
                                "violating_partial_sum": 1}
 
 
+def test_majorize_runs_a_tiny_scale_pair(tmp_path, capsys):
+    # A valid n = 8 mixture pair at scale 1e-12: the T-transform chain once
+    # raised an uncaught IndexError here, and domlab run exited with a traceback.
+    rng = np.random.default_rng(5)
+    b = np.sort(rng.standard_normal(8))[::-1]
+    w = rng.random(int(rng.integers(2, 5)))
+    a = sum(wi * rng.permutation(b) for wi in w / w.sum())
+    cfg = {"kind": "majorize", "seed": 1, "a": (a * 1e-12).tolist(), "b": (b * 1e-12).tolist()}
+    code, raw = _round_trip(tmp_path, cfg, "majorize")
+    report = json.loads(raw)
+    assert code == 0 and report["majorised"] is True and report["terms"] <= 8
+    assert report["reconstruction_error"] <= 1e-9 * 1e-12 * np.max(np.abs(b))
+    assert sorted(os.listdir(tmp_path / "majorize")) == ["manifest.json", "report.json"]
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -447,6 +463,34 @@ def test_missing_file_exits_one(tmp_path):
 
 def test_usage_error_exits_one():
     assert main(["frobnicate"]) == 1
+
+
+def _fresh_parse(argv, capsys):
+    """(exit code, stdout, stderr) of argv on a newly built parser."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(argv)
+    return (1 if exc.value.code else 0, *capsys.readouterr())
+
+
+def test_main_builds_one_parser_and_parses_each_call_afresh(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = _write(tmp_path, TAIL_CFG)
+    calls = [["validate", path], ["validate"], ["frobnicate"], ["--help"],
+             ["run", path, "--out", str(tmp_path / "a"), "--threads", "2"],
+             ["run", path, "--out", str(tmp_path / "b")], ["validate", path], ["validate"]]
+    seen = []
+    for argv in calls:
+        seen.append((main(argv), *capsys.readouterr()))
+    # A usage error and --help read as on a fresh parser, also after other calls.
+    for i, argv in ((1, ["validate"]), (2, ["frobnicate"]), (3, ["--help"]), (7, ["validate"])):
+        assert seen[i] == _fresh_parse(argv, capsys)
+    assert seen[1][0] == 1 and seen[1][2].startswith("usage: domlab validate")
+    assert seen[3][0] == 0 and seen[3][1].startswith("usage: domlab")
+    assert seen[6] == seen[0] and seen[0][0] == 0
+    # The second run takes the default --threads again, not the first run's 2.
+    threads = [json.loads((tmp_path / d / "manifest.json").read_text())["threads"]
+               for d in "ab"]
+    assert threads == [2, 1]
 
 
 def test_run_ok_exits_zero(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from domlab import (Estimator, FiniteSupportDist, ParameterError,
                     pareto_tail, scale_norm, schur_convexity_check,
                     weighted_domination_constants, weighted_domination_experiment)
 from domlab.rng import CHUNK, map_chunks
-from domlab.stats import EXACT_SLACK_TOL
 
 
 def _random_majorised_pair(rng, n):
@@ -38,13 +40,25 @@ def _uniform_random_pair(seed, n):
     return np.full(n, 1.0 / n), b / b.sum()
 
 
+def _bench_pair(kind, n, i):
+    """The benchmark's pairs: mixtures at n = 8 and 12, uniform against random at n = 30."""
+    if kind == "mixture":
+        return _random_majorised_pair(np.random.default_rng([1000 + n, i]), n)
+    return _uniform_random_pair(i, n)
+
+
+BENCH_PAIRS = ([("mixture", 8, i) for i in range(3)] + [("mixture", 12, i) for i in range(3)]
+               + [("uniform", 30, seed) for seed in (3000, 3001)])
+
+
 def _assert_valid_mixture(mix, a, b):
     n = len(a)
     weights = np.array([w for _, w in mix.terms])
-    assert np.max(np.abs(mix.reconstruct() - a)) <= 1e-9
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    assert np.max(np.abs(mix.reconstruct() - a)) <= 1e-9 * scale
     assert weights.min() >= -1e-12
     assert abs(weights.sum() - 1.0) <= 1e-12
-    assert len(mix.terms) <= (n - 1) ** 2 + 1
+    assert len(mix.terms) <= n
     for perm, _ in mix.terms:
         assert sorted(perm) == list(range(n))
 
@@ -68,6 +82,37 @@ def test_is_majorised_permutation_invariant():
     assert majorisation._majorisation_violation([0.3, 0.5, 0.2], [1.0, 0.0, 0.0]) is None
 
 
+def test_is_majorised_within_a_tolerance_relative_to_the_largest_entry():
+    violation = majorisation._majorisation_violation
+    # [DERIVED] partial sum 1 is 5e-10 > 0, far beyond 1e-9 * 5e-10: an absolute
+    # 1e-9 once called this pair majorised.
+    assert violation([5e-10, -5e-10], [0.0, 0.0]) == 1
+    assert violation([0.0, 0.0], [0.0, 0.0]) is None
+    # A total off by 2e-9 of the largest entry is not majorised at any scale,
+    # one off by 0.5e-9 of it is.
+    for scale in (1e-300, 1e-12, 1.0, 1e6, 1e300):
+        assert violation([0.5 * scale, 0.5 * scale], [scale, 2e-9 * scale]) == 2
+        assert violation([0.5 * scale, 0.5 * scale], [scale, 0.5e-9 * scale]) is None
+
+
+# A valid n = 8 mixture pair, scaled: at 1e-12 the T-transform chain once failed
+# ("majorisation chain failed", or an uncaught IndexError), at 1e6 the pair was
+# called not majorised or its mixture did not reconstruct a within an absolute 1e-9.
+@pytest.mark.parametrize("seed, scale", [(3, 1e-12), (5, 1e-12), (0, 1e6), (54, 1e6)])
+def test_decompose_does_not_depend_on_the_scale(seed, scale):
+    a, b = _random_majorised_pair(np.random.default_rng(seed), 8)
+    assert majorisation._majorisation_violation(a * scale, b * scale) is None
+    _assert_valid_mixture(decompose(a * scale, b * scale), a * scale, b * scale)
+
+
+def test_mixture_check_is_relative_to_the_largest_entry():
+    # [DERIVED] at scale 1e-12 the mixture reconstructs [1e-12, 0] and a is
+    # [0.5e-12, 0.5e-12]: off by 5e-13, within an absolute 1e-9 but not relative to 1e-12.
+    with pytest.raises(ParameterError, match="does not reconstruct"):
+        majorisation.PermutationMixture(a=(0.5e-12, 0.5e-12), b=(1e-12, 0.0),
+                                        terms=(((0, 1), 1.0),))
+
+
 def test_is_majorised_shape_validation():
     with pytest.raises(ParameterError):
         majorisation._majorisation_violation([1.0], [1.0, 0.0])
@@ -85,6 +130,19 @@ def test_is_majorised_shape_validation():
 
 # ---------------------------------------------------------------------------
 # the constructive decomposition
+
+
+def test_decompose_edge_oracle():
+    # [DERIVED] (2, 3, 1) and (3, 2, 1) differ by one swap of the top two entries,
+    # so they span an edge of the permutohedron of b = (3, 2, 1), and
+    # a = 0.75 (2, 3, 1) + 0.25 (3, 2, 1) = (2.25, 2.75, 1) lies inside it.  A point
+    # inside a face is a mixture of that face's vertices only: these two, with
+    # these weights.
+    mix = decompose([2.25, 2.75, 1.0], [3.0, 2.0, 1.0])
+    assert len(mix.terms) == 2
+    weights = dict(mix.terms)
+    assert weights[(1, 0, 2)] == pytest.approx(0.75, abs=1e-15)
+    assert weights[(0, 1, 2)] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_decompose_two_point_oracle():
@@ -127,13 +185,14 @@ def test_decompose_uniform_against_random_n30(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
-       uniform=st.booleans())
-def test_decompose_always_extracts(n, seed, uniform):
+       uniform=st.booleans(), exponent=st.integers(-300, 300))
+def test_decompose_always_extracts(n, seed, uniform, exponent):
     if uniform:
         a, b = _uniform_random_pair(seed, n)
     else:
         a, b = _random_majorised_pair(np.random.default_rng(seed), n)
-    _assert_valid_mixture(decompose(a, b), a, b)
+    scale = 10.0 ** exponent
+    _assert_valid_mixture(decompose(a * scale, b * scale), a * scale, b * scale)
 
 
 def test_decompose_rejects_non_majorised():
@@ -141,45 +200,21 @@ def test_decompose_rejects_non_majorised():
         decompose([1.0, 0.0], [0.5, 0.5])
 
 
-def _peeling_loop(a, b):
-    # The peeling loop as first written, one new cost matrix and one
-    # element-by-element term per step: the oracle for every term's bits.
-    from scipy.optimize import linear_sum_assignment
-
-    a, b = majorisation.weight_pair(a, b)
-    n = len(a)
-    residual = majorisation._doubly_stochastic_matrix(a, b)
-    terms = []
-    for _ in range((n - 1) ** 2 + 1):
-        mass = residual.sum(axis=1, keepdims=True)
-        if mass.max() <= EXACT_SLACK_TOL:
-            break
-        support = residual > EXACT_SLACK_TOL * mass
-        cost = np.full((n, n), np.inf)
-        cost[support] = -np.log(residual[support])
-        rows, cols = linear_sum_assignment(cost)
-        w = float(residual[rows, cols].min())
-        terms.append((tuple(int(c) for c in cols), w))
-        residual[rows, cols] -= w
-    total = sum(w for _, w in terms)
-    return tuple((p, w / total) for p, w in terms)
+@pytest.mark.parametrize("pair", BENCH_PAIRS)
+def test_decompose_bench_pairs_take_at_most_n_terms_and_repeat(pair):
+    a, b = _bench_pair(*pair)
+    mix = decompose(a, b)
+    _assert_valid_mixture(mix, a, b)
+    assert decompose(a, b).terms == mix.terms
 
 
-def _term_bits(terms):
-    return [(p, np.float64(w).view(np.uint64)) for p, w in terms]
-
-
-@pytest.mark.parametrize("pair", [("mixture", 8, i) for i in range(3)]
-                         + [("mixture", 12, i) for i in range(3)]
-                         + [("uniform", 30, seed) for seed in (3000, 3001)])
-def test_decompose_keeps_the_terms_of_the_peeling_loop(pair):
-    # The benchmark's pairs: mixtures at n = 8 and 12, uniform against random at n = 30.
-    kind, n, i = pair
-    if kind == "mixture":
-        a, b = _random_majorised_pair(np.random.default_rng([1000 + n, i]), n)
-    else:
-        a, b = _uniform_random_pair(i, n)
-    assert _term_bits(decompose(a, b).terms) == _term_bits(_peeling_loop(a, b))
+def test_decompose_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(majorisation.__file__))
+    code = ("import sys, domlab; domlab.decompose([0.2, 0.5, 0.3], [0.0, 1.0, 0.0]); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _reconstruct_loop(mix):
