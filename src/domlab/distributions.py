@@ -66,8 +66,9 @@ class FiniteSupportDist:
     """Symmetric distribution on R^d with finitely many atoms.
 
     Atoms are (vector, probability) pairs.  Every nonzero atom must come
-    with its mirror image at equal probability; the zero vector may stand
-    alone.  Probabilities sum to one.
+    with its mirror image at equal probability, within EXACT_SLACK_TOL of the
+    larger of the two; the zero vector may stand alone.  Probabilities sum
+    to one, within EXACT_SLACK_TOL.
     """
 
     finite = True
@@ -92,7 +93,7 @@ class FiniteSupportDist:
             raise ParameterError(f"atom probabilities sum to {total}, not 1")
         for key, p in seen.items():
             q = seen.get(tuple(-x for x in key))  # -0.0 == 0.0: zero mirrors itself
-            if q is None or abs(q - p) > EXACT_SLACK_TOL:
+            if q is None or abs(q - p) > EXACT_SLACK_TOL * max(p, q):
                 raise ParameterError(f"missing or unbalanced mirror atom for {key}")
         probs = np.array(list(seen.values()))
         probs.setflags(write=False)

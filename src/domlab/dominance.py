@@ -30,7 +30,7 @@ from .distributions import (Law, ProductLaw, _draw_chunk, analytic_survival,
                             enumerate_sign_classes, enumerate_sum, gaussian_covariance,
                             sample_sum_chunk)
 from .errors import ParameterError, PreconditionError, _check_count, _check_real
-from .geometry import norm_family, norm_to_spec
+from .geometry import monotone_in_abs, norm_family, norm_to_spec
 from .inequalities import _check_cap, signed_mean_over_outcomes
 from .rng import map_chunks, workspace
 from .stats import (EXACT, EXACT_SLACK_TOL, Estimator, SlackReport, TailEstimate,
@@ -59,14 +59,19 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
 
     Returns one row of TailEstimates per norm, one entry per threshold.
     tail_method picks the method: a finite-support law is
-    enumerated once and summed exactly over its atoms; a scalar source
+    enumerated once and summed exactly over its atoms, each norm evaluated
+    once per atom; a scalar source
     with a closed-form survival function is read through each norm's
     scalar factor (every norm on R^1 is f * |x|); anything else is sampled
     on the (seed, stream) substreams and counted, one rng.CHUNK-row chunk at a
     time, drawn and summed in place in its worker's rng.workspace(), so memory
     does not grow with the budget, with Clopper-Pearson intervals.
-    Each norm is evaluated once per atom or sample; every threshold reads the
-    same values.  ``threads`` runs chunks in parallel; no result depends on it.
+    A sampled chunk counts each distinct (norm, threshold) pair once.  A norm
+    with geometry.monotone_in_abs (d = 1) exceeds t exactly where |x| exceeds
+    its level for t (_abs_levels, found once per table), so the chunk takes
+    |S| once, in place, and counts |S| > s once per distinct level s; every
+    other norm is evaluated once per sample and read at each threshold.
+    ``threads`` runs chunks in parallel; no result depends on it.
     """
     norms = norm_family(norms, law.dimension)
     thresholds = [_check_real(t, "threshold") for t in thresholds]
@@ -83,14 +88,64 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
         return [[TailEstimate.from_exact(float(survival(t / f))) for t in thresholds]
                 for f in factors]
 
+    # The chunk's counts: each evaluated norm at each distinct threshold, then
+    # each distinct level; index maps every cell to its count.
+    distinct = list(dict.fromkeys(thresholds))  # -0.0 and 0.0 count as one
+    column = [distinct.index(t) for t in thresholds]
+    by_level = np.array([monotone_in_abs(norm) for norm in norms])
+    evaluated = [norm for norm, lv in zip(norms, by_level) if not lv]
+    level_rows = [_abs_levels(norm, distinct) for norm, lv in zip(norms, by_level) if lv]
+    levels, level_at = np.unique(np.ravel(level_rows), return_inverse=True)
+    index = np.empty((len(norms), len(thresholds)), dtype=int)
+    index[~by_level] = np.arange(len(evaluated))[:, None] * len(distinct) + column
+    index[by_level] = len(evaluated) * len(distinct) + level_at.reshape(
+        len(level_rows), len(distinct))[:, column]
+
     def count_chunk(j, lo, hi):
         xs = sample_sum_chunk(law, j, hi - lo, seed, stream,
                               workspace().array("sum", (hi - lo, law.dimension), order="F"))
-        return [[np.count_nonzero(vals > t) for t in thresholds]
-                for vals in (norm.evaluate(xs) for norm in norms)]
-    counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)
+        counts = [np.count_nonzero(vals > t)
+                  for vals in (norm.evaluate(xs) for norm in evaluated) for t in distinct]
+        if len(levels):
+            np.abs(xs, out=xs)  # the evaluated norms are done with S
+            counts += [np.count_nonzero(xs > s) for s in levels]
+        return counts
+    counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)[index]
     return [[TailEstimate.from_counts(int(k), estimator.budget, estimator.confidence)
              for k in row] for row in counts]
+
+
+_INF_BITS = int(np.float64(np.inf).view(np.int64))  # floats in [0, inf] order as their bits
+_BRACKET = np.arange(-8, 9)
+
+
+def _abs_levels(norm, thresholds) -> np.ndarray:
+    """The level s of each threshold t for a norm with geometry.monotone_in_abs:
+    the largest float v >= 0 with norm(v) <= t, or -inf when norm(0) > t, so that
+    norm(x) > t exactly when |x| > s, for every float x.
+
+    A bisection over the bit patterns of [0, inf], on the norm's own evaluate: lo
+    is the largest pattern known at or below t (-1 for none), hi the smallest
+    known above it (one past inf for none).  The first round probes the 17
+    patterns around t / norm(1), which hold the level unless rounding strays
+    more than 8 ulps; each later round probes the midpoint of every threshold
+    whose lo and hi are not yet adjacent.
+    """
+    t = np.array(thresholds, dtype=float)
+    lo = np.full(len(t), -1)
+    hi = np.full(len(t), _INF_BITS + 1)
+    rows = np.arange(len(t))
+    with np.errstate(all="ignore"):  # the guess and the norm may overflow to inf
+        probes = (t / norm.evaluate(np.array([1.0]))).view(np.int64)[:, None] + _BRACKET
+        while len(rows):
+            probes = np.clip(probes, 0, _INF_BITS)
+            below = norm.evaluate(probes.view(float).reshape(-1, 1)).reshape(
+                probes.shape) <= t[rows, None]
+            lo[rows] = np.maximum(lo[rows], np.where(below, probes, -1).max(axis=1))
+            hi[rows] = np.minimum(hi[rows], np.where(below, _INF_BITS + 1, probes).min(axis=1))
+            rows = np.flatnonzero(hi - lo > 1)
+            probes = (lo + (hi - lo) // 2)[rows, None]
+    return np.where(lo < 0, -np.inf, lo.view(float))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +238,9 @@ class ProxyValue:
     outer_samples: int = 0
 
     def __post_init__(self):
-        if not (-EXACT_SLACK_TOL <= self.value <= 1.0 + EXACT_SLACK_TOL):
+        # a mean of values in [0, 1]: no rounding makes it negative, and above 1
+        # the slack is relative to 1
+        if not (0.0 <= self.value <= 1.0 + EXACT_SLACK_TOL):
             raise ParameterError(f"proxy value {self.value} outside [0, 1]")
 
 

@@ -186,6 +186,19 @@ def scale_norm(norm, factor: float):
     return ScaledNorm(inner=norm, factor=factor)
 
 
+def monotone_in_abs(norm) -> bool:
+    """Whether norm is on R^1 and evaluates, bit for bit, an even, non-decreasing
+    function of |x|: an lp or weighted lp norm with p in {1, 2, inf}, scaled any
+    number of times.  Its kernel takes |x| or x * x, times positive constants, and
+    sqrt, each a correctly rounded IEEE op, and rounding never reverses an order.
+    Other p go through pow, and an ellipsoid or a gauge through BLAS products, so
+    no such order is known for them."""
+    while isinstance(norm, ScaledNorm):
+        norm = norm.inner
+    return (isinstance(norm, (LpNorm, WeightedLpNorm)) and norm.dimension == 1
+            and norm.p in (1.0, 2.0, math.inf))
+
+
 def euclidean(d: int) -> LpNorm:
     return LpNorm(dimension=d, p=2.0)
 

@@ -67,8 +67,9 @@ def map_chunks(fn, count: int, threads: int = 1) -> list:
     are touched once per process, not once per call.  They are never freed:
     as many workspaces as workers have ever run at once stay allocated for
     the life of the process, each at the largest sizes it was asked for (a
-    tail table in dimension d asks for up to four CHUNK x d arrays and
-    three CHUNK-long ones).
+    tail table in dimension d asks for up to four CHUNK x d arrays, "sum",
+    "part", "running" and "normal", and three CHUNK-long ones, "sign",
+    "exponential" and "stable"; in d = 1 it overwrites "sum" with |S|).
     """
     jobs = [(j, lo, min(lo + CHUNK, count)) for j, lo in enumerate(range(0, count, CHUNK))]
     taken = []

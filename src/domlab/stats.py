@@ -69,8 +69,9 @@ class TailEstimate:
         return out
 
 
-# The package's one float-noise tolerance: a slack below this (relative) is
-# not a violation, and masses or values closer than this are equal.
+# The package's one float-noise tolerance: a slack below this, relative to the
+# larger side, is not a violation, and masses or values closer than this,
+# relative to the larger, are equal.
 EXACT_SLACK_TOL = 1e-12
 
 
@@ -78,14 +79,16 @@ def compare_tails(px: TailEstimate, py: TailEstimate, factor: float) -> str:
     """Three-valued verdict for the claim P_x <= factor * P_y.
 
     This is the one verdict rule of the package.  Exact estimates compare
-    directly, up to a slack of EXACT_SLACK_TOL relative to the larger side
-    (at least 1); interval estimates report "violated" only when even the
-    most favorable reading fails, "holds" only when the least favorable
-    reading passes, else "inconclusive".
+    directly, up to a slack of EXACT_SLACK_TOL relative to the larger side,
+    with no absolute floor (an exact tail is a sum of non-negative masses or a
+    closed form, so its rounding error is relative to its value); interval
+    estimates report "violated" only when even the most favorable reading
+    fails, "holds" only when the least favorable reading passes, else
+    "inconclusive".
     """
     if px.exact and py.exact:
         bound = factor * py.value
-        scale = max(1.0, abs(px.value), abs(bound))
+        scale = max(abs(px.value), abs(bound))
         if px.value <= bound + EXACT_SLACK_TOL * scale:
             return "holds"
         return "violated"

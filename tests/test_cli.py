@@ -819,6 +819,37 @@ def test_threads_flag_does_not_change_results(tmp_path):
         (tmp_path / "b" / "report.json").read_bytes()
 
 
+# A d = 1 Monte Carlo tail config whose norms take both count paths: lp-type
+# norms by level, the p = 1.5 weighted norm, the ellipsoid and the gauge by
+# evaluate.
+SCALAR_MC_TAIL_CFG = {
+    "kind": "tail", "seed": 3,
+    "source": {"family": "sum_of", "parts": [{"family": "pareto_tail", "exponent": 2.0},
+                                             {"family": "symmetric_stable", "index": 0.7}]},
+    "norms": {"list": [{"variant": "lp", "dimension": 1, "p": 1},
+                       {"variant": "lp", "dimension": 1, "p": 2},
+                       {"variant": "lp", "dimension": 1, "p": "inf"},
+                       {"variant": "weighted_lp", "dimension": 1, "p": 1.5, "weights": [2.0]},
+                       {"variant": "ellipsoid", "matrix": [[0.7]]},
+                       {"variant": "polytope_gauge", "directions": [[1.0], [-0.4]]},
+                       {"variant": "scaled", "factor": 0.25,
+                        "inner": {"variant": "lp", "dimension": 1, "p": 2}}]},
+    "thresholds": [-1.0, 0.0, 1e-300, 1.0, 1.0, 2.7, 1e300],
+    "estimator": {"kind": "mc", "budget": 2 * CHUNK + 99},
+}
+
+
+def test_scalar_mc_tail_reports_do_not_depend_on_threads(tmp_path):
+    path = _write(tmp_path, SCALAR_MC_TAIL_CFG)
+    reports = []
+    for threads in ("1", "2", "8"):
+        assert main(["run", path, "--out", str(tmp_path / threads), "--threads", threads]) == 0
+        reports.append((tmp_path / threads / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    cells = json.loads(reports[0])["cells"]
+    assert len(cells) == 7 * 7 and all(not c["tail"]["exact"] for c in cells)
+
+
 def test_counterexample_runs_on_the_threads_flag(tmp_path, monkeypatch):
     seen = []
 

@@ -37,6 +37,17 @@ def test_rejects_unbalanced_mirror():
         FiniteSupportDist.from_pairs([[1.0], [-1.0]], [0.25, 0.75])
 
 
+def test_mirror_masses_agree_relative_to_the_larger_mass():
+    # 9e-13 at +2 against 1e-13 at -2 differ by less than 1e-12 but by 89 % of
+    # the larger mass: not symmetric.
+    with pytest.raises(ParameterError, match="unbalanced mirror"):
+        FiniteSupportDist.from_pairs([[2.0], [-2.0], [0.0]], [9e-13, 1e-13, 1.0 - 1e-12])
+    # a relative difference of 1e-13 is rounding
+    law = FiniteSupportDist.from_pairs([[2.0], [-2.0], [0.0]],
+                                       [3e-13 * (1.0 + 1e-13), 3e-13, 1.0 - 6e-13])
+    assert law.support_size == 3
+
+
 def test_rejects_bad_probability_sum():
     with pytest.raises(ParameterError, match="sum to"):
         FiniteSupportDist.from_pairs([[1.0], [-1.0]], [0.3, 0.3])

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 import domlab.dominance as dominance
-from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, Estimator,
-                    FiniteSupportDist, LpNorm, ParameterError, PreconditionError,
-                    ProductLaw, TailEstimate, WBParams, absolute_value, check_domination,
-                    check_wb, euclidean, gaussian, pareto_tail, proxy_bound_check,
-                    proxy_exact, proxy_mc,
+from domlab import (PRODUCT_SUPPORT_CAP, CapacityError, DominationQuery, EllipsoidNorm,
+                    Estimator, FiniteSupportDist, LpNorm, ParameterError, PolytopeGauge,
+                    PreconditionError, ProductLaw, TailEstimate, WBParams, WeightedLpNorm,
+                    absolute_value, check_domination, check_wb, euclidean, gaussian,
+                    pareto_tail, proxy_bound_check, proxy_exact, proxy_mc,
                     random_norm_family, scale_norm, scaled_source, signed_mean_over_outcomes,
-                    symmetric_stable, tail_method, tail_table,
-                    tensorisation_experiment)
+                    symmetric_stable, tail_method, tail_table, tensorisation_experiment)
 from domlab.distributions import enumerate_sum, sample_sum_chunk
+from domlab.geometry import monotone_in_abs
 from domlab.rng import CHUNK, map_chunks
 
 EXACT = Estimator("exact")
@@ -139,6 +139,109 @@ def test_tail_table_mc_cells_are_counts_on_one_batch():
         assert row == [TailEstimate.from_counts(int(np.count_nonzero(vals > t)),
                                                 est.budget, 0.95)
                        for t in thresholds]
+
+
+# Every norm variant on R^1: the lp-type ones with p in {1, 2, inf}, scaled or
+# not, are counted by level; p = 1.5 and 3, the ellipsoid and the gauge by evaluate.
+SCALAR_NORMS = [LpNorm(dimension=1, p=1.0), absolute_value(), LpNorm(dimension=1, p=np.inf),
+                WeightedLpNorm(dimension=1, p=1.0, weights=(0.3,)),
+                WeightedLpNorm(dimension=1, p=2.0, weights=(2.5,)),
+                WeightedLpNorm(dimension=1, p=np.inf, weights=(7.0,)),
+                WeightedLpNorm(dimension=1, p=1.5, weights=(2.0,)),
+                LpNorm(dimension=1, p=3.0), EllipsoidNorm(matrix=((0.7,),)),
+                PolytopeGauge(directions=((1.0,), (-0.4,))),
+                scale_norm(absolute_value(), 1.0 / 300.123),
+                scale_norm(scale_norm(LpNorm(dimension=1, p=np.inf), 3.0), 0.1),
+                scale_norm(WeightedLpNorm(dimension=1, p=1.5, weights=(0.5,)), 2.0)]
+EDGE_THRESHOLDS = [-1.0, 0.0, 1e-300, 1.0, 1.0, 2.7, 1e300]
+
+
+def test_scalar_lp_norms_are_counted_by_level():
+    by_level = [True] * 6 + [False] * 4 + [True] * 2 + [False]
+    assert [monotone_in_abs(n) for n in SCALAR_NORMS] == by_level
+    assert not monotone_in_abs(euclidean(2))
+    assert not monotone_in_abs(scale_norm(LpNorm(dimension=2, p=1.0), 2.0))
+
+
+def test_tail_table_mc_cells_are_counts_on_one_batch_in_one_dimension():
+    law = ProductLaw((pareto_tail(2.0), symmetric_stable(0.7)))
+    est = Estimator("mc", budget=CHUNK + 4_000, confidence=0.95)
+    table = tail_table(law, SCALAR_NORMS, EDGE_THRESHOLDS, est, seed=8, stream=(7,),
+                       threads=2)
+    samples = np.concatenate(map_chunks(
+        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 8, (7,)), est.budget))
+    for norm, row in zip(SCALAR_NORMS, table):
+        vals = norm.evaluate(samples)
+        assert row == [TailEstimate.from_counts(int(np.count_nonzero(vals > t)),
+                                                est.budget, 0.95)
+                       for t in EDGE_THRESHOLDS]
+        # every sample is above a negative threshold and 0, none above 1e300
+        assert [cell.value for cell in row[:2]] == [1.0, 1.0] and row[-1].value == 0.0
+
+
+def test_levels_split_planted_samples_as_the_norm_does():
+    # Samples at 3 ulps either side of each level, of both signs, count the same
+    # by level as by evaluate; the thresholds include norm values themselves,
+    # where ties decide.
+    checks = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        for norm in random_norm_family(seed, 1, 12) + SCALAR_NORMS:
+            if not monotone_in_abs(norm):
+                continue
+            ties = norm.evaluate(10.0 ** rng.uniform(-6, 6, (4, 1)))
+            thresholds = [*ties, *10.0 ** rng.uniform(-6, 6, 4), *EDGE_THRESHOLDS, 5e-324]
+            for t, s in zip(thresholds, dominance._abs_levels(norm, thresholds)):
+                bits = np.float64(max(s, 0.0)).view(np.int64) + np.arange(-3, 4)
+                x = np.clip(bits, 0, None).view(float)
+                x = np.concatenate([x, -x, [0.0, -0.0, 1.0, np.inf]])[:, None]
+                with np.errstate(over="ignore"):
+                    above = norm.evaluate(x) > t
+                assert np.array_equal(above, np.abs(x[:, 0]) > s), (norm, t, s)
+                checks += 1
+    assert checks > 5000
+
+
+def test_level_search_settles_in_the_first_round_or_bisects(monkeypatch):
+    # t / norm(1) is within 8 ulps of the level for plain thresholds, so one
+    # evaluate settles them; a norm whose factor misleads the guess still gets
+    # its exact level, by bisection.
+    rounds = []
+    real = LpNorm.evaluate
+
+    def counting(self, x):
+        rounds.append(np.size(x))
+        return real(self, x)
+
+    monkeypatch.setattr(LpNorm, "evaluate", counting)
+    thresholds = np.array([0.5, 1.0, 3.0, 9.0, 27.0])
+    norm = scale_norm(absolute_value(), 1.0 / 317.5)
+    levels = dominance._abs_levels(norm, thresholds)
+    assert rounds == [1, 5 * 17]
+    edges = np.stack([levels, np.nextafter(levels, np.inf)], axis=1)
+    assert (norm.evaluate(edges[:, :1]) <= thresholds).all()
+    assert (norm.evaluate(edges[:, 1:]) > thresholds).all()
+    rounds.clear()
+    (level,) = dominance._abs_levels(absolute_value(), [0.0])
+    assert len(rounds) > 2  # the guess 0 is far below the level: x * x underflows to 0
+    edge = np.array([[level], [np.nextafter(level, np.inf)]])
+    assert list(absolute_value().evaluate(edge) > 0.0) == [False, True]
+
+
+def test_tail_table_counts_each_distinct_threshold_once(monkeypatch):
+    compared = []
+    real = dominance.np.count_nonzero
+
+    def counting(a, *args, **kwargs):
+        compared.append(1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(dominance.np, "count_nonzero", counting)
+    est = Estimator("mc", budget=CHUNK)
+    table = tail_table(symmetric_stable(0.7), [absolute_value(), LpNorm(dimension=1, p=3.0)],
+                       [1.0, 1.0, 3.0, 1.0], est, seed=1)
+    assert len(compared) == 2 + 2  # 2 levels of |x|, 2 thresholds of the l3 norm
+    assert table[0][0] == table[0][1] == table[0][3] and table[1][0] == table[1][3]
 
 
 def test_tail_table_mc_memory_is_bounded_and_thread_free():

@@ -28,7 +28,7 @@ def _mc(lo, hi):
 RULE_TABLE = [
     # exact: equality, at the 1e-12 * scale slack, and just past it
     (_ex(0.5), _ex(0.25), 2.0, "holds"),
-    (_ex(0.5 + EXACT_SLACK_TOL), _ex(0.5), 1.0, "holds"),
+    (_ex(0.5 * (1 + EXACT_SLACK_TOL)), _ex(0.5), 1.0, "holds"),
     (_ex(0.5 + 2.0 * EXACT_SLACK_TOL), _ex(0.5), 1.0, "violated"),
     (_ex(1e6 + 0.5e-6), _ex(1e6), 1.0, "holds"),
     (_ex(1e6 + 2e-6), _ex(1e6), 1.0, "violated"),
@@ -55,6 +55,18 @@ def test_one_verdict_rule(lhs, rhs, factor, expected):
         assert rep.verdict == expected
         assert rep.holds == (expected != "violated")
         assert rep.method == "exact"
+
+
+def test_exact_slack_has_no_absolute_floor():
+    # X = +-2 at pair mass 1e-13 (else 0) against Y = +-0.5, kappa = lambda = 1,
+    # under |x|: P(|X| > 1) = 1e-13 against P(|Y| > 1) = 0 is an infinite ratio.
+    x = FiniteSupportDist.symmetric_pairs([[2.0]], [1e-13], zero_prob=1.0 - 1e-13)
+    query = DominationQuery(x=x, y=FiniteSupportDist.rademacher(0.5), kappa=1.0, lam=1.0,
+                            norms=(absolute_value(),), estimator=Estimator("exact"))
+    (record,) = check_domination(query).records
+    assert (record.px.value, record.py.value, record.verdict) == (1e-13, 0.0, "violated")
+    assert compare_tails(_ex(1e-300), _ex(0.0), 1.0) == "violated"
+    assert compare_tails(_ex(1e-300 * (1 + 0.5 * EXACT_SLACK_TOL)), _ex(1e-300), 1.0) == "holds"
 
 
 def test_check_domination_records_follow_the_rule():
