@@ -14,12 +14,13 @@ Each law says whether it is finite; a product law is when all its
 components are, nested sums included.  Scaling a finite law gives a finite
 law.
 
-Sources are sampled one rng.CHUNK-row chunk at a time (_draw_chunk,
-sample_sum_chunk); callers stream the chunks and hold at most one per
-worker thread, so memory does not grow with the Monte Carlo budget.  Chunk
-j of a source draws from substream (seed, *stream, j), and of product-law
-component i from (seed, *stream, i, j), so every draw is deterministic in
-(seed, stream, j) and independent of the thread count.  Each map_chunks
+Sources are sampled one rng.CHUNK-row chunk at a time (sample_sum_chunk);
+callers stream the chunks and hold at most one per worker thread, so memory
+does not grow with the Monte Carlo budget.  One path rule, at every depth:
+component i of a sum at path p sits at (*p, i), and a single source at path
+p draws chunk j from substream (seed, *p, j).  Nothing spawns, so every draw
+is deterministic in (seed, stream, j) and independent of the thread count.
+Each map_chunks
 worker has one rng.Workspace, and the tail engine draws and sums a chunk in
 its arrays: the only new arrays that drawing and summing a chunk make are
 the raw bits of the signs and rng.choice's draws of a finite law's atoms.
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import (CapacityError, ParameterError, _check_count, _check_list, _check_real,
                      _param_rows)
@@ -141,7 +141,8 @@ class SamplerSource:
     """A symmetric continuous (or mixed) source, sampled on demand.
 
     ``family`` is one of gaussian, symmetric_stable, pareto_tail, scaled;
-    ``params`` holds the family's parameters.
+    ``params`` holds the family's parameters.  A source is never a sum, and a
+    scaled one draws its inner source on its own substream: nothing spawns.
     Use the module-level constructors, which validate.
     """
 
@@ -191,13 +192,13 @@ def pareto_tail(exponent: float) -> SamplerSource:
 
 
 def scaled_source(inner: Law, factor: float) -> Law:
-    """Source factor * X; finite again when X is finite."""
+    """Source factor * X; finite again when X is finite, a sum when X is."""
     factor = _check_real(factor, "scale factor")
     if factor == 0.0:
         raise ParameterError("scale factor must be nonzero")
     if isinstance(inner, FiniteSupportDist):
         return FiniteSupportDist.from_pairs(factor * inner.vectors(), inner.probs())
-    if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n
+    if isinstance(inner, ProductLaw):  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n
         return ProductLaw(tuple(scaled_source(c, factor) for c in inner.components))
     return SamplerSource(dimension=inner.dimension, family="scaled",
                          params={"inner": inner, "factor": factor})
@@ -252,20 +253,13 @@ def _signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 def _draw(source: Law, out: np.ndarray, ss: np.random.SeedSequence,
           ws: Workspace) -> np.ndarray:
-    """Draw len(out) vectors of a single source, or the sum of a nested product
-    law, into out, a C-contiguous (n, d) array, and return out; ss seeds this
-    node and its deterministic children seed nested sources.  A family's
-    scratch arrays are ws's "normal", "sign", "exponential" and "stable"
-    arrays, which out must not be; a nested sum adds its parts through a new
-    array.  Every family gives the bits of the allocating numpy formula it
-    replaces."""
+    """Draw len(out) vectors of a single source, never a sum, on its substream
+    ss into out, a C-contiguous (n, d) array, and return out; a scaled source
+    draws its inner source on ss too, so nothing spawns.  A family's scratch
+    arrays are ws's "normal", "sign", "exponential" and "stable" arrays, which
+    out must not be.  Every family gives the bits of the allocating numpy
+    formula it replaces."""
     n = len(out)
-    if isinstance(source, ProductLaw):
-        part = np.empty_like(out)
-        out.fill(0.0)
-        for component, child in zip(source.components, ss.spawn(source.n)):
-            out += _draw(component, part, child, ws)
-        return out
     rng = np.random.Generator(np.random.Philox(ss))
     if isinstance(source, FiniteSupportDist):
         idx = rng.choice(source.support_size, size=n, p=source.probs())
@@ -305,61 +299,58 @@ def _draw(source: Law, out: np.ndarray, ss: np.random.SeedSequence,
         v *= sign
         return out
     if fam == "scaled":
-        _draw(par["inner"], out, ss.spawn(1)[0], ws)
+        _draw(par["inner"], out, ss, ws)
         out *= par["factor"]
         return out
     raise ParameterError(f"unknown sampler family {fam!r}")
 
 
-def _chunk_parts(law: Law, j: int, seed: int, stream: tuple) -> list:
-    """(source, seed sequence) of each part of chunk j: a source itself on
-    (seed, *stream, j), or product-law component i on (seed, *stream, i, j)."""
+def _parts(law: Law, path: tuple) -> list:
+    """(source, path) of every single source of law at path, depth first."""
     if isinstance(law, ProductLaw):
-        return [(c, seed_sequence(seed, *stream, i, j)) for i, c in enumerate(law.components)]
-    return [(law, seed_sequence(seed, *stream, j))]
+        return [part for i, c in enumerate(law.components) for part in _parts(c, (*path, i))]
+    return [(law, path)]
 
 
-def _draw_chunk(law: Law, j: int, size: int, seed: int, stream: tuple) -> np.ndarray:
-    """Chunk j of a source, shape (size, d), or of a product law, (size, n, d),
-    as a new array; the draws' scratch arrays are rng.workspace()'s."""
-    parts = _chunk_parts(law, j, seed, stream)
-    ws = workspace()
-    out = np.empty((size, len(parts), law.dimension))
-    for i, (source, ss) in enumerate(parts):
-        out[:, i] = _draw(source, ws.array("part", (size, law.dimension)), ss, ws)
-    return out if isinstance(law, ProductLaw) else out[:, 0]
+def _draw_chunk(law: ProductLaw, j: int, size: int, seed: int, stream: tuple) -> np.ndarray:
+    """Chunk j of a product law's components as a new (size, n, d) array: column
+    i is component i's sample_sum_chunk on (*stream, i)."""
+    out = np.empty((size, law.n, law.dimension))
+    for i, component in enumerate(law.components):
+        sample_sum_chunk(component, j, size, seed, (*stream, i), out[:, i])
+    return out
 
 
-def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple = (),
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Chunk j of the vector X (a source) or of X_1 + ... + X_n (a product law),
-    written into out, a (size, d) array, or into a new Fortran-ordered one,
-    which every norm kernel reads without a copy.  The draws' scratch arrays
-    are rng.workspace()'s.
+def sample_sum_chunk(law: Law, j: int, size: int, seed: int, stream: tuple,
+                     out: np.ndarray) -> np.ndarray:
+    """Chunk j of the vector X (a source) or of X_1 + ... + X_n (a product law,
+    nested sums included), written into out, a (size, d) array, and returned;
+    the draws' scratch arrays are rng.workspace()'s.  The path rule: the law
+    sits at path stream, component i of a sum at path p at (*p, i), and a
+    single source at path p draws on substream (seed, *p, j); nothing spawns.
 
-    The components are added in place, in order, which is how sum(axis=1)
-    adds them; numpy adds eight or more one-dimensional components pairwise,
-    so there the last bits may differ from sum(axis=1).  The parts are drawn
-    C-ordered, and numpy adds arrays of two memory orders many times slower
-    than arrays of one, so a sum of parts into a total that is not
-    C-contiguous runs in the workspace's C-ordered "running" array and is
-    copied into the total once.
+    The single sources are added in place, depth first, which for a flat sum
+    is how sum(axis=1) adds them; numpy adds eight or more one-dimensional
+    components pairwise, so there the last bits may differ from sum(axis=1).
+    The parts are drawn C-ordered, and numpy adds arrays of two memory orders
+    many times slower than arrays of one, so a sum of parts into an out that
+    is not C-contiguous runs in the workspace's C-ordered "running" array and
+    is copied into out once.
     """
-    total = np.empty((size, law.dimension), order="F") if out is None else out
     ws = workspace()
-    part = ws.array("part", total.shape)
-    parts = _chunk_parts(law, j, seed, stream)
-    one_order = total.flags.c_contiguous or len(parts) == 1
-    acc = total if one_order else ws.array("running", total.shape)
-    for i, (source, ss) in enumerate(parts):
-        x = _draw(source, part, ss, ws)
+    part = ws.array("part", out.shape)
+    parts = _parts(law, stream)
+    one_order = out.flags.c_contiguous or len(parts) == 1
+    acc = out if one_order else ws.array("running", out.shape)
+    for i, (source, path) in enumerate(parts):
+        x = _draw(source, part, seed_sequence(seed, *path, j), ws)
         if i == 0:
             np.copyto(acc, x)
         else:
             acc += x
-    if acc is not total:
-        np.copyto(total, acc)
-    return total
+    if acc is not out:
+        np.copyto(out, acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +468,7 @@ def analytic_survival(source: Law) -> Optional[Callable[[float], float]]:
         sigma = math.sqrt(float(par["covariance"][0, 0]))
         if sigma == 0.0:
             return lambda t: 0.0 if t >= 0.0 else 1.0
+        from scipy.special import erfc  # on first use: scipy.special is slow to import
         return lambda t: 1.0 if t <= 0.0 else float(erfc(t / (sigma * math.sqrt(2.0))))
     if fam == "scaled":
         inner = analytic_survival(par["inner"])

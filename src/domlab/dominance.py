@@ -66,11 +66,12 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
     on the (seed, stream) substreams and counted, one rng.CHUNK-row chunk at a
     time, drawn and summed in place in its worker's rng.workspace(), so memory
     does not grow with the budget, with Clopper-Pearson intervals.
-    A sampled chunk counts each distinct (norm, threshold) pair once.  A norm
+    A sampled chunk counts each (norm, distinct threshold) pair once.  A norm
     with geometry.monotone_in_abs (d = 1) exceeds t exactly where |x| exceeds
-    its level for t (_abs_levels, found once per table), so the chunk takes
-    |S| once, in place, and counts |S| > s once per distinct level s; every
-    other norm is evaluated once per sample and read at each threshold.
+    its level for t (_abs_levels, found once per table), so the chunk first
+    evaluates every other norm once per sample and counts it at each
+    threshold, then takes |S| once, in place, and counts |S| > s at each
+    level s of each levelled norm.
     ``threads`` runs chunks in parallel; no result depends on it.
     """
     norms = norm_family(norms, law.dimension)
@@ -88,31 +89,26 @@ def tail_table(law: Law, norms, thresholds, estimator: Estimator, seed: int = 0,
         return [[TailEstimate.from_exact(float(survival(t / f))) for t in thresholds]
                 for f in factors]
 
-    # The chunk's counts: each evaluated norm at each distinct threshold, then
-    # each distinct level; index maps every cell to its count.
     distinct = list(dict.fromkeys(thresholds))  # -0.0 and 0.0 count as one
-    column = [distinct.index(t) for t in thresholds]
-    by_level = np.array([monotone_in_abs(norm) for norm in norms])
-    evaluated = [norm for norm, lv in zip(norms, by_level) if not lv]
-    level_rows = [_abs_levels(norm, distinct) for norm, lv in zip(norms, by_level) if lv]
-    levels, level_at = np.unique(np.ravel(level_rows), return_inverse=True)
-    index = np.empty((len(norms), len(thresholds)), dtype=int)
-    index[~by_level] = np.arange(len(evaluated))[:, None] * len(distinct) + column
-    index[by_level] = len(evaluated) * len(distinct) + level_at.reshape(
-        len(level_rows), len(distinct))[:, column]
+    levels = [_abs_levels(norm, distinct) if monotone_in_abs(norm) else None for norm in norms]
 
     def count_chunk(j, lo, hi):
         xs = sample_sum_chunk(law, j, hi - lo, seed, stream,
                               workspace().array("sum", (hi - lo, law.dimension), order="F"))
-        counts = [np.count_nonzero(vals > t)
-                  for vals in (norm.evaluate(xs) for norm in evaluated) for t in distinct]
-        if len(levels):
+        rows = [None] * len(norms)
+        for k, norm in enumerate(norms):
+            if levels[k] is None:
+                vals = norm.evaluate(xs)
+                rows[k] = [np.count_nonzero(vals > t) for t in distinct]
+        if None in rows:
             np.abs(xs, out=xs)  # the evaluated norms are done with S
-            counts += [np.count_nonzero(xs > s) for s in levels]
-        return counts
-    counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)[index]
-    return [[TailEstimate.from_counts(int(k), estimator.budget, estimator.confidence)
-             for k in row] for row in counts]
+            rows = [[np.count_nonzero(xs > s) for s in level] if row is None else row
+                    for row, level in zip(rows, levels)]
+        return rows
+    counts = np.sum(map_chunks(count_chunk, estimator.budget, threads), axis=0)
+    return [[TailEstimate.from_counts(int(row[distinct.index(t)]), estimator.budget,
+                                      estimator.confidence) for t in thresholds]
+            for row in counts]
 
 
 _INF_BITS = int(np.float64(np.inf).view(np.int64))  # floats in [0, inf] order as their bits

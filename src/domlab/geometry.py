@@ -48,7 +48,11 @@ def _lp_rows(xt, p, w=None):
     weight column w (1 when None): |x_k w_k| ** p summed, or maximised, over
     the rows k into one array, one row at a time.  That is numpy's order, bit
     for bit, except on one column of 8 or more rows, which numpy sums
-    pairwise; here a single vector gets the bits of its row in any batch."""
+    pairwise; here a single vector gets the bits of its row in any batch.  One
+    row at p = 2 takes the p = 1 path, |x w|, which is sqrt(x w * x w) wherever
+    that square is a normal float, and neither underflows nor overflows."""
+    if len(xt) == 1 and p == 2.0:
+        p = 1.0
     out = np.empty(xt.shape[1])
     tmp = np.empty_like(out) if len(xt) > 1 else None
     for k, row in enumerate(xt):
@@ -189,8 +193,9 @@ def scale_norm(norm, factor: float):
 def monotone_in_abs(norm) -> bool:
     """Whether norm is on R^1 and evaluates, bit for bit, an even, non-decreasing
     function of |x|: an lp or weighted lp norm with p in {1, 2, inf}, scaled any
-    number of times.  Its kernel takes |x| or x * x, times positive constants, and
-    sqrt, each a correctly rounded IEEE op, and rounding never reverses an order.
+    number of times.  On one row its kernel takes |x| times positive constants
+    (p = 2 takes the p = 1 path), each a correctly rounded IEEE op, and rounding
+    never reverses an order.
     Other p go through pow, and an ellipsoid or a gauge through BLAS products, so
     no such order is known for them."""
     while isinstance(norm, ScaledNorm):

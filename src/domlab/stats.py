@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.special import betaincinv
-
 from .errors import ParameterError, _check_count, _check_real
 
 DEFAULT_CONFIDENCE = 0.99
@@ -33,6 +31,7 @@ def clopper_pearson(k: int, n: int, confidence: float = DEFAULT_CONFIDENCE):
     """Two-sided exact binomial confidence interval for k successes in n trials."""
     if not (0 <= k <= n) or n < 1:
         raise ParameterError("need 0 <= k <= n, n >= 1")
+    from scipy.special import betaincinv  # on first use: scipy.special is slow to import
     a = (1.0 - _check_real(confidence, "confidence", "(0, 1)")) / 2.0
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, a))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - a))

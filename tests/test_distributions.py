@@ -1,7 +1,9 @@
 """Sources, sampling determinism, enumeration and analytic tail oracles."""
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -107,8 +109,8 @@ def test_a_sampler_source_has_no_sum_family():
     rad = FiniteSupportDist.rademacher()
     # a sum is only ever a ProductLaw
     with pytest.raises(ParameterError, match="unknown sampler family 'sum_of'"):
-        _draw_chunk(distributions.SamplerSource(1, "sum_of", {"parts": (rad, rad)}),
-                    0, 10, 1, ())
+        sample_sum_chunk(distributions.SamplerSource(1, "sum_of", {"parts": (rad, rad)}),
+                         0, 10, 1, (), np.empty((10, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,11 @@ def test_enumerate_sign_classes_keeps_one_atom_per_pair(monkeypatch):
 # sampling determinism
 
 
-def _sample(law, count, seed, threads=1, stream=(), draw=_draw_chunk):
+def _new_sum_chunk(law, j, size, seed, stream):
+    return sample_sum_chunk(law, j, size, seed, stream, np.empty((size, law.dimension)))
+
+
+def _sample(law, count, seed, threads=1, stream=(), draw=_new_sum_chunk):
     """The count rows of draw's chunks over map_chunks, joined into one array."""
     return np.concatenate(map_chunks(lambda j, lo, hi: draw(law, j, hi - lo, seed, stream),
                                      count, threads))
@@ -262,8 +268,8 @@ def test_sample_deterministic_in_seed():
 
 def test_sample_thread_count_invariant():
     src = ProductLaw((gaussian(np.eye(3)), scaled_source(gaussian(np.eye(3)), 2.0)))
-    a = _sample(src, 200_000, seed=11, threads=1)
-    b = _sample(src, 200_000, seed=11, threads=8)
+    a = _sample(src, 200_000, seed=11, threads=1, draw=_draw_chunk)
+    b = _sample(src, 200_000, seed=11, threads=8, draw=_draw_chunk)
     assert np.array_equal(a, b)
 
 
@@ -283,34 +289,38 @@ def test_sample_prefix_stability():
 
 
 def test_nested_sums_keep_their_draws():
-    # A sum nested in a scaled source or in a product law spawns one child per
-    # part from its node's SeedSequence and adds the parts in order; these
-    # Monte Carlo counts pin those draws.
+    # Every single source of a sum, nested or scaled, draws on its own path
+    # (seed, *stream, i, ..., j), and the sources are added in order, depth
+    # first; these Monte Carlo counts are _allocating_sum's, which pin those draws.
     est = Estimator("mc", budget=5000)
     scaled = scaled_source(ProductLaw((pareto_tail(2.0), symmetric_stable(1.5))), 2.0)
     nested = ProductLaw((ProductLaw((gaussian([[1.0]]), pareto_tail(3.0))), pareto_tail(2.0)))
-    for law, thresholds, seed, stream, counts in ((scaled, [1.0, 4.0], 1, (0,), [4321, 2315]),
-                                                   (nested, [2.0, 8.0], 3, (5,), [2472, 89])):
+    for law, thresholds, seed, stream, counts in ((scaled, [1.0, 4.0], 1, (0,), [4383, 2347]),
+                                                   (nested, [2.0, 8.0], 3, (5,), [2525, 103])):
+        reference = np.abs(_allocating_sum(law, 5000, seed, stream, 0))
+        assert [np.count_nonzero(reference > t) for t in thresholds] == counts
         (row,) = tail_table(law, [absolute_value()], thresholds, est, seed, stream)
         assert [p.value for p in row] == [k / 5000 for k in counts]
 
 
 def test_finite_parts_of_a_sampled_sum_draw_as_finite_laws():
     # A scaled finite sum is the sum of its scaled parts, each drawn on its
-    # own substream; these Monte Carlo counts pin those draws.
+    # own path; these Monte Carlo counts are _allocating_sum's.
     est = Estimator("mc", budget=5000)
     rad = FiniteSupportDist.rademacher()
     law = ProductLaw((scaled_source(ProductLaw((rad, rad)), 2.0), pareto_tail(2.0)))
+    reference = np.abs(_allocating_sum(law, 5000, 1, (0,), 0))
+    assert [np.count_nonzero(reference > t) for t in (3.0, 6.0)] == [1604, 401]
     (row,) = tail_table(law, [absolute_value()], [3.0, 6.0], est, 1, (0,))
-    assert [p.value for p in row] == [1605 / 5000, 400 / 5000]
+    assert [p.value for p in row] == [1604 / 5000, 401 / 5000]
 
 
 def test_sample_outcomes_columns_differ():
     law = ProductLaw((gaussian(np.eye(1)), gaussian(np.eye(1))))
-    out = _sample(law, 1000, seed=1)
+    out = _sample(law, 1000, seed=1, draw=_draw_chunk)
     assert out.shape == (1000, 2, 1)
     assert not np.array_equal(out[:, 0, :], out[:, 1, :])
-    total = _sample(law, 1000, seed=1, draw=sample_sum_chunk)
+    total = _sample(law, 1000, seed=1)
     assert np.allclose(total, out.sum(axis=1))
 
 
@@ -319,13 +329,9 @@ def test_sample_outcomes_columns_differ():
 
 
 def _allocating_draw(source, n, ss):
-    """n vectors of source drawn by fresh-array numpy formulas, as _draw drew them
-    before it wrote into a caller's buffer."""
-    if isinstance(source, ProductLaw):
-        out = np.zeros((n, source.dimension))
-        for part, child in zip(source.components, ss.spawn(source.n)):
-            out += _allocating_draw(part, n, child)
-        return out
+    """n vectors of a single source drawn on ss by fresh-array numpy formulas, as
+    _draw drew them before it wrote into a caller's buffer; a scaled source
+    draws its inner source on ss too."""
     rng = np.random.Generator(np.random.Philox(ss))
     if isinstance(source, FiniteSupportDist):
         return source.vectors()[rng.choice(source.support_size, size=n, p=source.probs())]
@@ -347,7 +353,18 @@ def _allocating_draw(source, n, ss):
             x = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
                  * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha))
         return (par["scale"] * sign * x)[:, None]
-    return par["factor"] * _allocating_draw(par["inner"], n, ss.spawn(1)[0])
+    return par["factor"] * _allocating_draw(par["inner"], n, ss)
+
+
+def _allocating_sum(law, n, seed, path, j):
+    """n vectors of chunk j of law by _allocating_draw on the path rule: component
+    i of a sum at path p sits at (*p, i), and a single source at p draws on
+    (seed, *p, j); the single sources are added in order, depth first."""
+    def leaves(law, path):
+        if isinstance(law, ProductLaw):
+            return [x for i, c in enumerate(law.components) for x in leaves(c, (*path, i))]
+        return [_allocating_draw(law, n, seed_sequence(seed, *path, j))]
+    return functools.reduce(operator.add, leaves(law, path))
 
 
 def _same_bits(a, b):
@@ -361,8 +378,15 @@ PARITY_LAWS = [
     *(gaussian(np.eye(d) + 0.4) for d in (1, 2, 3)),
     FiniteSupportDist.symmetric_pairs([[1.0, 2.0], [0.5, -1.0]], [0.6, 0.3], zero_prob=0.1),
     scaled_source(symmetric_stable(0.7), -2.5),
+    scaled_source(scaled_source(gaussian(np.eye(2) + 0.4), 3.0), -0.5),
+]
+RAD = FiniteSupportDist.rademacher()
+# nested, scaled and partly finite sums
+PARITY_SUMS = [
     ProductLaw((ProductLaw((gaussian([[1.0]]), pareto_tail(3.0))),
                 scaled_source(pareto_tail(2.0), 3.0))),
+    scaled_source(ProductLaw((pareto_tail(2.0), ProductLaw((symmetric_stable(1.5), RAD)))), 2.0),
+    ProductLaw((pareto_tail(1.5), ProductLaw((RAD, ProductLaw((RAD, gaussian([[2.0]])))))))
 ]
 
 
@@ -372,6 +396,10 @@ def test_in_place_draws_keep_the_allocating_bits(n):
     for law in PARITY_LAWS:
         got = _draw(law, np.empty((n, law.dimension)), seed_sequence(4, 2, 9), ws)
         assert _same_bits(got, _allocating_draw(law, n, seed_sequence(4, 2, 9))), law
+    for law in PARITY_SUMS:
+        for out in (np.empty((n, 1)), np.empty((n, 1), order="F")):
+            got = sample_sum_chunk(law, 9, n, 4, (2,), out)
+            assert _same_bits(got, _allocating_sum(law, n, 4, (2,), 9)), law
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 2303, 2304])
@@ -395,7 +423,7 @@ def test_in_place_sums_keep_the_stacked_sum(d, n):
     in_order = draws[0].copy()
     for x in draws[1:]:
         in_order += x
-    assert _same_bits(sample_sum_chunk(law, 3, 2304, 6, (1,)), in_order)
+    assert _same_bits(sample_sum_chunk(law, 3, 2304, 6, (1,), np.empty((2304, d))), in_order)
     stacked = np.stack(draws, axis=1).sum(axis=1)
     assert _same_bits(_draw_chunk(law, 3, 2304, 6, (1,)).sum(axis=1), stacked)
     # sum(axis=1) adds in order too, except eight or more one-dimensional
@@ -417,7 +445,6 @@ def test_sums_of_parts_keep_the_bits_of_the_fortran_ordered_total(law):
             want[...] = x
         else:
             want += x
-    assert _same_bits(sample_sum_chunk(law, 1, CHUNK, 6, (2,)), want)
     for out in (np.empty(shape, order="F"), np.empty(shape)):
         assert sample_sum_chunk(law, 1, CHUNK, 6, (2,), out) is out
         assert _same_bits(out, want)
@@ -439,10 +466,9 @@ def test_one_workspace_per_worker_for_the_length_of_a_call():
     assert np.shares_memory(total0, total1) and np.shares_memory(part0, part1)
     # a finished call hands its workspace on to the next call
     assert map_chunks(lambda j, lo, hi: workspace(), CHUNK) == [ws0]
-    # _draw_chunk, and sample_sum_chunk without out, return new arrays
+    # _draw_chunk returns new arrays
     a, b = map_chunks(lambda j, lo, hi: _draw_chunk(law, j, hi - lo, 1, ()), 2 * CHUNK)
     assert not np.shares_memory(a, b)
-    assert not np.shares_memory(sample_sum_chunk(law, 0, 10, 1), sample_sum_chunk(law, 0, 10, 1))
     # off a worker, every call gets a new workspace
     assert workspace() is not workspace()
 

@@ -133,7 +133,8 @@ def test_tail_table_mc_cells_are_counts_on_one_batch():
     est = Estimator("mc", budget=CHUNK + 4_000, confidence=0.95)
     table = tail_table(law, norms, thresholds, est, seed=8, stream=(7,), threads=2)
     samples = np.concatenate(map_chunks(
-        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 8, (7,)), est.budget))
+        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 8, (7,),
+                                   np.empty((hi - lo, law.dimension))), est.budget))
     for norm, row in zip(norms, table):
         vals = norm.evaluate(samples)
         assert row == [TailEstimate.from_counts(int(np.count_nonzero(vals > t)),
@@ -169,7 +170,8 @@ def test_tail_table_mc_cells_are_counts_on_one_batch_in_one_dimension():
     table = tail_table(law, SCALAR_NORMS, EDGE_THRESHOLDS, est, seed=8, stream=(7,),
                        threads=2)
     samples = np.concatenate(map_chunks(
-        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 8, (7,)), est.budget))
+        lambda j, lo, hi: sample_sum_chunk(law, j, hi - lo, 8, (7,),
+                                   np.empty((hi - lo, law.dimension))), est.budget))
     for norm, row in zip(SCALAR_NORMS, table):
         vals = norm.evaluate(samples)
         assert row == [TailEstimate.from_counts(int(np.count_nonzero(vals > t)),
@@ -222,10 +224,14 @@ def test_level_search_settles_in_the_first_round_or_bisects(monkeypatch):
     assert (norm.evaluate(edges[:, :1]) <= thresholds).all()
     assert (norm.evaluate(edges[:, 1:]) > thresholds).all()
     rounds.clear()
-    (level,) = dominance._abs_levels(absolute_value(), [0.0])
-    assert len(rounds) > 2  # the guess 0 is far below the level: x * x underflows to 0
+    (level,) = dominance._abs_levels(norm, [5e-324])
+    assert len(rounds) > 2  # subnormal: the guess is 318 ulps, the level 476
     edge = np.array([[level], [np.nextafter(level, np.inf)]])
-    assert list(absolute_value().evaluate(edge) > 0.0) == [False, True]
+    assert list(norm.evaluate(edge) > 5e-324) == [False, True]
+    rounds.clear()
+    # |x| > 0 exactly when x != 0: the level of 0 is 0, settled in one round
+    assert dominance._abs_levels(absolute_value(), [0.0]).tolist() == [0.0]
+    assert rounds == [1, 17]
 
 
 def test_tail_table_counts_each_distinct_threshold_once(monkeypatch):
@@ -485,6 +491,49 @@ def test_proxy_mc_past_the_sign_cap_raises_before_drawing(monkeypatch):
     monkeypatch.setattr(dominance, "_draw_chunk", no_draws)
     with pytest.raises(CapacityError, match="23 summands exceed"):
         proxy_mc(ProductLaw((RAD,) * 23), absolute_value(), outer_budget=10, seed=1)
+
+
+def test_proxy_mc_columns_are_the_components_sums(monkeypatch):
+    # Column i of proxy_mc's outcomes is component i's sum, nested or scaled,
+    # drawn on path (3, i).
+    law = ProductLaw((ProductLaw((pareto_tail(2.0), RAD)),
+                      scaled_source(ProductLaw((symmetric_stable(0.7), HALF)), 3.0), HALF))
+    drawn = []
+    real = dominance._draw_chunk
+
+    def keeping(*args):
+        drawn.append((args, real(*args)))
+        return drawn[-1][1]
+    monkeypatch.setattr(dominance, "_draw_chunk", keeping)
+    proxy_mc(law, absolute_value(), outer_budget=CHUNK + 77, seed=4)
+    assert [args[1:] for args, _ in drawn] == [(0, CHUNK, 4, (3,)), (1, 77, 4, (3,))]
+    for (_, j, size, _, _), outcomes in drawn:
+        for i, component in enumerate(law.components):
+            want = sample_sum_chunk(component, j, size, 4, (3, i), np.empty((size, 1)))
+            assert np.array_equal(outcomes[:, i], want)
+
+
+def test_nothing_spawns_a_seed_sequence(monkeypatch):
+    # Every draw, of nested and scaled sums too, is on a (seed, path, chunk)
+    # substream: none comes from SeedSequence.spawn.
+    nested = ProductLaw((ProductLaw((pareto_tail(2.0), symmetric_stable(1.5))),
+                         scaled_source(ProductLaw((pareto_tail(3.0), RAD)), 2.0)))
+    scaled = scaled_source(scaled_source(symmetric_stable(0.7), -2.0), 0.5)
+    est = Estimator("mc", budget=CHUNK + 10)
+
+    def run():
+        return [tail_table(law, [absolute_value()], [1.0, 5.0], est, seed=2, threads=2)
+                for law in (nested, scaled, ProductLaw((scaled, nested)))] + [
+            proxy_mc(ProductLaw((nested, scaled, nested)), absolute_value(), CHUNK + 10, 2)]
+
+    class Unspawnable(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("a seed sequence spawned")
+    want = run()
+    monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
+    with pytest.raises(AssertionError, match="spawned"):
+        np.random.SeedSequence(1).spawn(1)
+    assert run() == want
 
 
 def test_proxy_mc_is_thread_free():

@@ -166,6 +166,22 @@ def test_single_vector_has_its_batch_row_bits_in_one_dimension():
         assert np.array_equal(single.view(np.uint64), batch.view(np.uint64)), norm
 
 
+def test_one_dimensional_p2_norms_neither_underflow_nor_overflow():
+    # On R^1, sqrt(x * x) underflowed to 0 below about 1.5e-154 and overflowed
+    # to inf above about 1.3e154; |x w| is exact there, and equal to it between.
+    xs = np.array([5e-324, 1e-170, 1.5e-154, 2.0, 1.3e154, 1.35e154, 1e300])
+    assert absolute_value().evaluate(np.array([1e-170])) == 1e-170
+    assert absolute_value().evaluate(np.array([1.35e154])) == 1.35e154
+    for norm in (absolute_value(), WeightedLpNorm(dimension=1, p=2.0, weights=(0.5,)),
+                 scale_norm(absolute_value(), 3.0)):
+        factor = norm.evaluate(np.array([1.0]))
+        for x in (xs, -xs):
+            assert np.array_equal(norm.evaluate(x[:, None]), factor * xs), norm
+    middle = np.random.default_rng(4).uniform(-1e3, 1e3, 1000)
+    assert np.array_equal(absolute_value().evaluate(middle[:, None]),
+                          np.sqrt(middle * middle))
+
+
 # Peak traced allocation, MiB, of signed_mean_over_outcomes on (4096, 8, 2)
 # outcomes under norms 0, 3, 4, 5, 6 of random_norm_family(77, 2, 20): one
 # 128-pattern block of sums is 8 MiB, so a copy of it per norm call exceeds

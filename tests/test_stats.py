@@ -1,5 +1,6 @@
 """The one three-valued verdict rule and the reports built on it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -118,3 +119,21 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False False"
+
+
+def test_cli_import_and_an_exact_run_leave_scipy_special_unloaded(tmp_path):
+    # scipy.special loads on first use: Clopper-Pearson intervals and the scalar
+    # Gaussian closed form need it, an exact tail table does not.
+    src = os.path.dirname(os.path.dirname(domlab.__file__))
+    config = {"kind": "tail", "seed": 1, "estimator": {"kind": "exact"},
+              "source": {"family": "finite", "atoms": [[[1.0], 0.5], [[-1.0], 0.5]]},
+              "norms": {"list": [{"variant": "lp", "dimension": 1, "p": 2}]},
+              "thresholds": [0.5, 1.0]}
+    (tmp_path / "tail.json").write_text(json.dumps(config))
+    code = ("import sys; from domlab.cli import main; "
+            "loaded = 'scipy.special' in sys.modules; "
+            "exit_code = main(['run', 'tail.json', '--out', 'out']); "
+            "print(loaded, exit_code, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.splitlines()[-1] == "False 0 False"

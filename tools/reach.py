@@ -64,23 +64,20 @@ ALLOWED = {
     ("config", "_prepare_majorize.run",
      'report = {"kind": "majorize", "majorised": False,', 0),
     ("config", "_prepare_majorize.run", 'return report, {}, ["violated"]', 0),
-    # scaled_source of a finite sum and of a sampled law
+    # scaled_source of a sum and of a sampled law
     ("distributions", "scaled_source",
-     "if inner.finite:  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n", 0),
+     "if isinstance(inner, ProductLaw):  # c (X_1 + ... + X_n) = c X_1 + ... + c X_n", 0),
     ("distributions", "scaled_source",
      'return SamplerSource(dimension=inner.dimension, family="scaled",', 0),
-    # _draw of a nested sum, of a stable law at index 1 and of a scaled law
-    ("distributions", "_draw", "part = np.empty_like(out)", 0),
-    ("distributions", "_draw", "out.fill(0.0)", 0),
-    ("distributions", "_draw",
-     "for component, child in zip(source.components, ss.spawn(source.n)):", 0),
-    ("distributions", "_draw", "return out", 0),
+    # _draw of a stable law at index 1 and of a scaled law
     ("distributions", "_draw", "np.tan(v, out=v)", 0),
     ("distributions", "_draw", 'if fam == "scaled":', 0),
     # the closed forms of a scalar Gaussian and of a scaled law
     ("distributions", "analytic_survival",
      'sigma = math.sqrt(float(par["covariance"][0, 0]))', 0),
     ("distributions", "analytic_survival", "if sigma == 0.0:", 0),
+    ("distributions", "analytic_survival",
+     "from scipy.special import erfc  # on first use: scipy.special is slow to import", 0),
     ("distributions", "analytic_survival",
      "return lambda t: 1.0 if t <= 0.0 else float(erfc(t / (sigma * math.sqrt(2.0))))", 0),
     ("distributions", "analytic_survival", 'inner = analytic_survival(par["inner"])', 0),
